@@ -208,7 +208,8 @@ std::string SnapshotToJson(const MetricsSnapshot& snap) {
       for (const auto& [low, n] : e.buckets) {
         if (!bfirst) out.push_back(',');
         bfirst = false;
-        out += "[" + std::to_string(low) + "," + std::to_string(n) + "]";
+        out.append("[").append(std::to_string(low)).append(",");
+        out.append(std::to_string(n)).append("]");
       }
       out += "]";
     } else {

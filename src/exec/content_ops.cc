@@ -1,8 +1,8 @@
-#include <map>
-#include <set>
 #include <memory>
+#include <set>
 
 #include "common/macros.h"
+#include "exec/grouped_aggregate.h"
 #include "exec/operators.h"
 #include "exec/parallel.h"
 
@@ -63,205 +63,32 @@ AttributeDesc AggOutputAttr(const std::string& agg) {
   return {agg, DataType::kDouble, true, false};
 }
 
+// Aggregate is the one-call case of AggregateMulti, but keeps the bare
+// AggOutputAttr(agg) attribute name that AQL results and plans print.
 Result<MemArray> Aggregate(const ExecContext& ctx, const MemArray& a,
                            const std::vector<std::string>& group_dims,
                            const std::string& agg, const std::string& attr) {
-  if (ctx.aggregates == nullptr) {
-    return Status::Internal("Aggregate: no aggregate registry bound");
-  }
-  ASSIGN_OR_RETURN(const AggregateFunction* afn, ctx.aggregates->Find(agg));
-  const ArraySchema& schema = a.schema();
-
-  size_t attr_idx = 0;
-  if (attr != "*") {
-    ASSIGN_OR_RETURN(attr_idx, schema.AttrIndex(attr));
-  }
-
-  std::vector<size_t> gidx;
-  std::vector<DimensionDesc> out_dims;
-  std::set<size_t> seen;
-  for (const auto& g : group_dims) {
-    ASSIGN_OR_RETURN(size_t di, schema.DimIndex(g));
-    if (!seen.insert(di).second) {
-      return Status::Invalid("Aggregate: duplicate grouping dimension '" +
-                             g + "'");
-    }
-    gidx.push_back(di);
-    out_dims.push_back(schema.dim(di));
-  }
-  if (out_dims.empty()) {
-    // Grand aggregate: single-cell output with one synthetic dimension.
-    out_dims.push_back({"all", 1, 1, 1});
-  }
-  ArraySchema out_schema(schema.name() + "_agg", std::move(out_dims),
-                         {AggOutputAttr(agg)});
-  MemArray out(out_schema);
-
-  // Partial-aggregate phase (DESIGN.md §8): one group map per chunk,
-  // accumulated independently. Run this way at EVERY pool width — the
-  // partial+merge shape is the algorithm, not a parallel special case, so
-  // results are bit-identical at parallelism 1/2/8.
-  using GroupMap = std::map<Coordinates, std::unique_ptr<AggregateState>>;
-  std::vector<GroupMap> partials(a.chunks().size());
-  RETURN_NOT_OK(ForEachChunkParallel(
-      ctx, a,
-      [&](size_t index, const Coordinates&, const Chunk& chunk,
-          ExecStats* stats) -> Status {
-        GroupMap& local = partials[index];
-        Coordinates key;
-        for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
-          ++stats->cells_visited;
-          key.clear();
-          if (gidx.empty()) {
-            key.push_back(1);
-          } else {
-            Coordinates c = it.coords();
-            for (size_t d : gidx) key.push_back(c[d]);
-          }
-          auto git = local.find(key);
-          if (git == local.end()) {
-            git = local.emplace(key, afn->NewState()).first;
-          }
-          RETURN_NOT_OK(
-              git->second->Accumulate(chunk.block(attr_idx).Get(it.rank())));
-        }
-        return Status::OK();
-      }));
-
-  // Deterministic single-threaded merge in chunk-map order: the first
-  // chunk's state seeds each group, later partials Merge() in. Merge
-  // order never depends on worker count.
-  GroupMap groups;
-  for (GroupMap& part : partials) {
-    for (auto& [key, state] : part) {
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        groups.emplace(key, std::move(state));
-      } else {
-        RETURN_NOT_OK(it->second->Merge(*state));
-      }
-    }
-  }
-
-  // A grand aggregate over an empty array still produces its one cell
-  // (SQL semantics: SUM of nothing is NULL, COUNT of nothing is 0).
-  if (gidx.empty() && groups.empty()) {
-    groups.emplace(Coordinates{1}, afn->NewState());
-  }
-  for (const auto& [key, state] : groups) {
-    RETURN_NOT_OK(out.SetCell(key, state->Finalize()));
-  }
-  return out;
+  ASSIGN_OR_RETURN(
+      GroupedAggregate core,
+      GroupedAggregate::ByDims(ctx, a.schema(), group_dims, {{agg, attr}}));
+  return core.Run(ctx, a, a.schema().name() + "_agg", {AggOutputAttr(agg)});
 }
 
 Result<MemArray> AggregateMulti(const ExecContext& ctx, const MemArray& a,
                                 const std::vector<std::string>& group_dims,
                                 const std::vector<AggCall>& calls) {
-  if (ctx.aggregates == nullptr) {
-    return Status::Internal("AggregateMulti: no aggregate registry bound");
-  }
-  if (calls.empty()) {
-    return Status::Invalid("AggregateMulti: need at least one aggregate");
-  }
-  const ArraySchema& schema = a.schema();
-
-  std::vector<const AggregateFunction*> fns;
-  std::vector<size_t> attr_idx;
+  ASSIGN_OR_RETURN(
+      GroupedAggregate core,
+      GroupedAggregate::ByDims(ctx, a.schema(), group_dims, calls));
   std::vector<AttributeDesc> out_attrs;
   std::set<std::string> used_names;
   for (const AggCall& call : calls) {
-    ASSIGN_OR_RETURN(const AggregateFunction* fn,
-                     ctx.aggregates->Find(call.agg));
-    fns.push_back(fn);
-    size_t ai = 0;
-    if (call.attr != "*") {
-      ASSIGN_OR_RETURN(ai, schema.AttrIndex(call.attr));
-    }
-    attr_idx.push_back(ai);
     AttributeDesc desc = AggOutputAttr(call.agg);
     if (call.attr != "*") desc.name = call.agg + "_" + call.attr;
     while (!used_names.insert(desc.name).second) desc.name += "_2";
     out_attrs.push_back(std::move(desc));
   }
-
-  std::vector<size_t> gidx;
-  std::vector<DimensionDesc> out_dims;
-  std::set<size_t> seen;
-  for (const auto& g : group_dims) {
-    ASSIGN_OR_RETURN(size_t di, schema.DimIndex(g));
-    if (!seen.insert(di).second) {
-      return Status::Invalid(
-          "AggregateMulti: duplicate grouping dimension '" + g + "'");
-    }
-    gidx.push_back(di);
-    out_dims.push_back(schema.dim(di));
-  }
-  if (out_dims.empty()) out_dims.push_back({"all", 1, 1, 1});
-  ArraySchema out_schema(schema.name() + "_agg", std::move(out_dims),
-                         std::move(out_attrs));
-  MemArray out(out_schema);
-
-  // One state vector per group; all aggregates fed from a single scan.
-  // Same partial+merge shape as Aggregate: per-chunk partials at every
-  // pool width, merged single-threaded in chunk-map order.
-  using MultiGroupMap =
-      std::map<Coordinates, std::vector<std::unique_ptr<AggregateState>>>;
-  std::vector<MultiGroupMap> partials(a.chunks().size());
-  RETURN_NOT_OK(ForEachChunkParallel(
-      ctx, a,
-      [&](size_t index, const Coordinates&, const Chunk& chunk,
-          ExecStats* stats) -> Status {
-        MultiGroupMap& local = partials[index];
-        Coordinates key;
-        for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
-          ++stats->cells_visited;
-          key.clear();
-          if (gidx.empty()) {
-            key.push_back(1);
-          } else {
-            Coordinates c = it.coords();
-            for (size_t d : gidx) key.push_back(c[d]);
-          }
-          auto git = local.find(key);
-          if (git == local.end()) {
-            std::vector<std::unique_ptr<AggregateState>> states;
-            for (const auto* fn : fns) states.push_back(fn->NewState());
-            git = local.emplace(key, std::move(states)).first;
-          }
-          for (size_t k = 0; k < fns.size(); ++k) {
-            RETURN_NOT_OK(git->second[k]->Accumulate(
-                chunk.block(attr_idx[k]).Get(it.rank())));
-          }
-        }
-        return Status::OK();
-      }));
-
-  MultiGroupMap groups;
-  for (MultiGroupMap& part : partials) {
-    for (auto& [key, states] : part) {
-      auto it = groups.find(key);
-      if (it == groups.end()) {
-        groups.emplace(key, std::move(states));
-      } else {
-        for (size_t k = 0; k < fns.size(); ++k) {
-          RETURN_NOT_OK(it->second[k]->Merge(*states[k]));
-        }
-      }
-    }
-  }
-
-  if (gidx.empty() && groups.empty()) {
-    std::vector<std::unique_ptr<AggregateState>> states;
-    for (const auto* fn : fns) states.push_back(fn->NewState());
-    groups.emplace(Coordinates{1}, std::move(states));
-  }
-  for (const auto& [key, states] : groups) {
-    std::vector<Value> row;
-    row.reserve(states.size());
-    for (const auto& state : states) row.push_back(state->Finalize());
-    RETURN_NOT_OK(out.SetCell(key, row));
-  }
-  return out;
+  return core.Run(ctx, a, a.schema().name() + "_agg", std::move(out_attrs));
 }
 
 // ----------------------------------------------------------------- Cjoin
@@ -422,60 +249,10 @@ Result<MemArray> Project(const ExecContext& ctx, const MemArray& a,
 Result<MemArray> Regrid(const ExecContext& ctx, const MemArray& a,
                         const std::vector<int64_t>& factors,
                         const std::string& agg, const std::string& attr) {
-  if (ctx.aggregates == nullptr) {
-    return Status::Internal("Regrid: no aggregate registry bound");
-  }
-  const ArraySchema& schema = a.schema();
-  if (factors.size() != schema.ndims()) {
-    return Status::Invalid("Regrid: need one factor per dimension");
-  }
-  for (int64_t f : factors) {
-    if (f <= 0) return Status::Invalid("Regrid: factors must be positive");
-  }
-  ASSIGN_OR_RETURN(const AggregateFunction* afn, ctx.aggregates->Find(agg));
-  size_t attr_idx = 0;
-  if (attr != "*") {
-    ASSIGN_OR_RETURN(attr_idx, schema.AttrIndex(attr));
-  }
-
-  std::vector<DimensionDesc> out_dims;
-  for (size_t d = 0; d < schema.ndims(); ++d) {
-    DimensionDesc dd = schema.dim(d);
-    if (!dd.unbounded()) {
-      dd.high = dd.low + (dd.extent() + factors[d] - 1) / factors[d] - 1;
-    }
-    out_dims.push_back(dd);
-  }
-  ArraySchema out_schema(schema.name() + "_regrid", std::move(out_dims),
-                         {AggOutputAttr(agg)});
-  MemArray out(out_schema);
-
-  std::map<Coordinates, std::unique_ptr<AggregateState>> blocks;
-  Status st;
-  bool failed = false;
-  a.ForEachCell([&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-    if (ctx.stats != nullptr) ++ctx.stats->cells_visited;
-    Coordinates key(c.size());
-    for (size_t d = 0; d < c.size(); ++d) {
-      key[d] = schema.dim(d).low + (c[d] - schema.dim(d).low) / factors[d];
-    }
-    auto it = blocks.find(key);
-    if (it == blocks.end()) {
-      it = blocks.emplace(std::move(key), afn->NewState()).first;
-    }
-    st = it->second->Accumulate(chunk.block(attr_idx).Get(rank));
-    if (!st.ok()) {
-      failed = true;
-      return false;
-    }
-    return true;
-  });
-  if (failed) return st;
-
-  for (const auto& [key, state] : blocks) {
-    RETURN_NOT_OK(out.SetCell(key, state->Finalize()));
-  }
-  return out;
+  ASSIGN_OR_RETURN(
+      GroupedAggregate core,
+      GroupedAggregate::ByBlocks(ctx, a.schema(), factors, {{agg, attr}}));
+  return core.Run(ctx, a, a.schema().name() + "_regrid", {AggOutputAttr(agg)});
 }
 
 }  // namespace scidb

@@ -196,8 +196,10 @@ Result<Value> BinaryExpr::Eval(const EvalContext& ctx) const {
 }
 
 std::string BinaryExpr::ToString() const {
-  return "(" + lhs_->ToString() + " " + BinaryOpName(op_) + " " +
-         rhs_->ToString() + ")";
+  std::string s = "(";
+  s.append(lhs_->ToString()).append(" ").append(BinaryOpName(op_));
+  s.append(" ").append(rhs_->ToString()).append(")");
+  return s;
 }
 
 Result<Value> NotExpr::Eval(const EvalContext& ctx) const {

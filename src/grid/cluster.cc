@@ -10,6 +10,7 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "exec/expr_serde.h"
+#include "exec/grouped_aggregate.h"
 #include "grid/node_service.h"
 #include "net/inprocess_transport.h"
 #include "net/message.h"
@@ -71,6 +72,22 @@ GridNetOptions DefaultNetOptions() {
 // server-side error Status) is a real answer from a live node.
 bool IsPeerFailure(const Status& s) {
   return s.IsUnavailable() || s.IsDeadlineExceeded();
+}
+
+// Copies every cell of `from` into `out`, in chunk-map then rank order.
+// Grid partials hold disjoint cells, so repeated calls build their union.
+Status CopyCells(const MemArray& from, MemArray* out) {
+  std::vector<Value> cell;
+  for (const auto& [origin, chunk] : from.chunks()) {
+    for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
+      cell.clear();
+      for (size_t a = 0; a < chunk->nattrs(); ++a) {
+        cell.push_back(chunk->block(a).Get(it.rank()));
+      }
+      RETURN_NOT_OK(out->SetCell(it.coords(), cell));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -890,67 +907,21 @@ Result<int64_t> DistributedArray::Repartition(
   return bytes_moved;
 }
 
-Result<MemArray> DistributedArray::ParallelAggregate(
-    const ExecContext& ctx, const std::vector<std::string>& dims,
-    const std::string& agg, const std::string& attr) {
-  // Per-node partial aggregation into mergeable state maps on fan-out
-  // workers, then a coordinator merge (AggregateState::Merge). Finalized
-  // values cannot be merged (avg of avgs is wrong), hence states travel,
-  // not results — and since states have no wire form, the shard contents
-  // travel instead (ScanShard data shipping) and the partials are built
-  // coordinator-side.
-  if (ctx.aggregates == nullptr) {
-    return Status::Internal("no aggregate registry");
-  }
-  GridMetrics::Get().parallel_ops->Inc();
-  ASSIGN_OR_RETURN(const AggregateFunction* afn, ctx.aggregates->Find(agg));
-
-  std::vector<size_t> gidx;
-  for (const auto& g : dims) {
-    ASSIGN_OR_RETURN(size_t di, schema_.DimIndex(g));
-    gidx.push_back(di);
-  }
-  size_t attr_idx = 0;
-  if (attr != "*") {
-    ASSIGN_OR_RETURN(attr_idx, schema_.AttrIndex(attr));
-  }
-
-  TraceNode* child = TraceChild("grid.parallel_aggregate");
+Status DistributedArray::FanOutSlots(
+    const char* label, const ExprPtr& pred,
+    const std::function<Status(size_t slot, MemArray partial)>& per_slot) {
+  TraceNode* child = TraceChild(label);
   const TraceContext tctx = BeginOpTrace();
   std::atomic<int64_t> failovers{0};
-  std::vector<std::map<Coordinates, std::unique_ptr<AggregateState>>>
-      node_states(static_cast<size_t>(num_nodes()));
   {
     TraceNode scratch;
     TraceSpan span(clock_, child != nullptr ? child : &scratch);
-    RETURN_NOT_OK(FanoutPool()->ParallelFor(
-        num_nodes(), [&](int64_t node) -> Status {
+    RETURN_NOT_OK(
+        FanoutPool()->ParallelFor(num_nodes(), [&](int64_t node) -> Status {
           ASSIGN_OR_RETURN(MemArray partial,
-                           FetchSlot(static_cast<int>(node), nullptr, tctx,
+                           FetchSlot(static_cast<int>(node), pred, tctx,
                                      &failovers));
-          auto& groups = node_states[static_cast<size_t>(node)];
-          Status acc;
-          partial.ForEachCell(
-              [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-                Coordinates key;
-                if (gidx.empty()) {
-                  key.push_back(1);
-                } else {
-                  for (size_t d : gidx) key.push_back(c[d]);
-                }
-                auto it = groups.find(key);
-                if (it == groups.end()) {
-                  it = groups.emplace(std::move(key), afn->NewState()).first;
-                }
-                Status s =
-                    it->second->Accumulate(chunk.block(attr_idx).Get(rank));
-                if (!s.ok()) {
-                  acc = s;
-                  return false;
-                }
-                return true;
-              });
-          return acc;
+          return per_slot(static_cast<size_t>(node), std::move(partial));
         }));
   }
   if (child != nullptr) {
@@ -961,30 +932,35 @@ Result<MemArray> DistributedArray::ParallelAggregate(
   }
   StitchOpTrace(child, tctx);
   MaybeRecover();
+  return Status::OK();
+}
 
-  // Coordinator merge, in node order (deterministic at every width).
-  std::map<Coordinates, std::unique_ptr<AggregateState>> merged;
-  for (auto& groups : node_states) {
-    for (auto& [key, state] : groups) {
-      auto it = merged.find(key);
-      if (it == merged.end()) {
-        merged.emplace(key, std::move(state));
-      } else {
-        RETURN_NOT_OK(it->second->Merge(*state));
-      }
-    }
-  }
+Result<MemArray> DistributedArray::ParallelAggregate(
+    const ExecContext& ctx, const std::vector<std::string>& dims,
+    const std::string& agg, const std::string& attr) {
+  // Per-node partial aggregation on the fan-out workers, then a
+  // coordinator merge in node order, both through the exec core
+  // (GroupedAggregate). Finalized values cannot be merged (avg of avgs is
+  // wrong), hence states merge, not results — and since states have no
+  // wire form, the shard contents travel instead (ScanShard data
+  // shipping) and the partials are built coordinator-side.
+  GridMetrics::Get().parallel_ops->Inc();
+  ASSIGN_OR_RETURN(
+      GroupedAggregate core,
+      GroupedAggregate::ByDims(ctx, schema_, dims, {{agg, attr}}));
 
-  std::vector<DimensionDesc> out_dims;
-  for (size_t d : gidx) out_dims.push_back(schema_.dim(d));
-  if (out_dims.empty()) out_dims.push_back({"all", 1, 1, 1});
-  ArraySchema out_schema(schema_.name() + "_agg", std::move(out_dims),
-                         {AggOutputAttr(agg)});
-  MemArray out(out_schema);
-  for (const auto& [key, state] : merged) {
-    RETURN_NOT_OK(out.SetCell(key, state->Finalize()));
-  }
-  return out;
+  std::vector<GroupedAggregate::Groups> node_groups(
+      static_cast<size_t>(num_nodes()));
+  RETURN_NOT_OK(FanOutSlots(
+      "grid.parallel_aggregate", nullptr,
+      [&](size_t node, MemArray partial) -> Status {
+        for (const auto& [origin, chunk] : partial.chunks()) {
+          RETURN_NOT_OK(core.Accumulate(*chunk, &node_groups[node]));
+        }
+        return Status::OK();
+      }));
+  return core.Finish(std::move(node_groups), schema_.name() + "_agg",
+                     {AggOutputAttr(agg)});
 }
 
 Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
@@ -995,52 +971,17 @@ Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
   for (auto& svc : services_) {
     svc->SetExecEnv(ctx.functions, ctx.enable_chunk_pruning);
   }
-  TraceNode* child = TraceChild("grid.parallel_subsample");
-  const TraceContext tctx = BeginOpTrace();
-  std::atomic<int64_t> failovers{0};
-  std::vector<Result<MemArray>> partials(
-      static_cast<size_t>(num_nodes()),
-      Result<MemArray>(Status::Internal("not run")));
-  {
-    TraceNode scratch;
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
-    RETURN_NOT_OK(
-        FanoutPool()->ParallelFor(num_nodes(), [&](int64_t node) -> Status {
-          partials[static_cast<size_t>(node)] =
-              FetchSlot(static_cast<int>(node), pred, tctx, &failovers);
-          return partials[static_cast<size_t>(node)].status();
-        }));
-  }
-  if (child != nullptr) {
-    child->AddNote("net.rpcs", static_cast<double>(num_nodes()));
-    if (failovers.load() > 0) {
-      child->AddNote("failover", static_cast<double>(failovers.load()));
-    }
-  }
-  StitchOpTrace(child, tctx);
-  MaybeRecover();
-
+  std::vector<MemArray> partials(static_cast<size_t>(num_nodes()),
+                                 MemArray(schema_));
+  RETURN_NOT_OK(FanOutSlots("grid.parallel_subsample", pred,
+                            [&](size_t node, MemArray partial) -> Status {
+                              partials[node] = std::move(partial);
+                              return Status::OK();
+                            }));
   MemArray out(schema_);
   out.mutable_schema()->set_name(schema_.name() + "_subsample");
-  std::vector<Value> cell;
-  for (auto& partial : partials) {
-    RETURN_NOT_OK(partial.status());
-    Status st;
-    bool failed = false;
-    partial.value().ForEachCell(
-        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-          cell.clear();
-          for (size_t a = 0; a < chunk.nattrs(); ++a) {
-            cell.push_back(chunk.block(a).Get(rank));
-          }
-          st = out.SetCell(c, cell);
-          if (!st.ok()) {
-            failed = true;
-            return false;
-          }
-          return true;
-        });
-    if (failed) return st;
+  for (const MemArray& partial : partials) {
+    RETURN_NOT_OK(CopyCells(partial, &out));
   }
   return out;
 }
@@ -1089,58 +1030,21 @@ Result<MemArray> DistributedArray::ParallelSjoin(
   // Node-local joins: each worker fetches its node's lhs shard over the
   // wire and joins it against the co-located rhs shard.
   GridMetrics::Get().parallel_ops->Inc();
-  TraceNode* child = TraceChild("grid.parallel_sjoin");
-  const TraceContext tctx = BeginOpTrace();
-  std::atomic<int64_t> failovers{0};
   std::vector<Result<MemArray>> partials(
       static_cast<size_t>(num_nodes()),
       Result<MemArray>(Status::Internal("not run")));
-  {
-    TraceNode scratch;
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
-    RETURN_NOT_OK(
-        FanoutPool()->ParallelFor(num_nodes(), [&](int64_t node) -> Status {
-          ASSIGN_OR_RETURN(MemArray lhs,
-                           FetchSlot(static_cast<int>(node), nullptr, tctx,
-                                     &failovers));
-          ExecContext local = ctx;
-          local.stats = nullptr;
-          partials[static_cast<size_t>(node)] = Sjoin(
-              local, lhs, (*rhs_shards)[static_cast<size_t>(node)], dim_pairs);
-          return partials[static_cast<size_t>(node)].status();
-        }));
-  }
-  if (child != nullptr) {
-    child->AddNote("net.rpcs", static_cast<double>(num_nodes()));
-    if (failovers.load() > 0) {
-      child->AddNote("failover", static_cast<double>(failovers.load()));
-    }
-  }
-  StitchOpTrace(child, tctx);
-  MaybeRecover();
+  RETURN_NOT_OK(FanOutSlots(
+      "grid.parallel_sjoin", nullptr,
+      [&](size_t node, MemArray lhs) -> Status {
+        ExecContext local = ctx;
+        local.stats = nullptr;
+        partials[node] = Sjoin(local, lhs, (*rhs_shards)[node], dim_pairs);
+        return partials[node].status();
+      }));
 
-  Result<MemArray>& first = partials[0];
-  RETURN_NOT_OK(first.status());
-  MemArray out(first.value().schema());
-  std::vector<Value> cell;
-  for (auto& partial : partials) {
-    RETURN_NOT_OK(partial.status());
-    Status st;
-    bool failed = false;
-    partial.value().ForEachCell(
-        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-          cell.clear();
-          for (size_t a = 0; a < chunk.nattrs(); ++a) {
-            cell.push_back(chunk.block(a).Get(rank));
-          }
-          st = out.SetCell(c, cell);
-          if (!st.ok()) {
-            failed = true;
-            return false;
-          }
-          return true;
-        });
-    if (failed) return st;
+  MemArray out(partials[0].value().schema());
+  for (const Result<MemArray>& partial : partials) {
+    RETURN_NOT_OK(CopyCells(partial.value(), &out));
   }
   return out;
 }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -180,9 +181,10 @@ class DistributedArray {
   // ---- parallel execution (one RPC-fetching worker per node) ----
 
   // Grand or grouped aggregate executed as per-node partials merged at
-  // the coordinator (AggregateState::Merge). Shard contents travel to
-  // the workers as ScanShard responses (data shipping: accumulator
-  // state has no wire form).
+  // the coordinator in node order, through the same GroupedAggregate core
+  // as the local Aggregate. Shard contents travel to the workers as
+  // ScanShard responses (data shipping: accumulator state has no wire
+  // form).
   Result<MemArray> ParallelAggregate(const ExecContext& ctx,
                                      const std::vector<std::string>& dims,
                                      const std::string& agg,
@@ -330,6 +332,14 @@ class DistributedArray {
   // Lazy fan-out pool (one worker per node); rebuilt when the node
   // count changes.
   ThreadPool* FanoutPool();
+  // The parallel operators' scatter/gather, traced as `label`: fetches
+  // every slot's partial on the fan-out pool (shipping `pred`; FetchSlot
+  // fails over) and hands it to `per_slot` on that slot's worker, then
+  // stitches the trace and runs any owed recovery. Fails with the
+  // lowest failing slot's Status.
+  Status FanOutSlots(
+      const char* label, const ExprPtr& pred,
+      const std::function<Status(size_t slot, MemArray partial)>& per_slot);
 
   // Re-derives cells_stored for `node` from its shard. Derived rather
   // than incremented so replayed ChunkPuts are idempotent.

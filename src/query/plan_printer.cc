@@ -65,7 +65,8 @@ std::string PlanLabel(const OpNode& node) {
       detail += " = " + node.exprs[0]->ToString();
     }
   } else if (op == "aggregate") {
-    detail = "{" + JoinNames(node.names) + "} " + AggSummary(node);
+    detail = "{";
+    detail.append(JoinNames(node.names)).append("} ").append(AggSummary(node));
   } else if (op == "regrid" || op == "window") {
     detail = JoinNumbers(node.numbers) + "; " + AggSummary(node);
   } else if (op == "project" || op == "concat" || op == "adddimension" ||

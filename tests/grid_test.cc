@@ -173,6 +173,14 @@ TEST(DistributedArrayTest, ParallelAggregateMatchesSerial) {
                 (*serial.GetCell({i}))[0].double_value(), 1e-12)
         << "row " << i;
   }
+
+  // Grouping by the same dimension twice is rejected on the grid exactly
+  // as it is locally.
+  EXPECT_TRUE(
+      Aggregate(ctx, src, {"ra", "ra"}, "avg", "flux").status().IsInvalid());
+  EXPECT_TRUE(d.ParallelAggregate(ctx, {"ra", "ra"}, "avg", "flux")
+                  .status()
+                  .IsInvalid());
 }
 
 TEST(DistributedArrayTest, ParallelGrandAggregate) {

@@ -19,7 +19,7 @@
 // network, under seeded fault injection (drops/dups/delays/reorders
 // masked by the RPC retry machinery), and across all three transports.
 // Deadline behaviour under a full partition runs on net::VirtualTime —
-// no real sleeps anywhere in this file (tools/lint.py net-test-clock).
+// no real sleeps anywhere in this file (staticcheck net-test-clock).
 
 namespace scidb {
 namespace {

@@ -16,7 +16,7 @@ namespace net {
 namespace {
 
 // All deadline/backoff behaviour in this file runs on net::VirtualTime —
-// the suite never sleeps for real (enforced by tools/lint.py
+// the suite never sleeps for real (enforced by staticcheck
 // net-test-clock); a full-deadline "wait" costs microseconds.
 
 CallOptions FastCall() {

@@ -7,7 +7,7 @@
 // output whose retry notes account for every injected drop.
 //
 // All fault/deadline behaviour here runs on net::VirtualTime or a clean
-// network with generous budgets — no real sleeps (tools/lint.py
+// network with generous budgets — no real sleeps (staticcheck
 // net-test-clock).
 
 #include <gtest/gtest.h>

@@ -9,6 +9,7 @@
 // accumulation order fails the suite.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -275,12 +276,40 @@ TEST_F(ParallelDifferentialTest, UncertainAggregates) {
   }
 }
 
-// Serial-only operators still accept a pooled context unchanged.
+// Regrid runs on the grouped-aggregation core, one part per chunk. With
+// {4, 4} every block sits inside one chunk; with {3, 5} blocks straddle
+// the 16-cell chunks, so their per-chunk partials meet in the merge, whose
+// fixed chunk-map order must keep double sums bit-identical at any width.
 TEST_F(ParallelDifferentialTest, RegridIsWidthIndependent) {
   MemArray sky = bench::MakeSkyImage(48, 16, 4, 31);
   RunDifferential("Regrid/sky", [&](const ExecContext& ctx) {
     return Regrid(ctx, sky, {4, 4}, "avg", "flux");
   });
+  for (const char* agg : {"count", "sum", "avg"}) {
+    RunDifferential("Regrid/straddling/" + std::string(agg),
+                    [&](const ExecContext& ctx) {
+                      return Regrid(ctx, sky, {3, 5}, agg, "flux");
+                    });
+  }
+}
+
+// A query cancelled before a grouped aggregate starts aborts it with
+// Cancelled at every width, before the first morsel.
+TEST_F(ParallelDifferentialTest, PreCancelledGroupedAggregatesAbort) {
+  MemArray sky = bench::MakeSkyImage(48, 16, 4, 53);
+  const std::atomic<bool> cancel{true};
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    ExecContext ctx = CtxWith(p);
+    ctx.cancel = &cancel;
+    EXPECT_TRUE(Aggregate(ctx, sky, {"I"}, "sum", "flux")
+                    .status()
+                    .IsCancelled());
+    EXPECT_TRUE(AggregateMulti(ctx, sky, {}, {{"count", "*"}, {"avg", "flux"}})
+                    .status()
+                    .IsCancelled());
+    EXPECT_TRUE(Regrid(ctx, sky, {4, 4}, "avg", "flux").status().IsCancelled());
+  }
 }
 
 // ------------------- deterministic failure (satellite) ------------------

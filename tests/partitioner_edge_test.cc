@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "array/schema.h"
@@ -123,11 +124,28 @@ TEST(PartitionerEdgeTest, ParallelOpsOnEmptyArrayMatchSerial) {
   FunctionRegistry fns;
   AggregateRegistry aggs;
   ExecContext ctx{&fns, &aggs, true, nullptr};
-  Result<MemArray> par = d.ParallelAggregate(ctx, {"ra"}, "sum", "flux");
-  Result<MemArray> ser = Aggregate(ctx, empty, {"ra"}, "sum", "flux");
-  ASSERT_EQ(par.ok(), ser.ok());
-  if (par.ok()) {
-    EXPECT_EQ(par.value().CellCount(), ser.value().CellCount());
+  // Grouped: no groups at all. Grand ({}): the one SQL-style cell, whose
+  // count is 0 and whose sum is NULL, on the grid as locally.
+  for (const std::vector<std::string>& dims :
+       {std::vector<std::string>{"ra"}, std::vector<std::string>{}}) {
+    for (const char* agg : {"sum", "count"}) {
+      Result<MemArray> par = d.ParallelAggregate(ctx, dims, agg, "flux");
+      Result<MemArray> ser = Aggregate(ctx, empty, dims, agg, "flux");
+      ASSERT_TRUE(par.ok()) << par.status().ToString();
+      ASSERT_TRUE(ser.ok()) << ser.status().ToString();
+      ASSERT_EQ(par.value().CellCount(), ser.value().CellCount()) << agg;
+      ser.value().ForEachCell(
+          [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+            auto cell = par.value().GetCell(c);
+            EXPECT_TRUE(cell.has_value());
+            if (cell.has_value()) {
+              EXPECT_EQ((*cell)[0].ToString(),
+                        chunk.block(0).Get(rank).ToString())
+                  << agg;
+            }
+            return true;
+          });
+    }
   }
 
   Result<MemArray> sub =

@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-"""Project lint gate: a thin driver around tools/staticcheck.
+"""Project lint gate: the checks that need a toolchain.
 
 All per-line and cross-file source checks (no-throw, no-naked-new,
 status-ladder, include-guard, metrics-state, no-raw-thread,
 no-raw-socket, net-test-clock, atomic-order, layering, lock-coverage,
 protocol-drift, status-flow) live in the compiled analyzer under
-tools/staticcheck/; see tools/staticcheck/README note in DESIGN.md §11.
-This script keeps only the pieces that need a toolchain:
+tools/staticcheck/ (DESIGN.md §11), which runs as its own ctest entry
+and CI job. This script keeps only what staticcheck cannot do:
 
-  * the staticcheck run itself (pass --staticcheck-bin to reuse the
-    CMake-built binary; otherwise the analyzer is bootstrap-compiled
-    from tools/staticcheck/*.cc with the first C++ compiler found);
   * a compile probe (--probe-compiler): discarding a Status must FAIL
     under -Werror=unused-result, proving [[nodiscard]] holds, while a
     control TU that consumes the Status must compile;
@@ -22,69 +19,11 @@ Exit code 0 when clean, 1 when any violation is found.
 """
 
 import argparse
-import glob
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
-
-# ------------------------------------------------------------ staticcheck
-
-
-def build_staticcheck(root, compiler, tmp):
-    """Bootstrap-compiles tools/staticcheck into tmp; returns the binary
-    path or an error string."""
-    sources = sorted(glob.glob(os.path.join(root, "tools", "staticcheck",
-                                            "*.cc")))
-    if not sources:
-        return None, "tools/staticcheck/*.cc not found under %r" % root
-    for candidate in [compiler, "c++", "g++", "clang++"]:
-        if candidate and shutil.which(candidate):
-            compiler = candidate
-            break
-    else:
-        return None, ("no C++ compiler found to bootstrap staticcheck; "
-                      "pass --staticcheck-bin or --probe-compiler")
-    out = os.path.join(tmp, "staticcheck")
-    cmd = [compiler, "-std=c++17", "-O1", "-o", out] + sources
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        return None, ("bootstrap compile of staticcheck failed:\n"
-                      + proc.stderr.strip())
-    return out, None
-
-
-def run_staticcheck(root, binary, compiler):
-    """Returns a list of failure strings (empty on success)."""
-    sc_dir = os.path.join(root, "tools", "staticcheck")
-    with tempfile.TemporaryDirectory(prefix="scidb_lint_sc_") as tmp:
-        if binary is None:
-            binary, err = build_staticcheck(root, compiler, tmp)
-            if err:
-                return [err]
-        cmd = [binary, "--root", root]
-        # Config files are optional so the probe works on crafted trees
-        # (the real repo always has all four).
-        for flag, name in [("--manifest", "layering.manifest"),
-                           ("--protocol", "protocol.manifest"),
-                           ("--baseline", "baseline"),
-                           ("--blocking", "blocking.manifest")]:
-            path = os.path.join(sc_dir, name)
-            if os.path.isfile(path):
-                cmd += [flag, path]
-        # Stale baseline entries and pathological analyzer slowdowns are
-        # failures here, exactly as in ctest and CI.
-        cmd += ["--baseline-strict", "--max-wall-ms", "60000"]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode == 0:
-            if proc.stderr.strip():
-                print(proc.stderr.strip())
-            print(proc.stdout.strip())
-            return []
-        out = (proc.stdout.strip() + "\n" + proc.stderr.strip()).strip()
-        return ["staticcheck violations:\n" + out]
-
 
 # --------------------------------------------------- nodiscard compile probe
 
@@ -177,9 +116,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--root", default=os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
-    ap.add_argument("--staticcheck-bin", default=None,
-                    help="prebuilt staticcheck binary (bootstrap-compiled "
-                         "from tools/staticcheck/*.cc when omitted)")
     ap.add_argument("--probe-compiler", default=None,
                     help="C++ compiler used for the -Werror=unused-result "
                          "probe (skipped when omitted)")
@@ -188,8 +124,7 @@ def main():
     args = ap.parse_args()
 
     root = os.path.abspath(args.root)
-    failures = run_staticcheck(root, args.staticcheck_bin,
-                               args.probe_compiler)
+    failures = []
     if args.probe_compiler:
         failures += run_probe(args.probe_compiler, args.probe_std, root)
     failures += run_clang_tidy(root, args.require_clang_tidy)
@@ -199,7 +134,7 @@ def main():
         for f in failures:
             print("  " + f)
         return 1
-    print("lint: OK (staticcheck + nodiscard probe)")
+    print("lint: OK")
     return 0
 
 
