@@ -71,7 +71,7 @@ int main() {
   //        the answer is bit-identical ---
   GridNetOptions lossy;
   lossy.transport = GridNetOptions::TransportKind::kInline;
-  lossy.fault_seed = 11;  // what `set net_faults = 11` sets process-wide
+  lossy.fault_seed = 11;  // seeds this grid's fault schedule
   // Some schedules drop one request many times in a row; give retries
   // room so the demo shows masking, not a (correct, clean) Unavailable.
   lossy.call.max_attempts = 20;

@@ -21,14 +21,9 @@ namespace scidb {
 
 namespace {
 
-// Grid-wide scan counters (scidb.grid.*). Bumped once per parallel
-// operator at the coordinator — never per cell inside a worker, so the
-// hot loops stay free of shared atomics.
+// Grid-wide coordinator counters (scidb.grid.*). The scan counters
+// live with the node's ScanShard handler (node_service.cc).
 struct GridMetrics {
-  Counter* const cells_scanned =
-      Metrics::Instance().counter("scidb.grid.cells_scanned");
-  Counter* const bytes_scanned =
-      Metrics::Instance().counter("scidb.grid.bytes_scanned");
   Counter* const parallel_ops =
       Metrics::Instance().counter("scidb.grid.parallel_ops");
   // Replication & failover (DESIGN.md §13).
@@ -46,26 +41,6 @@ struct GridMetrics {
     return *m;
   }
 };
-
-// Process-wide default for GridNetOptions::fault_seed; set by the
-// session `set net_faults` knob, read by the two-argument constructor.
-std::atomic<uint64_t>& DefaultFaultSeedSlot() {
-  static std::atomic<uint64_t> seed{0};
-  return seed;
-}
-
-// Same pattern for GridNetOptions::replication (`set replication`).
-std::atomic<int>& DefaultReplicationSlot() {
-  static std::atomic<int> k{1};
-  return k;
-}
-
-GridNetOptions DefaultNetOptions() {
-  GridNetOptions net;
-  net.fault_seed = DefaultFaultSeedSlot().load();
-  net.replication = DefaultReplicationSlot().load();
-  return net;
-}
 
 // RPC outcomes that mean "the peer may be gone" — the ones failover and
 // failure detection react to. Anything else (Invalid, Corruption, a
@@ -105,27 +80,6 @@ MetricsSnapshot ClusterMetrics::Labeled() const {
   return out;
 }
 
-void DistributedArray::SetDefaultFaultSeed(uint64_t seed) {
-  DefaultFaultSeedSlot().store(seed);
-}
-
-uint64_t DistributedArray::DefaultFaultSeed() {
-  return DefaultFaultSeedSlot().load();
-}
-
-void DistributedArray::SetDefaultReplication(int k) {
-  DefaultReplicationSlot().store(k < 1 ? 1 : k);
-}
-
-int DistributedArray::DefaultReplication() {
-  return DefaultReplicationSlot().load();
-}
-
-DistributedArray::DistributedArray(
-    ArraySchema schema, std::shared_ptr<const Partitioner> partitioner)
-    : DistributedArray(std::move(schema), std::move(partitioner),
-                       DefaultNetOptions()) {}
-
 DistributedArray::DistributedArray(
     ArraySchema schema, std::shared_ptr<const Partitioner> partitioner,
     GridNetOptions net)
@@ -136,12 +90,6 @@ DistributedArray::DistributedArray(
   clock_ = net_opts_.clock ? net_opts_.clock : TraceClock(SteadyNowNs);
   placement_ =
       std::make_unique<ReplicaPlacement>(partitioner_, net_opts_.replication);
-  shards_.reserve(static_cast<size_t>(num_nodes()));
-  for (int i = 0; i < num_nodes(); ++i) shards_.emplace_back(schema_);
-  {
-    MutexLock lk(stats_mu_);
-    stats_.resize(static_cast<size_t>(num_nodes()));
-  }
   {
     MutexLock lk(meta_mu_);
     consec_fail_.assign(static_cast<size_t>(num_nodes()), 0);
@@ -176,7 +124,8 @@ void DistributedArray::InitNet() {
   net::RpcServer::Options sopts;
   sopts.clock = clock_;
   for (int node = 0; node < num_nodes(); ++node) {
-    services_.push_back(std::make_unique<GridNodeService>(this, node));
+    services_.push_back(std::make_unique<GridNodeService>(
+        node, schema_, *placement_, clock_));
     servers_.push_back(
         std::make_unique<net::RpcServer>(transport_, node, sopts));
     services_.back()->Install(servers_.back().get());
@@ -332,16 +281,6 @@ Status DistributedArray::PutChunk(int dest, const Chunk& chunk, int64_t time,
                                  req.EncodePayload(), co));
   (void)ack;  // the ack payload is empty; arrival is the information
   return Status::OK();
-}
-
-Status DistributedArray::PutCell(int dest, const Coordinates& c,
-                                 const std::vector<Value>& values,
-                                 int64_t time) {
-  // A one-cell chunk travels; the receiving shard upserts just that
-  // cell (the presence bitmap carries which cells are real).
-  MemArray one(schema_);
-  RETURN_NOT_OK(one.SetCell(c, values));
-  return PutChunk(dest, *one.chunks().begin()->second, time);
 }
 
 Result<MemArray> DistributedArray::FetchShard(int node, const ExprPtr& pred,
@@ -590,12 +529,6 @@ std::set<int> DistributedArray::DeadSnapshot() const {
 
 std::set<int> DistributedArray::dead_nodes() const { return DeadSnapshot(); }
 
-int64_t DistributedArray::DirTimeFor(const Coordinates& origin) const {
-  MutexLock lk(meta_mu_);
-  auto it = chunk_dir_.find(origin);
-  return it != chunk_dir_.end() ? it->second.time : 0;
-}
-
 void DistributedArray::BroadcastDeadSet() const {
   const std::set<int> dead = DeadSnapshot();
   net::MarkDeadRequest req;
@@ -629,9 +562,7 @@ Result<int64_t> DistributedArray::Recover() {
   const std::set<int> dead = DeadSnapshot();
   if (dead.empty()) return 0;
   BroadcastDeadSet();
-  // Snapshot the directory so no RPC runs under meta_mu_ (the inline
-  // transport executes handlers on this thread, and handlers read the
-  // directory through DirTimeFor).
+  // Snapshot the directory so no RPC runs under meta_mu_.
   std::vector<std::pair<Coordinates, ChunkMeta>> entries;
   {
     MutexLock lk(meta_mu_);
@@ -730,180 +661,97 @@ std::vector<NodeStats> DistributedArray::node_stats() const {
   std::vector<NodeStats> out(static_cast<size_t>(num_nodes()));
   const std::set<int> dead = DeadSnapshot();
   for (int node = 0; node < num_nodes(); ++node) {
-    bool fetched = false;
-    // A declared-dead node goes straight to the local fallback instead
-    // of burning a full RPC deadline per stats call.
-    Result<std::vector<uint8_t>> r =
-        dead.count(node) != 0
-            ? Result<std::vector<uint8_t>>(
-                  Status::Unavailable("node declared dead"))
-            : client_->Call(node, net::MessageType::kNodeStatsReq, {},
-                            net_opts_.call);
-    if (r.ok()) {
-      Result<net::NodeStatsResponse> resp =
-          net::NodeStatsResponse::Decode(r.value());
-      if (resp.ok()) {
-        out[static_cast<size_t>(node)].cells_stored =
-            resp.value().cells_stored;
-        out[static_cast<size_t>(node)].bytes_stored =
-            resp.value().bytes_stored;
-        out[static_cast<size_t>(node)].cells_scanned =
-            resp.value().cells_scanned;
-        out[static_cast<size_t>(node)].bytes_scanned =
-            resp.value().bytes_scanned;
-        fetched = true;
-      }
-    }
-    if (!fetched) {
-      // Unreachable node (partition, shutdown): fall back to the
-      // coordinator's last local accounting. Byte residency is derived
-      // from the shard at snapshot time rather than maintained
-      // incrementally: SetCell can grow a chunk's blocks by more than
-      // the logical cell width, so incremental accounting drifts.
-      MutexLock lk(stats_mu_);
-      out[static_cast<size_t>(node)] = stats_[static_cast<size_t>(node)];
-      out[static_cast<size_t>(node)].bytes_stored = static_cast<int64_t>(
-          shards_[static_cast<size_t>(node)].ByteSize());
-    }
+    // A dead or unreachable node reads all zeros (empty, not stale); a
+    // declared-dead one is skipped rather than burning an RPC deadline.
+    if (dead.count(node) != 0) continue;
+    Result<std::vector<uint8_t>> r = client_->Call(
+        node, net::MessageType::kNodeStatsReq, {}, net_opts_.call);
+    if (!r.ok()) continue;
+    Result<net::NodeStatsResponse> resp =
+        net::NodeStatsResponse::Decode(r.value());
+    if (!resp.ok()) continue;
+    NodeStats& s = out[static_cast<size_t>(node)];
+    s.cells_stored = resp.value().cells_stored;
+    s.bytes_stored = resp.value().bytes_stored;
+    s.cells_scanned = resp.value().cells_scanned;
+    s.bytes_scanned = resp.value().bytes_scanned;
   }
   return out;
 }
 
-void DistributedArray::SyncStoredStats(int node) {
-  int64_t cells = shards_[static_cast<size_t>(node)].CellCount();
-  MutexLock lk(stats_mu_);
-  stats_[static_cast<size_t>(node)].cells_stored = cells;
-}
-
-void DistributedArray::RecordShardScan(int node) {
-  const MemArray& shard = shards_[static_cast<size_t>(node)];
-  int64_t cells = shard.CellCount();
-  int64_t bytes = static_cast<int64_t>(shard.ByteSize());
-  if (FlightRecorder::enabled()) {
-    FlightRecorder::Instance().RecordAt(clock_(), FlightEventKind::kShardScan,
-                                        node, static_cast<uint64_t>(cells),
-                                        static_cast<uint64_t>(bytes));
-  }
-  {
-    MutexLock lk(stats_mu_);
-    stats_[static_cast<size_t>(node)].cells_scanned += cells;
-    stats_[static_cast<size_t>(node)].bytes_scanned += bytes;
-  }
-  const GridMetrics& gm = GridMetrics::Get();
-  gm.cells_scanned->Inc(cells);
-  gm.bytes_scanned->Inc(bytes);
-}
-
 int64_t DistributedArray::TotalCells() const {
   int64_t n = 0;
-  for (const auto& s : shards_) n += s.CellCount();
+  for (const NodeStats& s : node_stats()) n += s.cells_stored;
   return n;
 }
 
-double DistributedArray::LoadImbalance() const {
-  int64_t total = TotalCells();
-  // An empty array has no load and therefore no imbalance; returning
-  // the 0/0 ratio as NaN (or pretending perfect balance) would poison
-  // downstream comparisons.
+namespace {
+
+// max(node load) / mean(node load). An empty array has no load and
+// therefore no imbalance; returning the 0/0 ratio as NaN (or pretending
+// perfect balance) would poison downstream comparisons.
+double Imbalance(const std::vector<NodeStats>& stats,
+                 int64_t NodeStats::*load) {
+  int64_t total = 0;
+  int64_t max_load = 0;
+  for (const NodeStats& s : stats) {
+    total += s.*load;
+    max_load = std::max(max_load, s.*load);
+  }
   if (total == 0) return 0.0;
-  int64_t max_cells = 0;
-  for (const auto& s : shards_) max_cells = std::max(max_cells, s.CellCount());
-  double mean = static_cast<double>(total) / num_nodes();
-  return static_cast<double>(max_cells) / mean;
+  double mean = static_cast<double>(total) / static_cast<double>(stats.size());
+  return static_cast<double>(max_load) / mean;
+}
+
+}  // namespace
+
+double DistributedArray::LoadImbalance() const {
+  return Imbalance(node_stats(), &NodeStats::cells_stored);
 }
 
 double DistributedArray::LoadImbalanceBytes() const {
-  size_t total = 0;
-  size_t max_bytes = 0;
-  for (const auto& s : shards_) {
-    size_t b = s.ByteSize();
-    total += b;
-    max_bytes = std::max(max_bytes, b);
-  }
-  if (total == 0) return 0.0;  // empty: no load, no imbalance
-  double mean = static_cast<double>(total) / num_nodes();
-  return static_cast<double>(max_bytes) / mean;
+  return Imbalance(node_stats(), &NodeStats::bytes_stored);
 }
 
 Result<int64_t> DistributedArray::Repartition(
     std::shared_ptr<const Partitioner> to, int64_t time) {
   if (to == nullptr) return Status::Invalid("null partitioner");
-  // A repartition replaces every shard wholesale, so it is executed as
-  // a coordinator-local rebuild (the byte movement is still accounted);
-  // the per-chunk write path would route every chunk through the OLD
-  // node set's transport while the new one is being built.
-  std::vector<MemArray> next;
-  next.reserve(static_cast<size_t>(to->num_nodes()));
-  for (int i = 0; i < to->num_nodes(); ++i) next.emplace_back(schema_);
-
-  // Replication-aware: each (deduplicated) chunk lands on every node of
-  // its new replica set; the directory is rebuilt alongside the shards.
-  ReplicaPlacement next_place(to, net_opts_.replication);
-  std::map<Coordinates, ChunkMeta> next_dir;
-  std::set<Coordinates> seen;  // k > 1 stores each chunk k times
-
+  // Gather every slot's chunks over the wire: failover applies, and each
+  // replica set is read once (from the slot's first live replica).
+  std::vector<MemArray> slots(static_cast<size_t>(num_nodes()));
+  RETURN_NOT_OK(FanOutSlots("grid.repartition", nullptr,
+                            [&](size_t slot, MemArray part) -> Status {
+                              slots[slot] = std::move(part);
+                              return Status::OK();
+                            }));
+  MemArray gathered(schema_);
   int64_t bytes_moved = 0;
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
-  for (int node = 0; node < num_nodes(); ++node) {
-    const MemArray& shard = shards_[static_cast<size_t>(node)];
-    for (const auto& [origin, chunk] : shard.chunks()) {
-      // Replicas are byte-identical; rebuild each chunk once, from the
-      // first shard that holds a copy.
-      if (!seen.insert(origin).second) continue;
-      int dest = to->NodeFor(origin, time);
-      if (dest != node) bytes_moved += static_cast<int64_t>(chunk->ByteSize());
-      std::vector<int> dests = next_place.ReplicasFor(origin, time);
-      if (next_place.replication() > 1) {
-        next_dir[origin] = ChunkMeta{time, dests};
+  for (size_t slot = 0; slot < slots.size(); ++slot) {
+    for (const auto& [origin, chunk] : slots[slot].chunks()) {
+      if (to->NodeFor(origin, time) != static_cast<int>(slot)) {
+        bytes_moved += static_cast<int64_t>(chunk->ByteSize());
       }
-      for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-        cell.clear();
-        for (size_t a = 0; a < chunk->nattrs(); ++a) {
-          cell.push_back(chunk->block(a).Get(it.rank()));
-        }
-        for (int d : dests) {
-          st = next[static_cast<size_t>(d)].SetCell(it.coords(), cell);
-          if (!st.ok()) {
-            failed = true;
-            break;
-          }
-        }
-        if (failed) break;
-      }
-      if (failed) break;
+      (*gathered.mutable_chunks())[origin] = chunk;
     }
-    if (failed) break;
   }
-  if (failed) return st;
-  // The node count may change: tear the network down before the swap
-  // (its services hold this-pointers into the old topology) and rebuild
-  // it after.
+  // The node count may change: the new scheme gets a fresh network and
+  // fresh nodes, and the gathered chunks are loaded into them. A
+  // repartition is also a fresh start for the chunk directory and the
+  // failure detector: both indexed the old topology.
   ShutdownNet();
-  shards_ = std::move(next);
   partitioner_ = std::move(to);
   placement_ =
       std::make_unique<ReplicaPlacement>(partitioner_, net_opts_.replication);
   pool_.reset();
   {
-    MutexLock lk(stats_mu_);
-    stats_.assign(static_cast<size_t>(num_nodes()), NodeStats{});
-    for (int i = 0; i < num_nodes(); ++i) {
-      stats_[static_cast<size_t>(i)].cells_stored =
-          shards_[static_cast<size_t>(i)].CellCount();
-    }
-  }
-  {
-    // A repartition is a fresh start for the failure detector: the old
-    // dead set indexed the old topology.
     MutexLock lk(meta_mu_);
-    chunk_dir_ = std::move(next_dir);
+    chunk_dir_.clear();
     dead_.clear();
     consec_fail_.assign(static_cast<size_t>(num_nodes()), 0);
     recover_pending_ = false;
   }
   InitNet();
+  RETURN_NOT_OK(Load(gathered, time));
   return bytes_moved;
 }
 
@@ -991,44 +839,29 @@ Result<MemArray> DistributedArray::ParallelSjoin(
     const std::vector<std::pair<std::string, std::string>>& dim_pairs,
     int64_t* bytes_moved) {
   if (bytes_moved != nullptr) *bytes_moved = 0;
-
-  // Co-partitioned case: identical schemes over the same coordinate
-  // system join node-locally with zero movement.
-  const std::vector<MemArray>* rhs_shards = &other.shards_;
-  std::vector<MemArray> repartitioned;
-  if (!partitioner_->Equals(*other.partitioner_)) {
-    // Move the (usually smaller) other array to this scheme, counting
-    // bytes. A production system would pick the cheaper direction; the
-    // benchmark wants the movement made visible, not hidden. The rebuild
-    // is a plain shard vector, not a full DistributedArray — the staged
-    // copy needs no network of its own.
-    repartitioned.reserve(static_cast<size_t>(num_nodes()));
-    for (int i = 0; i < num_nodes(); ++i) {
-      repartitioned.emplace_back(other.schema_);
-    }
-    for (int node = 0; node < other.num_nodes(); ++node) {
-      const MemArray& shard = other.shards_[static_cast<size_t>(node)];
-      for (const auto& [origin, chunk] : shard.chunks()) {
-        int dest = partitioner_->NodeFor(origin, 0);
-        if (dest != node && bytes_moved != nullptr) {
-          *bytes_moved += static_cast<int64_t>(chunk->ByteSize());
-        }
-        std::vector<Value> cell;
-        for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-          cell.clear();
-          for (size_t a = 0; a < chunk->nattrs(); ++a) {
-            cell.push_back(chunk->block(a).Get(it.rank()));
-          }
-          RETURN_NOT_OK(repartitioned[static_cast<size_t>(dest)].SetCell(
-              it.coords(), cell));
-        }
+  // The right-hand slots come over the wire from `other`'s nodes. When
+  // the two arrays are co-partitioned (identical schemes over the same
+  // coordinate system), slot i joins slot i and nothing moves; otherwise
+  // whole chunks are routed to this array's scheme, counting the bytes
+  // that change node. A production system would pick the cheaper
+  // direction; the benchmark wants the movement made visible.
+  const bool co_partitioned = partitioner_->Equals(*other.partitioner_);
+  std::vector<MemArray> rhs(static_cast<size_t>(num_nodes()),
+                            MemArray(other.schema_));
+  for (int slot = 0; slot < other.num_nodes(); ++slot) {
+    ASSIGN_OR_RETURN(MemArray part,
+                     other.FetchSlot(slot, nullptr, {}, nullptr));
+    for (const auto& [origin, chunk] : part.chunks()) {
+      int dest = co_partitioned ? slot : partitioner_->NodeFor(origin, 0);
+      if (dest != slot && bytes_moved != nullptr) {
+        *bytes_moved += static_cast<int64_t>(chunk->ByteSize());
       }
+      (*rhs[static_cast<size_t>(dest)].mutable_chunks())[origin] = chunk;
     }
-    rhs_shards = &repartitioned;
   }
 
-  // Node-local joins: each worker fetches its node's lhs shard over the
-  // wire and joins it against the co-located rhs shard.
+  // Node-local joins: each worker fetches its slot's lhs chunks over the
+  // wire and joins them against the co-located rhs slot.
   GridMetrics::Get().parallel_ops->Inc();
   std::vector<Result<MemArray>> partials(
       static_cast<size_t>(num_nodes()),
@@ -1038,7 +871,7 @@ Result<MemArray> DistributedArray::ParallelSjoin(
       [&](size_t node, MemArray lhs) -> Status {
         ExecContext local = ctx;
         local.stats = nullptr;
-        partials[node] = Sjoin(local, lhs, (*rhs_shards)[node], dim_pairs);
+        partials[node] = Sjoin(local, lhs, rhs[node], dim_pairs);
         return partials[node].status();
       }));
 
@@ -1069,10 +902,14 @@ Result<int64_t> DistributedArray::ReplicateBoundaries(
   }
   size_t dim = range->dim();
   int64_t replicated = 0;
-  std::vector<std::pair<int, std::pair<Coordinates, std::vector<Value>>>>
-      to_copy;
+  // Ghost cells bound for each node, gathered before any is written so
+  // no node reads back a ghost it just received.
+  std::vector<MemArray> ghosts(static_cast<size_t>(num_nodes()),
+                               MemArray(schema_));
+  Status st;
   for (int node = 0; node < num_nodes(); ++node) {
-    const MemArray& shard = shards_[static_cast<size_t>(node)];
+    ASSIGN_OR_RETURN(MemArray shard, FetchShard(node, nullptr, {}, -1, {},
+                                                net_opts_.call));
     std::vector<Value> cell;
     shard.ForEachCell([&](const Coordinates& c, const Chunk& chunk,
                           int64_t rank) {
@@ -1082,28 +919,30 @@ Result<int64_t> DistributedArray::ReplicateBoundaries(
         // an observation in multiple partitions").
         if (c[dim] >= b - max_position_error &&
             c[dim] <= b + max_position_error - 1) {
-          Coordinates probe = c;
-          int self = node;
           // Destination: the partition on the other side of b.
-          int dest = c[dim] < b ? self + 1 : self - 1;
-          // Compute destination robustly from the boundary itself.
+          Coordinates probe = c;
           probe[dim] = c[dim] < b ? b : b - 1;
-          dest = partitioner_->NodeFor(probe, 0);
-          if (dest == self) continue;
+          int dest = partitioner_->NodeFor(probe, 0);
+          if (dest == node) continue;
           cell.clear();
           for (size_t a = 0; a < chunk.nattrs(); ++a) {
             cell.push_back(chunk.block(a).Get(rank));
           }
-          to_copy.push_back({dest, {c, cell}});
+          st = ghosts[static_cast<size_t>(dest)].SetCell(c, cell);
+          if (!st.ok()) return false;
+          ++replicated;
         }
       }
       return true;
     });
+    RETURN_NOT_OK(st);
   }
   // Replica placement is a write like any other: through the wire.
-  for (auto& [dest, kv] : to_copy) {
-    RETURN_NOT_OK(PutCell(dest, kv.first, kv.second, 0));
-    ++replicated;
+  for (int dest = 0; dest < num_nodes(); ++dest) {
+    for (const auto& [origin, chunk] :
+         ghosts[static_cast<size_t>(dest)].chunks()) {
+      RETURN_NOT_OK(PutChunk(dest, *chunk, 0));
+    }
   }
   return replicated;
 }

@@ -18,25 +18,12 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "exec/operators.h"
+#include "grid/node_service.h"
 #include "grid/partitioner.h"
 #include "net/fault_injection.h"
 #include "net/rpc.h"
 
 namespace scidb {
-
-class GridNodeService;
-
-// Per-node accounting of the simulated shared-nothing grid. The paper
-// reasons about load balance and data movement; these counters are what
-// EXP-PART reports. Byte counts matter independently of cell counts:
-// variable-width attributes make cell-balanced placements byte-skewed,
-// and repartitioning cost is paid in bytes.
-struct NodeStats {
-  int64_t cells_stored = 0;
-  int64_t bytes_stored = 0;   // shard residency at snapshot time
-  int64_t cells_scanned = 0;
-  int64_t bytes_scanned = 0;  // cumulative bytes visited by Parallel* ops
-};
 
 // How a DistributedArray's coordinator talks to its nodes (DESIGN.md
 // §10). The default — in-process inline delivery, no faults, steady
@@ -52,8 +39,7 @@ struct GridNetOptions {
 
   // Nonzero seeds a FaultInjectingTransport wrapper (drops, dups,
   // delays, reorders at `fault_profile` rates); 0 = transparent
-  // network. The session knob `set net_faults = <seed>` feeds the
-  // process-wide default picked up by the two-argument constructor.
+  // network.
   uint64_t fault_seed = 0;
   net::FaultProfile fault_profile = net::FaultProfile::Lossy();
 
@@ -70,9 +56,7 @@ struct GridNetOptions {
   // fail over to a surviving replica when the primary is unreachable,
   // and Recover() re-replicates a dead node's chunks onto survivors.
   // 1 (the default) is the exact pre-replication grid: no extra writes,
-  // no failover, no failure detection. The session knob
-  // `set replication = k` feeds the process-wide default picked up by
-  // the two-argument constructor. Clamped to [1, num_nodes()].
+  // no failover, no failure detection. Clamped to [1, num_nodes()].
   int replication = 1;
 
   // Consecutive failed data-path RPCs to one node before the
@@ -107,19 +91,18 @@ struct ClusterMetrics {
 // (paper §2.7). Chunks are the unit of placement: each exec-grid chunk
 // goes to Partitioner::NodeFor(origin, load_time).
 //
-// All data movement flows through the src/net/ stack: loads and cell
-// writes are ChunkPut RPCs to the owning node, the parallel operators
-// fetch their inputs with ScanShard RPCs, and node_stats() asks each
-// node over the wire. The coordinator is registered on the transport as
-// node id num_nodes(); shards are never written by reaching into a peer
-// directly.
+// Shared-nothing by construction: each GridNodeService owns its node's
+// shard, counters and chunk epochs, and this coordinator is a plain RPC
+// client of its nodes. Loads and cell writes are ChunkPut RPCs to the
+// owning node, every read (the parallel operators, Repartition, the
+// co-located side of a join, boundary replication) is a ScanShard RPC,
+// and node_stats() asks each node over the wire. The coordinator is
+// registered on the transport as node id num_nodes().
 class DistributedArray {
  public:
   DistributedArray(ArraySchema schema,
-                   std::shared_ptr<const Partitioner> partitioner);
-  DistributedArray(ArraySchema schema,
                    std::shared_ptr<const Partitioner> partitioner,
-                   GridNetOptions net);
+                   GridNetOptions net = {});
   ~DistributedArray();
   DistributedArray(const DistributedArray&) = delete;
   DistributedArray& operator=(const DistributedArray&) = delete;
@@ -130,7 +113,11 @@ class DistributedArray {
     return partitioner_;
   }
   int num_nodes() const { return partitioner_->num_nodes(); }
-  const MemArray& shard(int node) const { return shards_[node]; }
+  // Node `node`'s shard, read straight from its store for tests and
+  // benches. Valid only between operations; no method here uses it.
+  const MemArray& shard(int node) const {
+    return services_[static_cast<size_t>(node)]->shard();
+  }
 
   // ---- replication & failover (DESIGN.md §13) ----
 
@@ -151,9 +138,9 @@ class DistributedArray {
   // No-op at replication = 1 (there is nothing to copy from).
   Result<int64_t> Recover() LOCKS_EXCLUDED(meta_mu_);
   // Snapshot of the per-node counters, fetched from each node with a
-  // NodeStatsReq RPC (an unreachable node falls back to the
-  // coordinator's last local accounting). Returns a copy.
-  std::vector<NodeStats> node_stats() const LOCKS_EXCLUDED(stats_mu_);
+  // NodeStatsReq RPC. A dead or unreachable node's entry is all zeros:
+  // empty, not stale.
+  std::vector<NodeStats> node_stats() const LOCKS_EXCLUDED(meta_mu_);
 
   // Loads every chunk of `source`, stamping the load epoch `time` (drives
   // the adaptive time-split scheme). One ChunkPut RPC per source chunk.
@@ -161,20 +148,24 @@ class DistributedArray {
   Status SetCell(const Coordinates& c, const std::vector<Value>& values,
                  int64_t time);
 
+  // Sum of node_stats() cells_stored: counts every replica, and reads
+  // an unreachable node as empty.
   int64_t TotalCells() const;
 
-  // max(node cells) / mean(node cells) — 1.0 is perfect balance, 0.0 for
-  // an empty array (no load, no imbalance). The skew metric EXP-PART
-  // reports for fixed vs adaptive schemes.
+  // max(node cells) / mean(node cells) over node_stats() — 1.0 is perfect
+  // balance, 0.0 for an empty array (no load, no imbalance). The skew
+  // metric EXP-PART reports for fixed vs adaptive schemes.
   double LoadImbalance() const;
 
   // Same ratio measured in shard bytes instead of cells; diverges from
   // LoadImbalance() when attribute widths vary across the array.
   double LoadImbalanceBytes() const;
 
-  // Re-partitions in place; returns the bytes that had to move between
-  // nodes (cells whose node assignment changed). The network stack is
-  // rebuilt afterwards: the node count may have changed.
+  // Re-partitions in place: gathers every slot's chunks over the wire
+  // (failover applies), rebuilds the network for the new scheme (the
+  // node count may change) and Loads the gathered array at `time`.
+  // Returns the bytes that had to move: chunks whose new primary differs
+  // from the slot they were read from.
   Result<int64_t> Repartition(std::shared_ptr<const Partitioner> to,
                               int64_t time);
 
@@ -196,10 +187,11 @@ class DistributedArray {
   Result<MemArray> ParallelSubsample(const ExecContext& ctx,
                                      const ExprPtr& pred);
 
-  // Structural join with another distributed array. When the two arrays
-  // are co-partitioned the join runs node-locally and moves zero bytes;
-  // otherwise `other` is first re-partitioned to this array's scheme and
-  // the movement is reported in *bytes_moved.
+  // Structural join with another distributed array, whose slots are
+  // fetched over the wire. When the two arrays are co-partitioned slot i
+  // joins slot i and zero bytes move; otherwise `other`'s chunks are
+  // routed to this array's scheme and the movement is reported in
+  // *bytes_moved.
   Result<MemArray> ParallelSjoin(
       const ExecContext& ctx, const DistributedArray& other,
       const std::vector<std::pair<std::string, std::string>>& dim_pairs,
@@ -210,7 +202,8 @@ class DistributedArray {
   // partition (|coordinate - boundary| <= max_position_error along the
   // range dimension) into that neighbor, so uncertain spatial joins can
   // run without data movement. Only meaningful under a RangePartitioner.
-  // Replica placement goes through ChunkPut like any other write.
+  // Each node's cells are read with a ScanShard RPC, and replica
+  // placement goes through ChunkPut like any other write.
   // Returns the number of replicated cells.
   Result<int64_t> ReplicateBoundaries(int64_t max_position_error);
 
@@ -242,19 +235,7 @@ class DistributedArray {
   // `explain analyze` surfaces network time. Null detaches.
   void set_trace_node(TraceNode* node) { trace_node_ = node; }
 
-  // Process-wide default fault seed for newly constructed arrays (the
-  // two-argument constructor). Backs the session `set net_faults` knob.
-  static void SetDefaultFaultSeed(uint64_t seed);
-  static uint64_t DefaultFaultSeed();
-
-  // Process-wide default replication factor for newly constructed
-  // arrays. Backs the session `set replication = k` knob.
-  static void SetDefaultReplication(int k);
-  static int DefaultReplication();
-
  private:
-  friend class GridNodeService;
-
   // Builds the transport, the per-node services/servers, and the
   // coordinator client. Called on construction and after Repartition.
   void InitNet();
@@ -265,9 +246,6 @@ class DistributedArray {
   // spans for the stitch.
   Status PutChunk(int dest, const Chunk& chunk, int64_t time,
                   const TraceContext& ctx = {});
-  // Single-cell write via PutChunk (a one-cell chunk travels).
-  Status PutCell(int dest, const Coordinates& c,
-                 const std::vector<Value>& values, int64_t time);
   // Replica-aware chunk write: at replication = 1 this is exactly the
   // legacy NodeFor + PutChunk path; at k > 1 a fresh chunk is written
   // to the first k live nodes of its preference order (walking past
@@ -305,11 +283,6 @@ class DistributedArray {
   // legacy grid never changes behavior.
   void RecordCallResult(int node, bool ok) const LOCKS_EXCLUDED(meta_mu_);
   std::set<int> DeadSnapshot() const LOCKS_EXCLUDED(meta_mu_);
-  // The chunk's load epoch from the directory (0 when unknown); the
-  // node services use it to compute placement orders for scan
-  // filtering.
-  int64_t DirTimeFor(const Coordinates& origin) const
-      LOCKS_EXCLUDED(meta_mu_);
   // Pushes the coordinator's dead set to every survivor (MarkDead).
   void BroadcastDeadSet() const LOCKS_EXCLUDED(meta_mu_);
   // Runs Recover() if RecordCallResult declared a node dead since the
@@ -341,34 +314,17 @@ class DistributedArray {
       const char* label, const ExprPtr& pred,
       const std::function<Status(size_t slot, MemArray partial)>& per_slot);
 
-  // Re-derives cells_stored for `node` from its shard. Derived rather
-  // than incremented so replayed ChunkPuts are idempotent.
-  void SyncStoredStats(int node) LOCKS_EXCLUDED(stats_mu_);
-
-  // Accounts one full-shard scan by `node` (called by the node's
-  // ScanShard handler): per-node counters under stats_mu_ plus the
-  // process-wide scidb.grid.* counters. Once per shard scan, never per
-  // cell, so the scan loops stay free of shared atomics.
-  void RecordShardScan(int node) LOCKS_EXCLUDED(stats_mu_);
-
   // The coordinator's transport node id (one past the last grid node).
   int coordinator_id() const { return num_nodes(); }
 
   // Opens a timed child span under trace_node_, or null when detached.
   TraceNode* TraceChild(const char* label);
 
-  // Topology: written by the coordinator at construction / Load /
-  // Repartition, with no parallel execution in flight; during execution
-  // each node's RPC handler touches only its own disjoint shard. Not a
-  // stats_mu_ concern, so these opt out of lock-coverage.
-  ArraySchema schema_;  // NOLINT(lock-coverage): coordinator-only
+  // Topology: the partitioner is replaced only by Repartition, with no
+  // parallel execution in flight, so it opts out of lock-coverage.
+  const ArraySchema schema_;
   std::shared_ptr<const Partitioner>
       partitioner_;  // NOLINT(lock-coverage): coordinator-only
-  std::vector<MemArray> shards_;  // NOLINT(lock-coverage): disjoint per node
-  // Per-node accounting; written by the coordinator on load/repartition
-  // and by the per-node RPC handlers during parallel execution.
-  mutable Mutex stats_mu_;
-  std::vector<NodeStats> stats_ GUARDED_BY(stats_mu_);
 
   // ---- replication metadata (DESIGN.md §13) ----
   // Rebuilt alongside partitioner_ on construction and Repartition.
@@ -406,7 +362,7 @@ class DistributedArray {
       services_;  // NOLINT(lock-coverage): ctor-wired
   std::vector<std::unique_ptr<net::RpcServer>>
       servers_;  // NOLINT(lock-coverage): ctor-wired
-  // mutable: const reads (node_stats, FetchShard) still issue RPCs.
+  // mutable: const reads (node_stats, FetchShard) issue RPCs.
   mutable std::unique_ptr<net::RpcClient>
       client_;  // NOLINT(lock-coverage): ctor-wired
   // Client-side rpc.* spans of traced calls; survives Repartition so an

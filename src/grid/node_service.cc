@@ -10,11 +10,18 @@
 #include "common/metrics.h"
 #include "exec/expr_serde.h"
 #include "exec/operators.h"
-#include "grid/cluster.h"
 #include "net/message.h"
 #include "storage/chunk_serde.h"
 
 namespace scidb {
+
+GridNodeService::GridNodeService(int node, ArraySchema schema,
+                                 ReplicaPlacement placement, TraceClock clock)
+    : node_(node),
+      schema_(std::move(schema)),
+      placement_(std::move(placement)),
+      clock_(std::move(clock)),
+      shard_(schema_) {}
 
 void GridNodeService::Install(net::RpcServer* server) {
   server->Handle(net::MessageType::kChunkPut,
@@ -58,24 +65,20 @@ Result<std::vector<uint8_t>> GridNodeService::ChunkPut(
     const std::vector<uint8_t>& payload) {
   ASSIGN_OR_RETURN(net::ChunkPutRequest req,
                    net::ChunkPutRequest::Decode(payload));
-  // The load epoch decided placement on the sending side; the serving
-  // node just stores what it was handed.
-  (void)req.time;
-  ASSIGN_OR_RETURN(Chunk chunk, DeserializeChunk(req.chunk_bytes,
-                                                 owner_->schema_.attrs()));
+  ASSIGN_OR_RETURN(Chunk chunk,
+                   DeserializeChunk(req.chunk_bytes, schema_.attrs()));
   MutexLock lock(mu_);
-  MemArray& shard = owner_->shards_[static_cast<size_t>(node_)];
+  // The first write's epoch sticks, like the coordinator's directory:
+  // a replayed or later write never moves the chunk's placement order.
+  epoch_.emplace(shard_.ChunkOriginFor(chunk.box().low), req.time);
   std::vector<Value> cell;
   for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
     cell.clear();
     for (size_t a = 0; a < chunk.nattrs(); ++a) {
       cell.push_back(chunk.block(a).Get(it.rank()));
     }
-    RETURN_NOT_OK(shard.SetCell(it.coords(), cell));
+    RETURN_NOT_OK(shard_.SetCell(it.coords(), cell));
   }
-  // Derived, not incremented: replaying this request (an RPC retry or a
-  // fault-injected duplicate) leaves the count unchanged.
-  owner_->SyncStoredStats(node_);
   return std::vector<uint8_t>{};  // empty ack
 }
 
@@ -84,8 +87,7 @@ Result<std::vector<uint8_t>> GridNodeService::ChunkGet(
   ASSIGN_OR_RETURN(net::ChunkGetRequest req,
                    net::ChunkGetRequest::Decode(payload));
   MutexLock lock(mu_);
-  const MemArray& shard = owner_->shards_[static_cast<size_t>(node_)];
-  const Chunk* chunk = shard.FindChunk(req.origin);
+  const Chunk* chunk = shard_.FindChunk(req.origin);
   if (chunk == nullptr) {
     return Status::NotFound("no chunk at requested origin on node " +
                             std::to_string(node_));
@@ -106,14 +108,29 @@ Result<std::vector<uint8_t>> GridNodeService::ScanShard(
     const std::vector<uint8_t>& payload) {
   ASSIGN_OR_RETURN(net::ScanShardRequest req,
                    net::ScanShardRequest::Decode(payload));
-  if (req.view_of >= owner_->num_nodes()) {
+  if (req.view_of >= placement_.num_nodes()) {
     return Status::Invalid("ScanShard view_of names no grid node");
   }
   MutexLock lock(mu_);
   // The serving node pays the scan, so it is accounted here — a
-  // duplicated request really is scanned twice.
-  owner_->RecordShardScan(node_);
-  const MemArray& shard = owner_->shards_[static_cast<size_t>(node_)];
+  // duplicated request really is scanned twice. The node's counters and
+  // the grid-wide scidb.grid.* ones move once per shard scan, never per
+  // cell, so the scan loops stay free of shared atomics.
+  static Counter* const grid_cells =
+      Metrics::Instance().counter("scidb.grid.cells_scanned");
+  static Counter* const grid_bytes =
+      Metrics::Instance().counter("scidb.grid.bytes_scanned");
+  const int64_t cells = shard_.CellCount();
+  const int64_t bytes = static_cast<int64_t>(shard_.ByteSize());
+  stats_.cells_scanned += cells;
+  stats_.bytes_scanned += bytes;
+  grid_cells->Inc(cells);
+  grid_bytes->Inc(bytes);
+  if (FlightRecorder::enabled()) {
+    FlightRecorder::Instance().RecordAt(clock_(), FlightEventKind::kShardScan,
+                                        node_, static_cast<uint64_t>(cells),
+                                        static_cast<uint64_t>(bytes));
+  }
 
   // Replication view (DESIGN.md §13): the scan serves exactly the chunks
   // of fan-out slot `target` (a slot is a primary partition, fixed for
@@ -122,20 +139,20 @@ Result<std::vector<uint8_t>> GridNodeService::ScanShard(
   // MarkDead view and the request's suspect set. With replication = 1
   // and no replication view in the request, the legacy whole-shard scan
   // runs untouched.
-  const ReplicaPlacement& place = owner_->placement();
   std::set<int> dead(known_dead_.begin(), known_dead_.end());
   for (int32_t d : req.suspect_dead) dead.insert(d);
   const int target = req.view_of >= 0 ? req.view_of : node_;
   const bool filtered =
-      place.replication() > 1 || req.view_of >= 0 || !dead.empty();
+      placement_.replication() > 1 || req.view_of >= 0 || !dead.empty();
 
-  MemArray view(owner_->schema_);
-  const MemArray* source = &shard;
+  MemArray view(schema_);
+  const MemArray* source = &shard_;
   if (filtered) {
-    for (const auto& [origin, chunk] : shard.chunks()) {
-      const int64_t t = owner_->DirTimeFor(origin);
-      if (place.PrimaryFor(origin, t) != target) continue;
-      if (place.OwnerFor(origin, t, dead) != node_) continue;
+    for (const auto& [origin, chunk] : shard_.chunks()) {
+      // Every held chunk arrived through ChunkPut, which recorded it.
+      const int64_t t = epoch_.find(origin)->second;
+      if (placement_.PrimaryFor(origin, t) != target) continue;
+      if (placement_.OwnerFor(origin, t, dead) != node_) continue;
       (*view.mutable_chunks())[origin] = chunk;
     }
     source = &view;
@@ -172,24 +189,29 @@ Result<std::vector<uint8_t>> GridNodeService::ScanShard(
   return resp.EncodePayload();
 }
 
+NodeStats GridNodeService::Stats() const {
+  NodeStats s = stats_;
+  // Residency is derived from the shard at snapshot time rather than
+  // maintained incrementally: replayed ChunkPuts must not count twice,
+  // and SetCell can grow a chunk's blocks by more than the logical cell
+  // width, so incremental byte accounting drifts.
+  s.cells_stored = shard_.CellCount();
+  s.bytes_stored = static_cast<int64_t>(shard_.ByteSize());
+  return s;
+}
+
 Result<std::vector<uint8_t>> GridNodeService::NodeStatsReq(
     const std::vector<uint8_t>& payload) {
   if (!payload.empty()) {
     return Status::Invalid("NodeStatsReq carries no payload");
   }
   MutexLock lock(mu_);
+  const NodeStats s = Stats();
   net::NodeStatsResponse resp;
-  const MemArray& shard = owner_->shards_[static_cast<size_t>(node_)];
-  {
-    MutexLock stats_lock(owner_->stats_mu_);
-    const NodeStats& s = owner_->stats_[static_cast<size_t>(node_)];
-    resp.cells_stored = s.cells_stored;
-    resp.cells_scanned = s.cells_scanned;
-    resp.bytes_scanned = s.bytes_scanned;
-  }
-  // Byte residency is derived from the shard at snapshot time; see
-  // DistributedArray::node_stats().
-  resp.bytes_stored = static_cast<int64_t>(shard.ByteSize());
+  resp.cells_stored = s.cells_stored;
+  resp.bytes_stored = s.bytes_stored;
+  resp.cells_scanned = s.cells_scanned;
+  resp.bytes_scanned = s.bytes_scanned;
   return resp.EncodePayload();
 }
 
@@ -207,16 +229,11 @@ Result<std::vector<uint8_t>> GridNodeService::MetricsGet(
   };
   {
     MutexLock lock(mu_);
-    {
-      MutexLock stats_lock(owner_->stats_mu_);
-      const NodeStats& s = owner_->stats_[static_cast<size_t>(node_)];
-      gauge("scidb.node.cells_stored", s.cells_stored);
-      gauge("scidb.node.cells_scanned", s.cells_scanned);
-      gauge("scidb.node.bytes_scanned", s.bytes_scanned);
-    }
-    // Derived from the shard at scrape time, like NodeStatsReq.
-    const MemArray& shard = owner_->shards_[static_cast<size_t>(node_)];
-    gauge("scidb.node.bytes_stored", static_cast<int64_t>(shard.ByteSize()));
+    const NodeStats s = Stats();
+    gauge("scidb.node.cells_stored", s.cells_stored);
+    gauge("scidb.node.cells_scanned", s.cells_scanned);
+    gauge("scidb.node.bytes_scanned", s.bytes_scanned);
+    gauge("scidb.node.bytes_stored", s.bytes_stored);
   }
   if (req.include_process != 0) {
     // Every simulated node shares one process, so the process-wide

@@ -2,35 +2,54 @@
 #define SCIDB_GRID_NODE_SERVICE_H_
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
+#include "array/mem_array.h"
+#include "array/schema.h"
 #include "common/mutex.h"
 #include "common/result.h"
+#include "common/trace.h"
+#include "grid/partitioner.h"
 #include "net/rpc.h"
 
 namespace scidb {
 
-class DistributedArray;
 class FunctionRegistry;
 
-// The server half of one simulated grid node: RPC handlers for the grid
-// vocabulary (ChunkPut/ChunkGet/ScanShard/NodeStatsReq), operating on
-// the owner DistributedArray's shard for `node`. The shard is looked up
-// through the owner at handler time — never cached — so a Repartition
-// that replaces the shard vector cannot leave a dangling reference.
+// Per-node accounting of the simulated shared-nothing grid. The paper
+// reasons about load balance and data movement; these counters are what
+// EXP-PART reports. Byte counts matter independently of cell counts:
+// variable-width attributes make cell-balanced placements byte-skewed,
+// and repartitioning cost is paid in bytes.
+struct NodeStats {
+  int64_t cells_stored = 0;
+  int64_t bytes_stored = 0;   // shard residency at snapshot time
+  int64_t cells_scanned = 0;
+  int64_t bytes_scanned = 0;  // cumulative bytes visited by Parallel* ops
+};
+
+// One simulated grid node: the only owner of its shard, its counters and
+// the load epoch of each chunk it holds, serving them through RPC
+// handlers for the grid vocabulary (ChunkPut/ChunkGet/ScanShard/
+// MarkDead/NodeStatsReq). The coordinator reaches this state only over
+// the wire (paper §2.7: shared-nothing).
 //
 // Every handler is idempotent, which is what makes the RPC layer's
 // retries and fault-injected duplicates safe: ChunkPut upserts cells
-// (last-writer-wins) and re-derives cells_stored from the shard rather
-// than incrementing it; the reads are pure. The observability handlers
-// (MetricsGet/TraceGet, DESIGN.md §12) ride the same vocabulary:
-// MetricsGet is a pure read; TraceGet *takes* spans, but a retried
-// TraceGet simply returns the spans the lost reply carried plus any
-// recorded since, which the stitch tolerates.
+// (last-writer-wins) and keeps the first write's epoch; cells_stored is
+// derived from the shard at snapshot time rather than incremented; the
+// reads are pure. The observability handlers (MetricsGet/TraceGet,
+// DESIGN.md §12) ride the same vocabulary: MetricsGet is a pure read;
+// TraceGet *takes* spans, but a retried TraceGet simply returns the
+// spans the lost reply carried plus any recorded since, which the stitch
+// tolerates.
 class GridNodeService {
  public:
-  GridNodeService(DistributedArray* owner, int node)
-      : owner_(owner), node_(node) {}
+  // `placement` is the grid's replica placement, used to decide which
+  // chunks a replicated scan serves; `clock` stamps flight events.
+  GridNodeService(int node, ArraySchema schema, ReplicaPlacement placement,
+                  TraceClock clock);
 
   // Installs this node's handlers on `server`.
   void Install(net::RpcServer* server);
@@ -41,6 +60,10 @@ class GridNodeService {
   // its registry before fanning out.
   void SetExecEnv(const FunctionRegistry* functions,
                   bool enable_chunk_pruning) LOCKS_EXCLUDED(mu_);
+
+  // Read-only view of the shard for tests and benches. Unlocked: valid
+  // only between grid operations, when no handler is running.
+  const MemArray& shard() const NO_THREAD_SAFETY_ANALYSIS { return shard_; }
 
  private:
   Result<std::vector<uint8_t>> ChunkPut(const std::vector<uint8_t>& payload)
@@ -62,11 +85,22 @@ class GridNodeService {
   Result<std::vector<uint8_t>> TraceGet(net::RpcServer* server,
                                         const std::vector<uint8_t>& payload);
 
-  DistributedArray* const owner_;
+  // The scan counters plus the residency derived from the shard now.
+  NodeStats Stats() const EXCLUSIVE_LOCKS_REQUIRED(mu_);
+
   const int node_;
+  const ArraySchema schema_;
+  const ReplicaPlacement placement_;
+  const TraceClock clock_;
   // Serializes handler execution for this node: a duplicated write frame
   // must not race a concurrent scan of the same shard.
   Mutex mu_;
+  MemArray shard_ GUARDED_BY(mu_);
+  // Only the scan counters live here; Stats() derives the stored ones.
+  NodeStats stats_ GUARDED_BY(mu_);
+  // Each held chunk's load epoch: the first ChunkPut's time, which is the
+  // coordinator's sticky directory epoch (it pins the placement order).
+  std::map<Coordinates, int64_t> epoch_ GUARDED_BY(mu_);
   const FunctionRegistry* functions_ GUARDED_BY(mu_) = nullptr;
   bool enable_chunk_pruning_ GUARDED_BY(mu_) = true;
   // This node's view of the dead set, replaced wholesale by MarkDead

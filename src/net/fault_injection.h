@@ -21,7 +21,7 @@ struct FaultProfile {
   double delay_p = 0.0;    // frame held, delivered after later traffic
   double reorder_p = 0.0;  // like delay with a shorter hold (1 frame)
 
-  // The rates the differential suite and `set net_faults` use: lossy
+  // The rates the differential suite and GridNetOptions use: lossy
   // enough that retries demonstrably fire, mild enough that 4-6
   // attempts mask everything with a fixed seed.
   static FaultProfile Lossy() {

@@ -4,7 +4,6 @@
 
 #include "common/flight_recorder.h"
 #include "common/macros.h"
-#include "grid/cluster.h"
 #include "query/optimizer.h"
 #include "query/parser.h"
 #include "query/plan_printer.h"
@@ -462,38 +461,6 @@ Result<QueryResult> Session::ExecuteStatement(const Statement& stmt) {
     case Statement::Kind::kExplain:
       return ExecuteExplain(stmt);
     case Statement::Kind::kSet: {
-      if (stmt.set_option == "net_faults") {
-        // Seed for the grid's fault-injecting transport: every
-        // DistributedArray constructed from now on misbehaves
-        // deterministically under this seed. 0 restores a transparent
-        // network.
-        if (stmt.set_value < 0) {
-          return Status::Invalid("net_faults seed must be >= 0, got " +
-                                 std::to_string(stmt.set_value));
-        }
-        DistributedArray::SetDefaultFaultSeed(
-            static_cast<uint64_t>(stmt.set_value));
-        result.message =
-            stmt.set_value == 0
-                ? "net fault injection disabled"
-                : "net fault seed set to " + std::to_string(stmt.set_value);
-        return result;
-      }
-      if (stmt.set_option == "replication") {
-        // k-way chunk replication (DESIGN.md §13): every
-        // DistributedArray constructed from now on writes each chunk to
-        // its first k replica nodes and fails reads over to survivors.
-        // 1 restores the legacy single-copy grid.
-        if (stmt.set_value < 1 || stmt.set_value > 64) {
-          return Status::Invalid("replication must be in [1, 64], got " +
-                                 std::to_string(stmt.set_value));
-        }
-        DistributedArray::SetDefaultReplication(
-            static_cast<int>(stmt.set_value));
-        result.message =
-            "replication set to " + std::to_string(stmt.set_value);
-        return result;
-      }
       if (stmt.set_option == "flight_recorder") {
         // Process-wide flight-recorder kill switch (DESIGN.md §12):
         // 0 stops recording (single-digit-ns hot paths), nonzero

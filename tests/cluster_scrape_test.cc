@@ -136,12 +136,22 @@ TEST(ClusterScrapeTest, PartitionedNodeDegradesToUnreachable) {
   EXPECT_NE(merged.find("node0.scidb.node.cells_stored"), nullptr);
   EXPECT_EQ(merged.find("node1.scidb.node.cells_stored"), nullptr);
 
+  // node_stats() agrees: the severed node reads all zeros.
+  const NodeStats severed = d.node_stats()[1];
+  EXPECT_EQ(severed.cells_stored, 0);
+  EXPECT_EQ(severed.bytes_stored, 0);
+  EXPECT_EQ(severed.cells_scanned, 0);
+  EXPECT_EQ(severed.bytes_scanned, 0);
+
   // Healing restores a full scrape.
   d.fault_injector()->HealPartition(1);
   ClusterMetrics healed = d.ScrapeClusterMetrics();
   EXPECT_TRUE(healed.nodes[1].reachable);
   EXPECT_NE(healed.nodes[1].snapshot.find("scidb.node.cells_stored"),
             nullptr);
+  const NodeStats back = d.node_stats()[1];
+  EXPECT_GT(back.cells_stored, 0);
+  EXPECT_GT(back.bytes_stored, 0);
 }
 
 TEST(ClusterScrapeTest, FetchFlightEventsReadsTheRingOverTheWire) {

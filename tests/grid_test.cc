@@ -237,6 +237,11 @@ TEST(DistributedArrayTest, CoPartitionedJoinMovesNothing) {
   EXPECT_EQ(moved, 0);  // co-partitioned: no data movement (paper §2.7)
   EXPECT_EQ(joined.CellCount(), 16);
   EXPECT_EQ((*joined.GetCell({5}))[1].double_value(), -5.0);
+  // The right-hand side is read over the wire: its nodes scanned each of
+  // their cells exactly once.
+  int64_t rhs_scanned = 0;
+  for (const NodeStats& st : db.node_stats()) rhs_scanned += st.cells_scanned;
+  EXPECT_EQ(rhs_scanned, 16);
 
   // Differently partitioned: movement becomes non-zero, result unchanged.
   auto q = std::make_shared<HashPartitioner>(2);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -374,6 +376,117 @@ TEST(NetGridDifferentialTest, PrimaryDeathFailoverIsBitTransparent) {
     Result<WorkloadResult> after = RunWorkload(&d);
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     ExpectWorkloadsIdentical(want.value(), after.value(), "post-recovery");
+  }
+}
+
+// A k = 2 grid on virtual time whose fault wrapper injects nothing
+// random, so a test can partition a node and nothing else changes.
+GridNetOptions PartitionableK2(net::VirtualTime& vt, uint64_t seed) {
+  GridNetOptions net;
+  net.fault_seed = seed;  // enables the fault wrapper...
+  net.fault_profile = net::FaultProfile{};  // ...with no random faults
+  net.call.max_attempts = 20;
+  net.call.deadline_ns = 10'000'000'000'000ull;  // shared virtual clock
+  net.clock = vt.clock();
+  net.sleep = vt.sleep();
+  net.replication = 2;
+  return net;
+}
+
+TEST(NetGridDifferentialTest, RepartitionFailsOverAPartitionedNode) {
+  // Repartition gathers its input over the wire: a partitioned node's
+  // chunks come off their surviving replicas, and every cell survives
+  // the move onto the new scheme (on both of its new replicas).
+  MemArray src = UniformSky(16, 4, 53);
+  net::VirtualTime vt;
+  DistributedArray d(Sky(), QuadPartitioner(), PartitionableK2(vt, 59));
+  ASSERT_TRUE(d.Load(src, 0).ok());
+  ASSERT_NE(d.fault_injector(), nullptr);
+  d.fault_injector()->PartitionNode(2);
+
+  Counter* failovers = Metrics::Instance().counter("scidb.grid.failover_reads");
+  const int64_t failovers_before = failovers->value();
+  Result<int64_t> moved =
+      d.Repartition(std::make_shared<HashPartitioner>(3), 0);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_GT(failovers->value(), failovers_before);
+  EXPECT_GT(*moved, 0);
+  ASSERT_EQ(d.num_nodes(), 3);
+  EXPECT_EQ(d.TotalCells(), 2 * src.CellCount());
+  src.ForEachCell([&](const Coordinates& c, const Chunk& chunk,
+                      int64_t rank) {
+    int copies = 0;
+    for (int n = 0; n < d.num_nodes(); ++n) {
+      std::optional<std::vector<Value>> cell = d.shard(n).GetCell(c);
+      if (cell.has_value() &&
+          (*cell)[0].double_value() == chunk.block(0).GetDouble(rank)) {
+        ++copies;
+      }
+    }
+    EXPECT_EQ(copies, 2) << CoordsToString(c);
+    return true;
+  });
+
+  DistributedArray clean(Sky(), std::make_shared<HashPartitioner>(3));
+  ASSERT_TRUE(clean.Load(src, 0).ok());
+  Result<WorkloadResult> want = RunWorkload(&clean);
+  Result<WorkloadResult> got = RunWorkload(&d);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectWorkloadsIdentical(want.value(), got.value(), "repartitioned");
+}
+
+TEST(NetGridDifferentialTest, SjoinFailsOverPartitionedNodesOnBothSides) {
+  // Both sides of a join are read over the wire, so at k = 2 a
+  // partitioned node on either side fails over to its replicas and the
+  // join is bit-identical to the healthy one, co-partitioned or not.
+  ArraySchema sb("mag", {{"ra", 1, 16, 4}, {"dec", 1, 16, 4}},
+                 {{"mag", DataType::kDouble, true, false}});
+  MemArray a_src = UniformSky(16, 4, 61);
+  MemArray b_src(sb);
+  a_src.ForEachCell([&](const Coordinates& c, const Chunk& chunk,
+                        int64_t rank) {
+    SCIDB_CHECK(b_src.SetCell(c, Value(-chunk.block(0).GetDouble(rank))).ok());
+    return true;
+  });
+  FunctionRegistry fns;
+  AggregateRegistry aggs;
+  ExecContext ctx{&fns, &aggs, true, nullptr};
+  const std::vector<std::pair<std::string, std::string>> dims = {
+      {"ra", "ra"}, {"dec", "dec"}};
+
+  for (bool co_partitioned : {true, false}) {
+    SCOPED_TRACE(co_partitioned ? "co-partitioned" : "hash rhs");
+    std::shared_ptr<const Partitioner> rhs_scheme =
+        co_partitioned ? std::shared_ptr<const Partitioner>(QuadPartitioner())
+                       : std::make_shared<HashPartitioner>(4);
+    DistributedArray clean_a(Sky(), QuadPartitioner());
+    DistributedArray clean_b(sb, rhs_scheme);
+    ASSERT_TRUE(clean_a.Load(a_src, 0).ok());
+    ASSERT_TRUE(clean_b.Load(b_src, 0).ok());
+    int64_t moved_clean = -1;
+    Result<MemArray> want =
+        clean_a.ParallelSjoin(ctx, clean_b, dims, &moved_clean);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(moved_clean == 0, co_partitioned);
+
+    net::VirtualTime vt;
+    DistributedArray a(Sky(), QuadPartitioner(), PartitionableK2(vt, 67));
+    DistributedArray b(sb, rhs_scheme, PartitionableK2(vt, 71));
+    ASSERT_TRUE(a.Load(a_src, 0).ok());
+    ASSERT_TRUE(b.Load(b_src, 0).ok());
+    a.fault_injector()->PartitionNode(0);
+    b.fault_injector()->PartitionNode(3);
+    Counter* failovers =
+        Metrics::Instance().counter("scidb.grid.failover_reads");
+    const int64_t failovers_before = failovers->value();
+    int64_t moved = -1;
+    Result<MemArray> got = a.ParallelSjoin(ctx, b, dims, &moved);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(failovers->value(), failovers_before + 2);  // one per side
+    // Movement is accounted per slot, so failover does not change it.
+    EXPECT_EQ(moved, moved_clean);
+    ExpectBitIdentical(want.value(), got.value(), "sjoin");
   }
 }
 

@@ -306,6 +306,9 @@ TEST_F(SessionTest, SetParallelismStatement) {
   EXPECT_TRUE(
       session_.Execute("set parallelism = 1000").status().IsInvalid());
   EXPECT_TRUE(session_.Execute("set no_such_knob = 2").status().IsInvalid());
+  // The grid is configured through GridNetOptions, not session knobs.
+  EXPECT_TRUE(session_.Execute("set replication = 2").status().IsInvalid());
+  EXPECT_TRUE(session_.Execute("set net_faults = 7").status().IsInvalid());
   EXPECT_EQ(session_.parallelism(), 1);
 
   // The programmatic knob mirrors the AQL statement.
