@@ -95,6 +95,47 @@ Value AttributeBlock::Get(int64_t idx) const {
   return Value::Null();
 }
 
+void AttributeBlock::CopyCell(const AttributeBlock& src, int64_t src_idx,
+                              int64_t idx) {
+  SCIDB_DCHECK(src.type_ == type_ && src.uncertain_ == uncertain_);
+  const size_t s = static_cast<size_t>(src_idx);
+  const size_t i = static_cast<size_t>(idx);
+  // Get() reports a cell with no nested array as NULL.
+  if (src.nulls_[s] || (type_ == DataType::kArray && !src.arrays_[s])) {
+    nulls_[i] = 1;
+    return;
+  }
+  nulls_[i] = 0;
+  switch (type_) {
+    case DataType::kBool:
+      bools_[i] = src.bools_[s] != 0 ? 1 : 0;
+      break;
+    case DataType::kInt64:
+      // An uncertain int64 reads back through its double mean.
+      i64_[i] = uncertain_
+                    ? static_cast<int64_t>(static_cast<double>(src.i64_[s]))
+                    : src.i64_[s];
+      break;
+    case DataType::kFloat:
+      f32_[i] = src.f32_[s];
+      break;
+    case DataType::kDouble:
+      f64_[i] = src.f64_[s];
+      break;
+    case DataType::kString:
+      strs_[i] = src.strs_[s];
+      break;
+    case DataType::kArray:
+      arrays_[i] = src.arrays_[s];
+      break;
+  }
+  if (uncertain_) {
+    // Only numeric cells read back as Uncertain; Set() gives the others
+    // a zero error bar.
+    SetStderr(idx, IsNumeric(type_) ? src.GetStderr(src_idx) : 0.0);
+  }
+}
+
 void AttributeBlock::SetDouble(int64_t i, double v) {
   SCIDB_DCHECK(type_ == DataType::kDouble);
   nulls_[static_cast<size_t>(i)] = 0;

@@ -46,10 +46,17 @@ class AttributeBlock {
   void SetStderr(int64_t i, double s);
   double GetStderr(int64_t i) const;
 
-  // Direct access to the dense payload for vectorized loops.
+  // Direct access to the dense payload for vectorized loops. Entries of
+  // null cells are unspecified; read nulls() first.
   std::vector<double>* mutable_doubles() { return &f64_; }
   const std::vector<double>& doubles() const { return f64_; }
   const std::vector<int64_t>& int64s() const { return i64_; }
+  const std::vector<float>& floats() const { return f32_; }
+  const std::vector<uint8_t>& nulls() const { return nulls_; }
+
+  // Cell `i` := cell `src_i` of `src` (same type and uncertainty); the
+  // same result as Set(i, src.Get(src_i)), without boxing a Value.
+  void CopyCell(const AttributeBlock& src, int64_t src_i, int64_t i);
 
   // True when the stderr column is a single constant (space optimization).
   bool has_constant_stderr() const { return stderr_is_const_; }

@@ -5,18 +5,28 @@
 
 namespace scidb {
 
-Result<size_t> ArraySchema::DimIndex(const std::string& name) const {
+std::optional<size_t> ArraySchema::FindDim(const std::string& name) const {
   for (size_t i = 0; i < dims_.size(); ++i) {
     if (dims_[i].name == name) return i;
   }
+  return std::nullopt;
+}
+
+std::optional<size_t> ArraySchema::FindAttr(const std::string& name) const {
+  for (size_t i = 0; i < attrs_.size(); ++i) {
+    if (attrs_[i].name == name) return i;
+  }
+  return std::nullopt;
+}
+
+Result<size_t> ArraySchema::DimIndex(const std::string& name) const {
+  if (auto i = FindDim(name)) return *i;
   return Status::NotFound("no dimension named '" + name + "' in array '" +
                           name_ + "'");
 }
 
 Result<size_t> ArraySchema::AttrIndex(const std::string& name) const {
-  for (size_t i = 0; i < attrs_.size(); ++i) {
-    if (attrs_[i].name == name) return i;
-  }
+  if (auto i = FindAttr(name)) return *i;
   return Status::NotFound("no attribute named '" + name + "' in array '" +
                           name_ + "'");
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,10 @@ class ArraySchema {
 
   Result<size_t> DimIndex(const std::string& name) const;
   Result<size_t> AttrIndex(const std::string& name) const;
+  // Non-allocating lookups for per-cell and bind-time resolution: no
+  // NotFound message is built for a miss.
+  std::optional<size_t> FindDim(const std::string& name) const;
+  std::optional<size_t> FindAttr(const std::string& name) const;
 
   // The full logical box [low, high] per dimension. Invalid for schemas
   // with unbounded dimensions (callers use the storage high-water mark).

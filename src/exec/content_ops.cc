@@ -2,6 +2,7 @@
 #include <set>
 
 #include "common/macros.h"
+#include "exec/bound_expr.h"
 #include "exec/grouped_aggregate.h"
 #include "exec/operators.h"
 #include "exec/parallel.h"
@@ -17,38 +18,13 @@ Result<MemArray> Filter(const ExecContext& ctx, const MemArray& a,
   MemArray out(schema);
   out.mutable_schema()->set_name(schema.name() + "_filter");
 
-  const std::vector<Value> nulls(schema.nattrs());
+  // Paper: cells failing P "will contain NULL" — present, null-valued.
+  const BoundExpr bound = BoundExpr::Bind(pred, schema, ctx.functions);
   RETURN_NOT_OK(ParallelChunkMap(
       ctx, a, &out,
-      [&](const Coordinates&, const Chunk& chunk,
-          ExecStats* stats) -> Result<std::shared_ptr<Chunk>> {
-        // Expression bindings are by pointer, so each morsel owns its
-        // coordinate/attribute buffers.
-        EvalContext ectx;
-        ectx.functions = ctx.functions;
-        Coordinates coords;
-        std::vector<Value> attrs;
-        ectx.sides.push_back({&schema, &coords, &attrs});
-
-        auto oc = std::make_shared<Chunk>(chunk.box(), schema.attrs());
-        for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
-          ++stats->cells_visited;
-          coords = it.coords();
-          attrs.clear();
-          for (size_t at = 0; at < chunk.nattrs(); ++at) {
-            attrs.push_back(chunk.block(at).Get(it.rank()));
-          }
-          ASSIGN_OR_RETURN(Value verdict, pred->Eval(ectx));
-          bool keep = verdict.is_bool() && verdict.bool_value();
-          // Paper: cells failing P "will contain NULL" — present,
-          // null-valued.
-          const std::vector<Value>& row = keep ? attrs : nulls;
-          for (size_t at = 0; at < row.size(); ++at) {
-            oc->block(at).Set(it.rank(), row[at]);
-          }
-          oc->MarkPresent(it.rank());
-        }
-        return oc;
+      [&](const Coordinates&, const Chunk& chunk, ExecStats* stats) {
+        stats->cells_visited += chunk.present_count();
+        return bound.MapChunk(CellMap::kFilter, chunk, schema.attrs());
       }));
   return out;
 }
@@ -167,7 +143,7 @@ Result<MemArray> Apply(const ExecContext& ctx, const MemArray& a,
                        const ExprPtr& e, bool uncertain) {
   if (e == nullptr) return Status::Invalid("Apply: null expression");
   const ArraySchema& schema = a.schema();
-  if (schema.DimIndex(name).ok() || schema.AttrIndex(name).ok()) {
+  if (schema.FindDim(name) || schema.FindAttr(name)) {
     return Status::Invalid("Apply: name '" + name + "' already in use");
   }
   std::vector<AttributeDesc> attrs = schema.attrs();
@@ -177,33 +153,12 @@ Result<MemArray> Apply(const ExecContext& ctx, const MemArray& a,
   MemArray out(out_schema);
 
   const std::vector<AttributeDesc>& out_attrs = out.schema().attrs();
+  const BoundExpr bound = BoundExpr::Bind(e, schema, ctx.functions);
   RETURN_NOT_OK(ParallelChunkMap(
       ctx, a, &out,
-      [&](const Coordinates&, const Chunk& chunk,
-          ExecStats* stats) -> Result<std::shared_ptr<Chunk>> {
-        EvalContext ectx;
-        ectx.functions = ctx.functions;
-        Coordinates coords;
-        std::vector<Value> vals;
-        ectx.sides.push_back({&schema, &coords, &vals});
-
-        auto oc = std::make_shared<Chunk>(chunk.box(), out_attrs);
-        const size_t new_at = chunk.nattrs();
-        for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
-          ++stats->cells_visited;
-          coords = it.coords();
-          vals.clear();
-          for (size_t at = 0; at < chunk.nattrs(); ++at) {
-            vals.push_back(chunk.block(at).Get(it.rank()));
-          }
-          ASSIGN_OR_RETURN(Value v, e->Eval(ectx));
-          for (size_t at = 0; at < vals.size(); ++at) {
-            oc->block(at).Set(it.rank(), vals[at]);
-          }
-          oc->block(new_at).Set(it.rank(), v);
-          oc->MarkPresent(it.rank());
-        }
-        return oc;
+      [&](const Coordinates&, const Chunk& chunk, ExecStats* stats) {
+        stats->cells_visited += chunk.present_count();
+        return bound.MapChunk(CellMap::kApply, chunk, out_attrs);
       }));
   return out;
 }

@@ -17,19 +17,19 @@ Result<Value> EvalContext::Resolve(const std::string& name,
   for (size_t s = first; s < last && s < sides.size(); ++s) {
     const EvalSide& side = sides[s];
     if (side.schema == nullptr) continue;
-    if (auto di = side.schema->DimIndex(name); di.ok()) {
+    if (auto di = side.schema->FindDim(name)) {
       if (side.coords == nullptr) {
         return Status::Internal("no coordinates bound for side " +
                                 std::to_string(s));
       }
-      return Value((*side.coords)[di.value()]);
+      return Value((*side.coords)[*di]);
     }
-    if (auto ai = side.schema->AttrIndex(name); ai.ok()) {
+    if (auto ai = side.schema->FindAttr(name)) {
       if (side.attrs == nullptr) {
         return Status::Internal("no attributes bound for side " +
                                 std::to_string(s));
       }
-      return (*side.attrs)[ai.value()];
+      return (*side.attrs)[*ai];
     }
   }
   return Status::NotFound("unknown dimension or attribute '" + name + "'");
@@ -288,7 +288,7 @@ bool IsPerDimensionConjunction(const Expr& pred, const ArraySchema& schema) {
     c->CollectRefs(&refs);
     std::set<std::string> distinct_dims;
     for (const auto& r : refs) {
-      if (!schema.DimIndex(r).ok()) return false;  // attr or unknown name
+      if (!schema.FindDim(r)) return false;  // attr or unknown name
       distinct_dims.insert(r);
     }
     if (distinct_dims.size() > 1) return false;  // e.g. "X = Y"
@@ -332,8 +332,8 @@ bool TightenFromComparison(const Expr& e, const ArraySchema& schema,
   if (l->kind() != Expr::Kind::kRef || r->kind() != Expr::Kind::kLiteral) {
     return false;
   }
-  auto di = schema.DimIndex(static_cast<const RefExpr*>(l)->name());
-  if (!di.ok()) return false;
+  auto di = schema.FindDim(static_cast<const RefExpr*>(l)->name());
+  if (!di) return false;
   const Value& lit = static_cast<const LiteralExpr*>(r)->value();
   auto vi = lit.AsInt64();
   if (!vi.ok()) return false;

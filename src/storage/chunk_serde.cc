@@ -203,7 +203,7 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
           if (uncertain) {
             means.push_back(static_cast<double>(prev_i64));
           } else {
-            b.Set(rank, Value(prev_i64));
+            b.SetInt64(rank, prev_i64);
           }
           break;
         }
@@ -221,7 +221,7 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
           if (uncertain) {
             means.push_back(v);
           } else {
-            b.Set(rank, Value(v));
+            b.SetDouble(rank, v);
           }
           break;
         }

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -54,6 +55,88 @@ void WriteSchemaTo(ByteWriter* w, const ArraySchema& s) {
 }
 
 Result<ArraySchema> ReadSchemaFrom(ByteReader* r) { return DecodeSchema(r); }
+
+// Copies the cells of `src` that lie in `part` — inside one grid chunk of
+// `out`, anchored at `origin` — row by row with typed cell copies. The
+// destination chunk is resolved once, and only when a present cell needs
+// it, so the chunk map holds exactly the chunks that have cells.
+void CopyPart(const Chunk& src, const Box& part, const Coordinates& origin,
+              MemArray* out) {
+  if (src.box() == part && src.present_count() > 0 &&
+      out->FindChunk(origin) == nullptr &&
+      out->ChunkBoxFor(origin) == part) {
+    // A bucket that is exactly a grid chunk nobody wrote yet.
+    out->mutable_chunks()->emplace(origin, std::make_shared<Chunk>(src));
+    return;
+  }
+  const size_t last = part.ndims() - 1;
+  const int64_t row = part.high[last] - part.low[last] + 1;
+  Box rows = part;
+  rows.high[last] = part.low[last];
+  Chunk* dst = nullptr;
+  Coordinates c = rows.low;
+  do {
+    const int64_t s = RankInBox(src.box(), c);
+    int64_t d = -1;
+    for (int64_t k = 0; k < row; ++k) {
+      if (!src.IsPresent(s + k)) continue;
+      if (dst == nullptr) dst = out->GetOrCreateChunk(origin);
+      if (d < 0) d = RankInBox(dst->box(), c);
+      for (size_t at = 0; at < src.nattrs(); ++at) {
+        dst->block(at).CopyCell(src.block(at), s + k, d + k);
+      }
+      dst->MarkPresent(d + k);
+    }
+  } while (NextInBox(rows, &c));
+}
+
+// Copies the present cells of `src` inside `region` into `out`, one grid
+// chunk at a time. A cell this call copies replaces what an earlier call
+// left there; other cells stay as they were (last writer wins per cell).
+// Fails as MemArray::SetCell would on the first present cell outside the
+// schema's bounds.
+Status CopyCells(const Chunk& src, const Box& region, MemArray* out) {
+  const ArraySchema& schema = out->schema();
+  if (region.ndims() != schema.ndims()) {
+    return Status::Invalid("coordinate arity " +
+                           std::to_string(region.ndims()) + " != ndims " +
+                           std::to_string(schema.ndims()));
+  }
+  Box inside = region;
+  if (!schema.ContainsCoords(region.low) ||
+      !schema.ContainsCoords(region.high)) {
+    Coordinates c = region.low;
+    do {
+      if (src.IsPresentAt(c) && !schema.ContainsCoords(c)) {
+        return Status::OutOfRange("cell " + CoordsToString(c) +
+                                  " outside bounds of array '" +
+                                  schema.name() + "'");
+      }
+    } while (NextInBox(region, &c));
+    // No present cell lies outside the bounds: clip to them.
+    for (size_t d = 0; d < schema.ndims(); ++d) {
+      const DimensionDesc& dim = schema.dim(d);
+      inside.low[d] = std::max(inside.low[d], dim.low);
+      if (!dim.unbounded()) inside.high[d] = std::min(inside.high[d], dim.high);
+      if (inside.high[d] < inside.low[d]) return Status::OK();
+    }
+  }
+  const Coordinates first = out->ChunkOriginFor(inside.low);
+  const Coordinates end = out->ChunkOriginFor(inside.high);
+  Coordinates origin = first;
+  while (true) {
+    CopyPart(src, out->ChunkBoxFor(origin).Intersect(inside), origin, out);
+    // Next grid chunk, last dimension fastest.
+    size_t d = origin.size();
+    while (d > 0) {
+      --d;
+      origin[d] += schema.dim(d).chunk_interval;
+      if (origin[d] <= end[d]) break;
+      origin[d] = first[d];
+      if (d == 0) return Status::OK();
+    }
+  }
+}
 
 }  // namespace
 
@@ -168,8 +251,11 @@ Result<MemArray> DiskArray::ReadRegion(const Box& query) const {
   if (query.ndims() != schema_.ndims()) {
     return Status::Invalid("query box arity mismatch");
   }
+  // Bucket-id order: a later bucket overwrites the cells it holds.
+  std::vector<uint64_t> ids = rtree_.Search(query);
+  std::sort(ids.begin(), ids.end());
   MemArray out(schema_);
-  for (uint64_t id : rtree_.Search(query)) {
+  for (uint64_t id : ids) {
     auto it = buckets_.find(id);
     if (it == buckets_.end()) {
       return Status::Internal("r-tree references missing bucket " +
@@ -178,18 +264,7 @@ Result<MemArray> DiskArray::ReadRegion(const Box& query) const {
     ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> chunk,
                      ReadBucket(it->second));
     if (!chunk->box().Intersects(query)) continue;
-    Box want = chunk->box().Intersect(query);
-    Coordinates c = want.low;
-    std::vector<Value> cell;
-    do {
-      int64_t rank = RankInBox(chunk->box(), c);
-      if (!chunk->IsPresent(rank)) continue;
-      cell.clear();
-      for (size_t a = 0; a < chunk->nattrs(); ++a) {
-        cell.push_back(chunk->block(a).Get(rank));
-      }
-      RETURN_NOT_OK(out.SetCell(c, cell));
-    } while (NextInBox(want, &c));
+    RETURN_NOT_OK(CopyCells(*chunk, chunk->box().Intersect(query), &out));
   }
   return out;
 }
@@ -221,15 +296,8 @@ Result<MemArray> DiskArray::ReadAll(ThreadPool* pool) const {
   // so overlapping buckets resolve last-writer-wins identically at every
   // pool width.
   MemArray out(schema_);
-  std::vector<Value> cell;
   for (const std::shared_ptr<const Chunk>& chunk : slots) {
-    for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-      cell.clear();
-      for (size_t a = 0; a < chunk->nattrs(); ++a) {
-        cell.push_back(chunk->block(a).Get(it.rank()));
-      }
-      RETURN_NOT_OK(out.SetCell(it.coords(), cell));
-    }
+    RETURN_NOT_OK(CopyCells(*chunk, chunk->box(), &out));
   }
   return out;
 }
@@ -296,7 +364,7 @@ Result<int> DiskArray::MergeSmallBuckets(int64_t small_bytes) {
         Coordinates c = it.coords();
         int64_t rank = RankInBox(merged_box, c);
         for (size_t at = 0; at < merged.nattrs(); ++at) {
-          merged.block(at).Set(rank, src->block(at).Get(it.rank()));
+          merged.block(at).CopyCell(src->block(at), it.rank(), rank);
         }
         merged.MarkPresent(rank);
       }

@@ -1,4 +1,4 @@
-// Serial-vs-parallel differential harness (ISSUE 3, DESIGN.md §8): every
+// Serial-vs-parallel differential harness (DESIGN.md §8): every
 // chunk-parallel operator must produce BIT-IDENTICAL results at
 // parallelism 1, 2 and 8 — same cells, same null masks, same error
 // Statuses. Inputs are the seeded workload generators from
@@ -19,8 +19,10 @@
 
 #include "bench/workloads.h"
 #include "common/macros.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "exec/operators.h"
+#include "storage/chunk_serde.h"
 
 namespace scidb {
 namespace {
@@ -371,6 +373,319 @@ TEST_F(ParallelDifferentialTest, PipelineFilterApplyAggregate) {
                            Mul(Ref("flux"), Lit(0.1))));
     return Aggregate(ctx, applied, {"I"}, "sum", "db");
   });
+}
+
+// --------------------------- scalar vs batch ---------------------------
+//
+// Filter and Apply bind their expression once and run typed column
+// kernels when it is numeric (DESIGN.md §8). The reference here is the
+// cell-at-a-time engine they replaced, kept test-local: every present
+// cell through Expr::Eval, written with AttributeBlock::Set. Batch output
+// must match it in chunk keys, presence, every Get(), each block's
+// constant-stderr flag and the SerializeChunk bytes of every chunk.
+
+enum class Mapped { kFilter, kApply };
+
+Result<MemArray> ScalarOracle(const FunctionRegistry* fns, Mapped kind,
+                              const MemArray& a, const ExprPtr& e,
+                              const AttributeDesc& applied = {}) {
+  const ArraySchema& schema = a.schema();
+  std::vector<AttributeDesc> attrs = schema.attrs();
+  std::string name = schema.name() + "_filter";
+  if (kind == Mapped::kApply) {
+    attrs.push_back(applied);
+    name = schema.name() + "_apply";
+  }
+  MemArray out(ArraySchema(name, schema.dims(), attrs));
+  EvalContext ectx;
+  ectx.functions = fns;
+  Coordinates coords;
+  std::vector<Value> vals;
+  ectx.sides.push_back({&schema, &coords, &vals});
+  Status st;
+  a.ForEachCell([&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+    coords = c;
+    vals.clear();
+    for (size_t at = 0; at < chunk.nattrs(); ++at) {
+      vals.push_back(chunk.block(at).Get(rank));
+    }
+    Result<Value> v = e->Eval(ectx);
+    if (!v.ok()) {
+      st = v.status();
+      return false;
+    }
+    Chunk* oc = out.GetOrCreateChunk(out.ChunkOriginFor(c));
+    const bool keep = kind == Mapped::kApply ||
+                      (v.value().is_bool() && v.value().bool_value());
+    for (size_t at = 0; at < vals.size(); ++at) {
+      oc->block(at).Set(rank, keep ? vals[at] : Value::Null());
+    }
+    if (kind == Mapped::kApply) oc->block(vals.size()).Set(rank, v.value());
+    oc->MarkPresent(rank);
+    return true;
+  });
+  RETURN_NOT_OK(st);
+  return out;
+}
+
+// 0 = absent cell, 1 = NULL, 2 = a value.
+int Pick(Rng* rng, int absent_pct, int null_pct) {
+  const int r = static_cast<int>(rng->Uniform(100));
+  if (r < absent_pct) return 0;
+  return r < absent_pct + null_pct ? 1 : 2;
+}
+
+// A ragged 20 x 13 array (8 x 5 chunks) of every attribute kind with
+// NULLs and absent cells: int64 (with zeros), double (with 0.0, -0.0),
+// float, string, bool, and an uncertain double whose error bar is 0.5
+// where d > 0 and 0.25 elsewhere.
+MemArray MixedArray(uint64_t seed, int absent_pct) {
+  ArraySchema schema("mixed", {{"I", 1, 20, 8}, {"J", 1, 13, 5}},
+                     {{"i", DataType::kInt64, true, false},
+                      {"d", DataType::kDouble, true, false},
+                      {"f", DataType::kFloat, true, false},
+                      {"s", DataType::kString, true, false},
+                      {"b", DataType::kBool, true, false},
+                      {"u", DataType::kDouble, true, true}});
+  MemArray a(schema);
+  Rng rng(seed);
+  const double specials[] = {0.0, -0.0, 1.5, -2.25, 1e15, 7.0};
+  for (int64_t i = 1; i <= 20; ++i) {
+    for (int64_t j = 1; j <= 13; ++j) {
+      if (Pick(&rng, absent_pct, 0) == 0) continue;
+      auto maybe = [&](Value v) {
+        return Pick(&rng, 0, 12) == 1 ? Value::Null() : std::move(v);
+      };
+      const double d = rng.Uniform(4) == 0
+                           ? specials[rng.Uniform(6)]
+                           : static_cast<double>(rng.UniformInt(-40, 40)) / 4;
+      std::vector<Value> cell = {
+          maybe(Value(rng.UniformInt(-5, 5))),
+          maybe(Value(d)),
+          maybe(Value(static_cast<double>(static_cast<float>(d / 3)))),
+          maybe(Value(std::string(1, "abc"[rng.Uniform(3)]))),
+          maybe(Value(rng.Uniform(2) == 0)),
+          maybe(Value(Uncertain(d, d > 0 ? 0.5 : 0.25)))};
+      EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
+    }
+  }
+  return a;
+}
+
+::testing::AssertionResult SameBytesAndStderr(const MemArray& want,
+                                              const MemArray& got) {
+  auto w = want.chunks().begin();
+  auto g = got.chunks().begin();
+  for (; w != want.chunks().end() && g != got.chunks().end(); ++w, ++g) {
+    for (size_t at = 0; at < w->second->nattrs(); ++at) {
+      const AttributeBlock& bw = w->second->block(at);
+      const AttributeBlock& bg = g->second->block(at);
+      if (bw.uncertain() &&
+          bw.has_constant_stderr() != bg.has_constant_stderr()) {
+        return ::testing::AssertionFailure()
+               << "constant-stderr flag differs in chunk "
+               << CoordsToString(w->first) << " attr " << at;
+      }
+    }
+    if (SerializeChunk(*w->second) != SerializeChunk(*g->second)) {
+      return ::testing::AssertionFailure()
+             << "SerializeChunk bytes differ in chunk "
+             << CoordsToString(w->first);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class ScalarVsBatchTest : public ParallelDifferentialTest {
+ protected:
+  // The oracle against Filter or Apply at widths 1, 2 and 8: both
+  // succeed with identical arrays, or both fail with the same Status.
+  void Check(const std::string& label, const MemArray& a, Mapped kind,
+             const ExprPtr& e,
+             AttributeDesc applied = {"out", DataType::kDouble, true, false}) {
+    SCOPED_TRACE(label + " on " + a.schema().name() + ": " + e->ToString());
+    Result<MemArray> want = ScalarOracle(&fns_, kind, a, e, applied);
+    for (int width : {1, 2, 8}) {
+      ThreadPool pool(width);
+      const ExecContext ctx = CtxWith(&pool);
+      Result<MemArray> got =
+          kind == Mapped::kFilter
+              ? Filter(ctx, a, e)
+              : Apply(ctx, a, applied.name, applied.type, e, applied.uncertain);
+      const std::string tag = label + " @width " + std::to_string(width);
+      ASSERT_EQ(want.ok(), got.ok())
+          << tag << ": "
+          << (want.ok() ? got.status() : want.status()).ToString();
+      if (!want.ok()) {
+        EXPECT_EQ(want.status().code(), got.status().code()) << tag;
+        EXPECT_EQ(want.status().message(), got.status().message()) << tag;
+        continue;
+      }
+      ExpectArraysIdentical(want.value(), got.value(), tag);
+      EXPECT_TRUE(SameBytesAndStderr(want.value(), got.value())) << tag;
+    }
+  }
+
+  void CheckBoth(const std::string& label, const MemArray& a,
+                 const ExprPtr& e) {
+    Check("Filter/" + label, a, Mapped::kFilter, e);
+    Check("Apply/" + label, a, Mapped::kApply, e);
+  }
+
+  std::vector<MemArray> MixedInputs() {
+    std::vector<MemArray> in;
+    in.push_back(MixedArray(TestSeed(61), /*absent_pct=*/0));   // dense
+    in.push_back(MixedArray(TestSeed(67), /*absent_pct=*/30));  // sparse
+    return in;
+  }
+};
+
+TEST_F(ScalarVsBatchTest, NumericKernels) {
+  const std::vector<std::pair<std::string, ExprPtr>> exprs = {
+      {"int_add", Add(Ref("i"), Lit(int64_t{3}))},
+      {"int_mul_dim", Mul(Ref("i"), Ref("J"))},
+      {"int_div_zero", Div(Lit(int64_t{7}), Ref("i"))},
+      {"int_mod_zero", Mod(Ref("I"), Ref("i"))},
+      {"int_div_neg", Div(Ref("i"), Lit(int64_t{-1}))},
+      {"double_div_zero", Div(Lit(1.0), Ref("d"))},
+      {"double_mod_zero", Mod(Ref("d"), Ref("d"))},
+      {"double_chain", Sub(Mul(Ref("d"), Lit(1.7)), Lit(17.0))},
+      {"mixed", Add(Mul(Ref("i"), Ref("d")), Ref("I"))},
+      {"mixed_div", Div(Ref("i"), Lit(2.0))},
+      {"float", Sub(Ref("f"), Lit(0.1))},
+      {"dims", Add(Ref("I"), Mul(Ref("J"), Lit(int64_t{100})))},
+      {"qualified", Add(Ref("d", 0), Ref("i"))},
+      {"cmp", Gt(Ref("d"), Lit(0.0))},
+      {"cmp_int", Le(Ref("i"), Ref("J"))},
+      {"cmp_mixed", Eq(Ref("i"), Ref("d"))},
+      {"cmp_dims", Eq(Mod(Ref("I"), Lit(int64_t{3})), Lit(int64_t{0}))},
+      {"and_null",
+       And(Gt(Ref("d"), Lit(0.0)), Lt(Ref("i"), Lit(int64_t{2})))},
+      {"or_null",
+       Or(Lt(Ref("d"), Lit(-1.0)), Ne(Ref("i"), Lit(int64_t{0})))},
+      {"not_null", Not(Ge(Ref("f"), Ref("d")))},
+      {"bool_literal",
+       And(Lit(Value(true)), Gt(Ref("i"), Lit(int64_t{0})))},
+      {"nested_logic",
+       Or(And(Gt(Ref("I"), Lit(int64_t{4})), Not(Lt(Ref("d"), Ref("f")))),
+          Eq(Div(Ref("i"), Ref("i")), Lit(int64_t{1})))},
+      {"not_a_predicate", Mul(Ref("d"), Lit(2.0))},
+  };
+  for (const MemArray& a : MixedInputs()) {
+    for (const auto& [label, e] : exprs) CheckBoth(label, a, e);
+  }
+}
+
+// The kernel's result column lands in every declared output type with
+// AttributeBlock::Set's coercions (and an uncertain output's error bar).
+TEST_F(ScalarVsBatchTest, ApplyStoresIntoEveryType) {
+  const MemArray a = MixedInputs()[1];
+  const std::vector<ExprPtr> exprs = {Add(Ref("i"), Lit(int64_t{1})),
+                                      Mul(Ref("d"), Lit(3.0)),
+                                      Gt(Ref("d"), Lit(0.0))};
+  for (DataType t : {DataType::kDouble, DataType::kInt64, DataType::kFloat,
+                     DataType::kBool, DataType::kString}) {
+    for (bool uncertain : {false, true}) {
+      if (uncertain && !IsNumeric(t)) continue;
+      for (const ExprPtr& e : exprs) {
+        Check(std::string("store_") + DataTypeName(t) +
+                  (uncertain ? "_uncertain" : ""),
+              a, Mapped::kApply, e, {"out", t, true, uncertain});
+      }
+    }
+  }
+}
+
+// Strings, bools read from attributes, uncertain values and NULL
+// literals take the Value path through the same bound slots.
+TEST_F(ScalarVsBatchTest, ValuePathFallbacks) {
+  const std::vector<std::pair<std::string, ExprPtr>> exprs = {
+      {"string_eq", Eq(Ref("s"), Lit(Value(std::string("a"))))},
+      {"bool_attr", Ref("b")},
+      {"bool_attr_and", And(Ref("b"), Gt(Ref("d"), Lit(0.0)))},
+      {"not_bool_attr", Not(Ref("b"))},
+      {"uncertain_add", Add(Ref("u"), Lit(1.0))},
+      {"uncertain_cmp", Gt(Ref("u"), Lit(0.0))},
+      {"null_literal", Add(Ref("d"), Lit(Value::Null()))},
+      {"not_of_number", Not(Ref("d"))},
+  };
+  for (const MemArray& a : MixedInputs()) {
+    for (const auto& [label, e] : exprs) CheckBoth(label, a, e);
+  }
+}
+
+// The uncertain attribute's error bar is 0.5 on kept cells (d > 0) and
+// 0.25 on rejected ones: Filter's output block must collapse to the
+// constant 0.5 exactly as the scalar engine's does, while Apply keeps
+// every cell and so the materialized column.
+TEST_F(ScalarVsBatchTest, UncertainPassThroughKeepsStderrEncoding) {
+  for (const MemArray& a : MixedInputs()) {
+    const ExprPtr keep = Gt(Ref("d"), Lit(0.0));
+    Check("Filter/uncertain", a, Mapped::kFilter, keep);
+    Check("Apply/uncertain", a, Mapped::kApply, keep);
+    ExecContext ctx = CtxWith(nullptr);
+    MemArray kept = Filter(ctx, a, keep).ValueOrDie();
+    const size_t u = a.schema().FindAttr("u").value();
+    bool any_constant = false;
+    for (const auto& [origin, chunk] : kept.chunks()) {
+      any_constant = any_constant || chunk->block(u).has_constant_stderr();
+    }
+    EXPECT_TRUE(any_constant);
+  }
+}
+
+// Unknown names fail lazily with Resolve's NotFound: on the first
+// non-empty chunk, never on an empty input, never behind a short circuit.
+TEST_F(ScalarVsBatchTest, UnknownNamesFailLazily) {
+  ArraySchema empty_schema("empty", {{"I", 1, 64, 16}, {"J", 1, 64, 16}},
+                           {{"flux", DataType::kDouble, true, false}});
+  const MemArray empty(empty_schema);
+  const MemArray sky = bench::MakeSkyImage(48, 16, 5, 7);
+  for (const MemArray* a : {&sky, &empty}) {
+    CheckBoth("unknown", *a, Gt(Ref("nope"), Lit(0.0)));
+    CheckBoth("other_side", *a, Gt(Ref("flux", 1), Lit(0.0)));
+    CheckBoth("short_circuit", *a, And(Lit(Value(false)), Ref("nope")));
+  }
+  ExecContext ctx = CtxWith(nullptr);
+  EXPECT_TRUE(Filter(ctx, empty, Ref("nope")).ok());
+  Status st = Filter(ctx, sky, Ref("nope")).status();
+  EXPECT_TRUE(st.IsNotFound());
+  EXPECT_EQ(st.message(), "unknown dimension or attribute 'nope'");
+}
+
+// The first error of a failing UDF comes from the lowest failing chunk,
+// at every width, exactly as the scalar engine reports it.
+TEST_F(ScalarVsBatchTest, FailingUdfFirstErrorFromLowestChunk) {
+  ASSERT_TRUE(fns_
+                  .Register(UserFunction(
+                      "fail_above_30",
+                      FunctionSignature{{DataType::kDouble},
+                                        {DataType::kDouble}},
+                      [](const std::vector<Value>& args)
+                          -> Result<std::vector<Value>> {
+                        const double v = args[0].double_value();
+                        if (v > 30.0) {
+                          return Status::Invalid("fail_above_30: " +
+                                                 std::to_string(v));
+                        }
+                        return std::vector<Value>{Value(v)};
+                      }))
+                  .ok());
+  const MemArray sky = bench::MakeSkyImage(48, 16, 6, 37);
+  CheckBoth("udf", sky, Gt(Call("fail_above_30", {Ref("flux")}), Lit(0.0)));
+  CheckBoth("missing_udf", sky, Call("no_such_fn", {Ref("flux")}));
+}
+
+// The workload shapes the serial-vs-parallel axis covers.
+TEST_F(ScalarVsBatchTest, WorkloadShapes) {
+  for (auto& [name, a] : Inputs2D()) {
+    const std::string attr = a.schema().attr(0).name;
+    CheckBoth(name + "/cook", a, Sub(Mul(Ref(attr), Lit(1.7)), Lit(17.0)));
+    CheckBoth(name + "/threshold", a, Gt(Ref(attr), Lit(12.0)));
+    CheckBoth(name + "/dims", a,
+              And(Le(Ref("I"), Lit(int64_t{30})),
+                  Gt(Ref("J"), Lit(int64_t{5}))));
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <filesystem>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "storage/background_merger.h"
 #include "storage/chunk_serde.h"
 #include "storage/codec.h"
@@ -414,6 +415,165 @@ TEST(StorageManagerTest, BackgroundMergerRuns) {
         return a->ReadAll().ValueOrDie().CellCount();
       });
   EXPECT_EQ(count, 100);
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------- stored-scan assembly
+//
+// ReadAll and ReadRegion assemble the output with typed block copies,
+// one destination grid chunk per bucket intersection. The reference is
+// the cell-at-a-time scatter they replaced: MemArray::SetCell of each
+// written cell, in write order (last writer wins per cell).
+
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.is_uncertain() || b.is_uncertain()) {
+    return a.is_uncertain() && b.is_uncertain() &&
+           a.uncertain_value().mean == b.uncertain_value().mean &&
+           a.uncertain_value().stderr_ == b.uncertain_value().stderr_;
+  }
+  if (a.is_int64() || b.is_int64()) {
+    return a.is_int64() && b.is_int64() && a.int64_value() == b.int64_value();
+  }
+  if (a.is_string() || b.is_string()) {
+    return a.is_string() && b.is_string() &&
+           a.string_value() == b.string_value();
+  }
+  return a.is_double() && b.is_double() &&
+         a.double_value() == b.double_value();
+}
+
+void ExpectSameCells(const MemArray& want, const MemArray& got,
+                     const std::string& label) {
+  SCOPED_TRACE(label);
+  ASSERT_EQ(want.ChunkCount(), got.ChunkCount());
+  auto w = want.chunks().begin();
+  for (auto g = got.chunks().begin(); g != got.chunks().end(); ++g, ++w) {
+    ASSERT_EQ(w->first, g->first) << "chunk-map keys differ";
+    const Chunk& cw = *w->second;
+    const Chunk& cg = *g->second;
+    ASSERT_EQ(cw.box(), cg.box());
+    ASSERT_EQ(cw.present_count(), cg.present_count());
+    for (int64_t rank = 0; rank < cw.cell_capacity(); ++rank) {
+      ASSERT_EQ(cw.IsPresent(rank), cg.IsPresent(rank)) << "rank " << rank;
+      if (!cw.IsPresent(rank)) continue;
+      for (size_t at = 0; at < cw.nattrs(); ++at) {
+        EXPECT_EQ(cw.block(at).IsNull(rank), cg.block(at).IsNull(rank));
+        EXPECT_TRUE(SameValue(cw.block(at).Get(rank), cg.block(at).Get(rank)))
+            << "rank " << rank << " attr " << at << ": "
+            << cw.block(at).Get(rank).ToString() << " vs "
+            << cg.block(at).Get(rank).ToString();
+      }
+    }
+  }
+}
+
+// int64, string, uncertain double and plain double; 4 x 5 chunks.
+ArraySchema MixedStoredSchema(const std::string& name) {
+  return ArraySchema(name, {{"I", 1, 18, 4}, {"J", 1, 17, 5}},
+                     {{"n", DataType::kInt64, true, false},
+                      {"s", DataType::kString, true, false},
+                      {"u", DataType::kDouble, true, true},
+                      {"d", DataType::kDouble, true, false}});
+}
+
+// Every cell of the array with probability `keep_pct`, values drawn from
+// `rng` (about one attribute in ten NULL).
+MemArray MixedStoredCells(const ArraySchema& schema, Rng* rng, int keep_pct) {
+  MemArray a(schema);
+  for (int64_t i = 1; i <= 18; ++i) {
+    for (int64_t j = 1; j <= 17; ++j) {
+      if (static_cast<int>(rng->Uniform(100)) >= keep_pct) continue;
+      auto maybe = [&](Value v) {
+        return rng->Uniform(10) == 0 ? Value::Null() : std::move(v);
+      };
+      const double x = static_cast<double>(rng->UniformInt(-1000, 1000)) / 8;
+      std::vector<Value> cell = {
+          maybe(Value(rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40))),
+          maybe(Value("s" + std::to_string(rng->Uniform(50)))),
+          maybe(Value(Uncertain(x, rng->Uniform(3) == 0 ? 0.5 : 0.125))),
+          maybe(Value(x * 3))};
+      EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
+    }
+  }
+  return a;
+}
+
+// The reference: `layers` scattered cell by cell, later layers winning.
+MemArray Overlay(const ArraySchema& schema,
+                 const std::vector<const MemArray*>& layers,
+                 const Box* region = nullptr) {
+  MemArray out(schema);
+  for (const MemArray* layer : layers) {
+    layer->ForEachCell([&](const Coordinates& c, const Chunk& chunk,
+                           int64_t rank) {
+      if (region != nullptr && !region->Contains(c)) return true;
+      std::vector<Value> cell;
+      for (size_t at = 0; at < chunk.nattrs(); ++at) {
+        cell.push_back(chunk.block(at).Get(rank));
+      }
+      EXPECT_TRUE(out.SetCell(c, cell).ok());
+      return true;
+    });
+  }
+  return out;
+}
+
+// Regions aligned to nothing: inside one chunk, across chunk corners,
+// and the whole array.
+std::vector<Box> TestRegions() {
+  return {Box({2, 3}, {3, 4}), Box({3, 4}, {11, 12}), Box({1, 1}, {18, 17}),
+          Box({7, 1}, {9, 17})};
+}
+
+void ExpectReadsMatch(const DiskArray& arr, const ArraySchema& schema,
+                      const std::vector<const MemArray*>& layers,
+                      const std::string& label) {
+  ThreadPool pool(2);
+  ExpectSameCells(Overlay(schema, layers), arr.ReadAll().ValueOrDie(),
+                  label + "/ReadAll");
+  ExpectSameCells(Overlay(schema, layers), arr.ReadAll(&pool).ValueOrDie(),
+                  label + "/ReadAll(pool)");
+  for (const Box& region : TestRegions()) {
+    ExpectSameCells(Overlay(schema, layers, &region),
+                    arr.ReadRegion(region).ValueOrDie(),
+                    label + "/ReadRegion " + region.ToString());
+  }
+}
+
+TEST(StoredScanTest, PartialOverwriteIsLastWriterWinsPerCell) {
+  std::string dir = TempDir("scan_overwrite");
+  {
+    StorageManager sm(dir);
+    const ArraySchema schema = MixedStoredSchema("overwrite");
+    DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
+    Rng rng(TestSeed(71));
+    const MemArray first = MixedStoredCells(schema, &rng, 90);
+    // A partial, overlapping subset with new values.
+    const MemArray second = MixedStoredCells(schema, &rng, 35);
+    ASSERT_TRUE(arr->WriteAll(first).ok());
+    ASSERT_TRUE(arr->WriteAll(second).ok());
+    ExpectReadsMatch(*arr, schema, {&first, &second}, "overwrite");
+  }
+  fs::remove_all(dir);
+}
+
+TEST(StoredScanTest, MergedBucketsCrossingGridChunks) {
+  std::string dir = TempDir("scan_merged");
+  {
+    StorageManager sm(dir);
+    const ArraySchema schema = MixedStoredSchema("merged");
+    DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
+    Rng rng(TestSeed(73));
+    const MemArray cells = MixedStoredCells(schema, &rng, 60);
+    ASSERT_TRUE(arr->WriteAll(cells).ok());
+    // Every bucket is one grid chunk, so each merge makes a bucket that
+    // crosses a grid-chunk boundary.
+    const size_t before = arr->bucket_count();
+    ASSERT_GT(arr->MergeSmallBuckets(1 << 20).ValueOrDie(), 0);
+    ASSERT_LT(arr->bucket_count(), before);
+    ExpectReadsMatch(*arr, schema, {&cells}, "merged");
+  }
   fs::remove_all(dir);
 }
 
