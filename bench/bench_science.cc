@@ -1,12 +1,10 @@
-// EXP-SCI (§2.15): the science benchmark the paper promises ("a
-// collection of tasks", later published as SS-DB). The suite below
-// follows that task structure on synthetic LSST-style imagery:
-//   Q1  cook     — calibrate raw ADU to flux
-//   Q2  detect   — threshold + connected components
-//   Q3  regrid   — coarse sky map of mean flux
+// EXP-SCI (§2.15): the science tasks the paper promises ("a collection
+// of tasks", later published as SS-DB). Cook, detect, regrid and the
+// windowed aggregate are timed and checked end to end by ssdb_bench
+// (workload ssdb_query); this suite keeps the two tasks ssdb_bench has
+// no counterpart for:
 //   Q4  composite— best-of-N passes by least cloud
-//   Q5  window   — subsample a sky region and aggregate it
-//   Q6  history  — commit an observation epoch, time-travel read
+//   Q6  history  — commit observation epochs, time-travel read
 #include <benchmark/benchmark.h>
 
 #include "cook/cooking.h"
@@ -19,58 +17,8 @@ namespace {
 constexpr int64_t kSide = 192;
 constexpr int64_t kChunk = 32;
 
-ExecContext Ctx() {
-  static FunctionRegistry* fns = new FunctionRegistry();
-  static AggregateRegistry* aggs = new AggregateRegistry();
-  return ExecContext{fns, aggs, true, nullptr};
-}
-
-MemArray& RawImage() {
-  static MemArray* img =
-      new MemArray(bench::MakeSkyImage(kSide, kChunk, 30, 20090101));  // NOLINT(no-naked-new): leaky bench singleton
-  return *img;
-}
-
-void BM_Q1_Cook(benchmark::State& state) {
-  ExecContext ctx = Ctx();
-  MemArray& raw = RawImage();
-  for (auto _ : state) {
-    auto r = Calibrate(ctx, raw, "flux", 1.7, -17.0);
-    benchmark::DoNotOptimize(r.ValueOrDie().CellCount());
-  }
-  state.SetItemsProcessed(state.iterations() * kSide * kSide);
-}
-BENCHMARK(BM_Q1_Cook)->Unit(benchmark::kMillisecond);
-
-void BM_Q2_Detect(benchmark::State& state) {
-  MemArray& raw = RawImage();
-  size_t found = 0;
-  for (auto _ : state) {
-    auto detections = DetectSources(raw, "flux", 40.0);
-    found = detections.ValueOrDie().size();
-    benchmark::DoNotOptimize(found);
-  }
-  state.counters["sources"] = static_cast<double>(found);
-  state.SetItemsProcessed(state.iterations() * kSide * kSide);
-}
-BENCHMARK(BM_Q2_Detect)->Unit(benchmark::kMillisecond);
-
-void BM_Q3_Regrid(benchmark::State& state) {
-  ExecContext ctx = Ctx();
-  MemArray& raw = RawImage();
-  for (auto _ : state) {
-    auto r = Regrid(ctx, raw, {16, 16}, "avg", "flux");
-    benchmark::DoNotOptimize(r.ValueOrDie().CellCount());
-  }
-  state.SetItemsProcessed(state.iterations() * kSide * kSide);
-}
-BENCHMARK(BM_Q3_Regrid)->Unit(benchmark::kMillisecond);
-
 void BM_Q4_Composite(benchmark::State& state) {
   // Three passes with synthetic cloud fields.
-  ArraySchema s("pass", {{"x", 1, kSide, kChunk}, {"y", 1, kSide, kChunk}},
-                {{"value", DataType::kDouble, true, false},
-                 {"cloud", DataType::kDouble, true, false}});
   static std::vector<MemArray>* passes = [] {
     auto* v = new std::vector<MemArray>();  // NOLINT(no-naked-new): leaky bench singleton
     Rng rng(TestSeed(3));
@@ -91,7 +39,6 @@ void BM_Q4_Composite(benchmark::State& state) {
     }
     return v;
   }();
-  (void)s;
   for (auto _ : state) {
     auto r = Composite({&(*passes)[0], &(*passes)[1], &(*passes)[2]},
                        "cloud");
@@ -100,22 +47,6 @@ void BM_Q4_Composite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kSide * kSide * 3);
 }
 BENCHMARK(BM_Q4_Composite)->Unit(benchmark::kMillisecond);
-
-void BM_Q5_WindowAggregate(benchmark::State& state) {
-  ExecContext ctx = Ctx();
-  MemArray& raw = RawImage();
-  ExprPtr window = And(And(Ge(Ref("I"), Lit(int64_t{32})),
-                           Le(Ref("I"), Lit(int64_t{96}))),
-                       And(Ge(Ref("J"), Lit(int64_t{32})),
-                           Le(Ref("J"), Lit(int64_t{96}))));
-  for (auto _ : state) {
-    MemArray sub = Subsample(ctx, raw, window).ValueOrDie();
-    auto r = Aggregate(ctx, sub, {}, "avg", "flux");
-    benchmark::DoNotOptimize(r.ValueOrDie().CellCount());
-  }
-  state.SetItemsProcessed(state.iterations() * 65 * 65);
-}
-BENCHMARK(BM_Q5_WindowAggregate)->Unit(benchmark::kMillisecond);
 
 void BM_Q6_HistoryEpoch(benchmark::State& state) {
   ArraySchema s("survey", {{"x", 1, kSide, kChunk}, {"y", 1, kSide, kChunk}},

@@ -4,6 +4,57 @@
 
 namespace scidb {
 
+namespace {
+
+// A whole-chunk copy gives what copying its present cells one by one
+// gives, unless a block keeps state beyond those cells: string payload
+// left in absent or null cells (counted by ByteSize), a stderr column
+// whose constant collapse remembers every error bar ever set, or a
+// non-null nested-array cell without an array (CopyCell makes it null).
+bool CopiesWholeChunks(const ArraySchema& schema) {
+  return std::none_of(schema.attrs().begin(), schema.attrs().end(),
+                      [](const AttributeDesc& a) {
+                        return a.uncertain || a.type == DataType::kString ||
+                               a.type == DataType::kArray;
+                      });
+}
+
+// Copies the cells of `src` that lie in `part` — inside one grid chunk of
+// `out`, anchored at `origin` — row by row with typed cell copies. The
+// destination chunk is resolved once, and only when a present cell needs
+// it, so the chunk map holds exactly the chunks that have cells.
+void CopyPart(const Chunk& src, const Box& part, const Coordinates& origin,
+              MemArray* out) {
+  if (src.box() == part && src.present_count() > 0 &&
+      out->FindChunk(origin) == nullptr &&
+      out->ChunkBoxFor(origin) == part && CopiesWholeChunks(out->schema())) {
+    // A source chunk that is exactly a grid chunk nobody wrote yet.
+    out->mutable_chunks()->emplace(origin, std::make_shared<Chunk>(src));
+    return;
+  }
+  const size_t last = part.ndims() - 1;
+  const int64_t row = part.high[last] - part.low[last] + 1;
+  Box rows = part;
+  rows.high[last] = part.low[last];
+  Chunk* dst = nullptr;
+  Coordinates c = rows.low;
+  do {
+    const int64_t s = RankInBox(src.box(), c);
+    int64_t d = -1;
+    for (int64_t k = 0; k < row; ++k) {
+      if (!src.IsPresent(s + k)) continue;
+      if (dst == nullptr) dst = out->GetOrCreateChunk(origin);
+      if (d < 0) d = RankInBox(dst->box(), c);
+      for (size_t at = 0; at < src.nattrs(); ++at) {
+        dst->block(at).CopyCell(src.block(at), s + k, d + k);
+      }
+      dst->MarkPresent(d + k);
+    }
+  } while (NextInBox(rows, &c));
+}
+
+}  // namespace
+
 Coordinates MemArray::ChunkOriginFor(const Coordinates& c) const {
   Coordinates origin(c.size());
   for (size_t d = 0; d < c.size(); ++d) {
@@ -131,6 +182,49 @@ Result<Box> MemArray::HighWaterMark() const {
     return Status::NotFound("array '" + schema_.name() + "' is empty");
   }
   return hwm;
+}
+
+Status CopyCells(const Chunk& src, const Box& region, MemArray* out) {
+  const ArraySchema& schema = out->schema();
+  if (region.ndims() != schema.ndims()) {
+    return Status::Invalid("coordinate arity " +
+                           std::to_string(region.ndims()) + " != ndims " +
+                           std::to_string(schema.ndims()));
+  }
+  Box inside = region;
+  if (!schema.ContainsCoords(region.low) ||
+      !schema.ContainsCoords(region.high)) {
+    Coordinates c = region.low;
+    do {
+      if (src.IsPresentAt(c) && !schema.ContainsCoords(c)) {
+        return Status::OutOfRange("cell " + CoordsToString(c) +
+                                  " outside bounds of array '" +
+                                  schema.name() + "'");
+      }
+    } while (NextInBox(region, &c));
+    // No present cell lies outside the bounds: clip to them.
+    for (size_t d = 0; d < schema.ndims(); ++d) {
+      const DimensionDesc& dim = schema.dim(d);
+      inside.low[d] = std::max(inside.low[d], dim.low);
+      if (!dim.unbounded()) inside.high[d] = std::min(inside.high[d], dim.high);
+      if (inside.high[d] < inside.low[d]) return Status::OK();
+    }
+  }
+  const Coordinates first = out->ChunkOriginFor(inside.low);
+  const Coordinates end = out->ChunkOriginFor(inside.high);
+  Coordinates origin = first;
+  while (true) {
+    CopyPart(src, out->ChunkBoxFor(origin).Intersect(inside), origin, out);
+    // Next grid chunk, last dimension fastest.
+    size_t d = origin.size();
+    while (d > 0) {
+      --d;
+      origin[d] += schema.dim(d).chunk_interval;
+      if (origin[d] <= end[d]) break;
+      origin[d] = first[d];
+      if (d == 0) return Status::OK();
+    }
+  }
 }
 
 }  // namespace scidb

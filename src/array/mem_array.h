@@ -85,6 +85,15 @@ class MemArray {
   std::map<Coordinates, std::shared_ptr<Chunk>> chunks_;
 };
 
+// Copies the present cells of `src` inside `region` into `out`, one grid
+// chunk at a time: the same result as out->SetCell(c, src.GetCell(c)) for
+// each such cell, without boxing a Value. A cell this call copies
+// replaces what an earlier call left there; other cells stay as they
+// were (last writer wins per cell), so applying sources in order overlays
+// them. Fails as SetCell would on the first present cell outside the
+// schema's bounds.
+Status CopyCells(const Chunk& src, const Box& region, MemArray* out);
+
 }  // namespace scidb
 
 #endif  // SCIDB_ARRAY_MEM_ARRAY_H_

@@ -66,12 +66,16 @@ struct QueryTrace {
 };
 
 // RAII span: stamps `node->wall_ns` with the elapsed clock time on
-// destruction. The clock reference must outlive the span.
+// destruction; a null node (tracing off) reads no clock and records
+// nothing. The clock reference must outlive the span.
 class TraceSpan {
  public:
   TraceSpan(const TraceClock& clock, TraceNode* node)
-      : clock_(&clock), node_(node), start_((*clock_)()) {}
-  ~TraceSpan() { node_->wall_ns = (*clock_)() - start_; }
+      : clock_(&clock), node_(node),
+        start_(node != nullptr ? (*clock_)() : 0) {}
+  ~TraceSpan() {
+    if (node_ != nullptr) node_->wall_ns = (*clock_)() - start_;
+  }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 

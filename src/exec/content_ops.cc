@@ -190,7 +190,7 @@ Result<MemArray> Project(const ExecContext& ctx, const MemArray& a,
         auto oc = std::make_shared<Chunk>(chunk.box(), kept);
         for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
           for (size_t k = 0; k < idx.size(); ++k) {
-            oc->block(k).Set(it.rank(), chunk.block(idx[k]).Get(it.rank()));
+            oc->block(k).CopyCell(chunk.block(idx[k]), it.rank(), it.rank());
           }
           oc->MarkPresent(it.rank());
         }

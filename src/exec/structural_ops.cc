@@ -80,7 +80,7 @@ Result<MemArray> Subsample(const ExecContext& ctx, const MemArray& a,
             oc = std::make_shared<Chunk>(chunk.box(), schema.attrs());
           }
           for (size_t at = 0; at < chunk.nattrs(); ++at) {
-            oc->block(at).Set(rank, chunk.block(at).Get(rank));
+            oc->block(at).CopyCell(chunk.block(at), rank, rank);
           }
           oc->MarkPresent(rank);
         } while (NextInBox(want, &c));

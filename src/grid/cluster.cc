@@ -49,22 +49,6 @@ bool IsPeerFailure(const Status& s) {
   return s.IsUnavailable() || s.IsDeadlineExceeded();
 }
 
-// Copies every cell of `from` into `out`, in chunk-map then rank order.
-// Grid partials hold disjoint cells, so repeated calls build their union.
-Status CopyCells(const MemArray& from, MemArray* out) {
-  std::vector<Value> cell;
-  for (const auto& [origin, chunk] : from.chunks()) {
-    for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
-      cell.clear();
-      for (size_t a = 0; a < chunk->nattrs(); ++a) {
-        cell.push_back(chunk->block(a).Get(it.rank()));
-      }
-      RETURN_NOT_OK(out->SetCell(it.coords(), cell));
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 MetricsSnapshot ClusterMetrics::Labeled() const {
@@ -630,8 +614,7 @@ Status DistributedArray::Load(const MemArray& source, int64_t time) {
   const TraceContext ctx = BeginOpTrace();
   int64_t rpcs = 0;
   {
-    TraceNode scratch;  // TraceSpan needs a sink even when tracing is off
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
+    TraceSpan span(clock_, child);
     for (const auto& [origin, chunk] : source.chunks()) {
       if (chunk->present_count() == 0) continue;  // nothing to place
       // Source and destination share the schema, so the source chunk
@@ -762,8 +745,7 @@ Status DistributedArray::FanOutSlots(
   const TraceContext tctx = BeginOpTrace();
   std::atomic<int64_t> failovers{0};
   {
-    TraceNode scratch;
-    TraceSpan span(clock_, child != nullptr ? child : &scratch);
+    TraceSpan span(clock_, child);
     RETURN_NOT_OK(
         FanoutPool()->ParallelFor(num_nodes(), [&](int64_t node) -> Status {
           ASSIGN_OR_RETURN(MemArray partial,
@@ -828,8 +810,11 @@ Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
                             }));
   MemArray out(schema_);
   out.mutable_schema()->set_name(schema_.name() + "_subsample");
+  // Grid partials hold disjoint cells, so copying them builds the union.
   for (const MemArray& partial : partials) {
-    RETURN_NOT_OK(CopyCells(partial, &out));
+    for (const auto& [origin, chunk] : partial.chunks()) {
+      RETURN_NOT_OK(CopyCells(*chunk, chunk->box(), &out));
+    }
   }
   return out;
 }
@@ -877,7 +862,9 @@ Result<MemArray> DistributedArray::ParallelSjoin(
 
   MemArray out(partials[0].value().schema());
   for (const Result<MemArray>& partial : partials) {
-    RETURN_NOT_OK(CopyCells(partial.value(), &out));
+    for (const auto& [origin, chunk] : partial.value().chunks()) {
+      RETURN_NOT_OK(CopyCells(*chunk, chunk->box(), &out));
+    }
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <fstream>
 
+#include "array/schema_serde.h"
 #include "common/byte_io.h"
 #include "common/macros.h"
 #include "storage/chunk_serde.h"
@@ -31,49 +32,6 @@ Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
   return bytes;
 }
 
-void WriteSchemaTo(ByteWriter* w, const ArraySchema& s) {
-  w->PutString(s.name());
-  w->PutVarint(s.ndims());
-  for (const auto& d : s.dims()) {
-    w->PutString(d.name);
-    w->PutSignedVarint(d.low);
-    w->PutSignedVarint(d.high);
-    w->PutSignedVarint(d.chunk_interval);
-  }
-  w->PutVarint(s.nattrs());
-  for (const auto& a : s.attrs()) {
-    w->PutString(a.name);
-    w->PutU8(static_cast<uint8_t>(a.type));
-    w->PutU8(a.uncertain ? 1 : 0);
-  }
-}
-
-Result<ArraySchema> ReadSchemaFrom(ByteReader* r) {
-  ASSIGN_OR_RETURN(std::string name, r->GetString());
-  ASSIGN_OR_RETURN(uint64_t ndims, r->GetVarint());
-  std::vector<DimensionDesc> dims;
-  for (uint64_t i = 0; i < ndims; ++i) {
-    DimensionDesc d;
-    ASSIGN_OR_RETURN(d.name, r->GetString());
-    ASSIGN_OR_RETURN(d.low, r->GetSignedVarint());
-    ASSIGN_OR_RETURN(d.high, r->GetSignedVarint());
-    ASSIGN_OR_RETURN(d.chunk_interval, r->GetSignedVarint());
-    dims.push_back(std::move(d));
-  }
-  ASSIGN_OR_RETURN(uint64_t nattrs, r->GetVarint());
-  std::vector<AttributeDesc> attrs;
-  for (uint64_t i = 0; i < nattrs; ++i) {
-    AttributeDesc a;
-    ASSIGN_OR_RETURN(a.name, r->GetString());
-    ASSIGN_OR_RETURN(uint8_t t, r->GetU8());
-    a.type = static_cast<DataType>(t);
-    ASSIGN_OR_RETURN(uint8_t unc, r->GetU8());
-    a.uncertain = unc != 0;
-    attrs.push_back(std::move(a));
-  }
-  return ArraySchema(std::move(name), std::move(dims), std::move(attrs));
-}
-
 }  // namespace
 
 Result<MemArray> ExternalArraySource::ReadAll() const {
@@ -98,7 +56,7 @@ Status WriteSciDbFile(const std::string& path, const MemArray& array,
 
   ByteWriter header;
   header.PutU32(kSdbMagic);
-  WriteSchemaTo(&header, array.schema());
+  EncodeSchema(array.schema(), &header);
   header.PutVarint(entries.size());
   // Directory sizes depend on offsets which depend on header size; write
   // the directory with placeholder-free two-pass sizing: first compute
@@ -150,7 +108,7 @@ Result<std::unique_ptr<SciDbFile>> SciDbFile::Open(const std::string& path) {
   if (magic != kSdbMagic) {
     return Status::Corruption(path + " is not a SciDB file");
   }
-  ASSIGN_OR_RETURN(file->schema_, ReadSchemaFrom(&r));
+  ASSIGN_OR_RETURN(file->schema_, DecodeSchema(&r));
   ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
   for (uint64_t i = 0; i < n; ++i) {
     DirEntry e;
@@ -172,7 +130,6 @@ Result<MemArray> SciDbFile::ReadRegion(const Box& region) const {
   MemArray out(schema_);
   std::ifstream f(path_, std::ios::binary);
   if (!f) return Status::IOError("cannot open " + path_);
-  std::vector<Value> cell;
   for (const DirEntry& e : directory_) {
     if (!e.box.Intersects(region)) continue;
     std::vector<uint8_t> payload(e.size);
@@ -183,17 +140,8 @@ Result<MemArray> SciDbFile::ReadRegion(const Box& region) const {
     bytes_read_ += static_cast<int64_t>(e.size);
     ASSIGN_OR_RETURN(std::vector<uint8_t> raw, Decompress(payload));
     ASSIGN_OR_RETURN(Chunk chunk, DeserializeChunk(raw, schema_.attrs()));
-    Box want = chunk.box().Intersect(region);
-    Coordinates c = want.low;
-    do {
-      int64_t rank = RankInBox(chunk.box(), c);
-      if (!chunk.IsPresent(rank)) continue;
-      cell.clear();
-      for (size_t a = 0; a < chunk.nattrs(); ++a) {
-        cell.push_back(chunk.block(a).Get(rank));
-      }
-      RETURN_NOT_OK(out.SetCell(c, cell));
-    } while (NextInBox(want, &c));
+    if (!chunk.box().Intersects(region)) continue;
+    RETURN_NOT_OK(CopyCells(chunk, chunk.box().Intersect(region), &out));
   }
   return out;
 }

@@ -555,11 +555,11 @@ Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
     TraceSpan span(clock_, &trace->root);
     TraceNode* child = trace->root.AddChild();
     child->label = PlanLabel(*tree->inputs[0]);
-    ASSIGN_OR_RETURN(MemArray in, EvalTraced(tree->inputs[0], child));
+    ASSIGN_OR_RETURN(MemArray in, EvalNode(tree->inputs[0], child));
     trace->root.AddNote("exists", in.Exists(tree->numbers) ? 1 : 0);
   } else {
-    // EvalTraced stamps trace->root's span itself.
-    ASSIGN_OR_RETURN(MemArray out, EvalTraced(tree, &trace->root));
+    // EvalNode stamps trace->root's span itself.
+    ASSIGN_OR_RETURN(MemArray out, EvalNode(tree, &trace->root));
     (void)out;  // explain analyze reports the trace, not the data
   }
   trace->execute_ns = clock_() - t0;
@@ -836,13 +836,29 @@ Result<MemArray> Session::EvalOp(const OpNode& node,
 }
 
 Result<MemArray> Session::Eval(const OpNodePtr& node) const {
+  return EvalNode(node, nullptr);
+}
+
+Result<MemArray> Session::EvalNode(const OpNodePtr& node,
+                                   TraceNode* self) const {
   if (node == nullptr) return Status::Invalid("null query node");
-  if (node->is_array_ref()) return ResolveArrayRef(*node, nullptr);
+  TraceSpan span(clock_, self);
+
+  if (node->is_array_ref()) {
+    ASSIGN_OR_RETURN(MemArray out, ResolveArrayRef(*node, self));
+    if (self != nullptr) self->out_cells = out.CellCount();
+    return out;
+  }
 
   std::vector<MemArray> inputs;
   inputs.reserve(node->inputs.size());
   for (const auto& in : node->inputs) {
-    ASSIGN_OR_RETURN(MemArray a, Eval(in));
+    TraceNode* child = nullptr;
+    if (self != nullptr && in != nullptr) {
+      child = self->AddChild();
+      child->label = PlanLabel(*in);
+    }
+    ASSIGN_OR_RETURN(MemArray a, EvalNode(in, child));
     inputs.push_back(std::move(a));
   }
 
@@ -852,38 +868,9 @@ Result<MemArray> Session::Eval(const OpNodePtr& node) const {
   uint64_t t0 = clock_();
   Result<MemArray> out = EvalOp(*node, &inputs, ctx);
   FlushExecStats(node->op, stats, clock_() - t0);
-  return out;
-}
+  if (!out.ok() || self == nullptr) return out;
 
-Result<MemArray> Session::EvalTraced(const OpNodePtr& node,
-                                     TraceNode* self) const {
-  if (node == nullptr) return Status::Invalid("null query node");
-  TraceSpan span(clock_, self);
-
-  if (node->is_array_ref()) {
-    ASSIGN_OR_RETURN(MemArray out, ResolveArrayRef(*node, self));
-    self->out_cells = out.CellCount();
-    return out;
-  }
-
-  std::vector<MemArray> inputs;
-  inputs.reserve(node->inputs.size());
-  for (const auto& in : node->inputs) {
-    if (in == nullptr) return Status::Invalid("null query node");
-    TraceNode* child = self->AddChild();
-    child->label = PlanLabel(*in);
-    ASSIGN_OR_RETURN(MemArray a, EvalTraced(in, child));
-    inputs.push_back(std::move(a));
-  }
-
-  ExecContext ctx = MakeContext();
-  ExecStats stats;
-  ctx.stats = &stats;
-  uint64_t t0 = clock_();
-  ASSIGN_OR_RETURN(MemArray out, EvalOp(*node, &inputs, ctx));
-  FlushExecStats(node->op, stats, clock_() - t0);
-
-  self->out_cells = out.CellCount();
+  self->out_cells = out.value().CellCount();
   if (stats.cells_visited > 0) {
     self->AddNote("cells_visited", static_cast<double>(stats.cells_visited));
   }

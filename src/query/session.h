@@ -41,13 +41,6 @@ struct QueryResult {
   std::shared_ptr<const QueryTrace> trace;
 };
 
-// Morsel-execution knob (DESIGN.md §8). `workers` is the pool width used
-// for chunk-parallel operators and storage reads; 1 means the serial
-// engine (no pool, no extra threads).
-struct ParallelismOptions {
-  int workers = 1;
-};
-
 // A user-registered array operation (paper §2.3): receives the evaluated
 // input arrays and the raw expression arguments of its call site.
 using UserArrayOp = std::function<Result<MemArray>(
@@ -94,9 +87,6 @@ class Session {
   // down and restores the serial engine (identical to pre-pool behavior);
   // widths above kMaxParallelism are rejected.
   [[nodiscard]] Status set_parallelism(int workers) LOCKS_EXCLUDED(mu_);
-  Status set_parallelism(const ParallelismOptions& opts) {
-    return set_parallelism(opts.workers);
-  }
   int parallelism() const LOCKS_EXCLUDED(mu_);
   static constexpr int kMaxParallelism = 64;
 
@@ -189,15 +179,15 @@ class Session {
   // (cells out, chunk-cache delta for storage-backed reads).
   Result<MemArray> ResolveArrayRef(const OpNode& node, TraceNode* tn) const;
 
-  // Applies one operator to its already-evaluated inputs — the single
-  // dispatch shared by the untraced Eval() path and EvalTraced().
+  // Applies one operator to its already-evaluated inputs.
   Result<MemArray> EvalOp(const OpNode& node, std::vector<MemArray>* inputs,
                           const ExecContext& ctx) const;
 
-  // Traced evaluation: fills `self` (labeled by the caller) with wall
-  // time, output cells, and per-operator ExecStats, recursing into child
-  // TraceNodes; also flushes the stats to the scidb.exec.* metrics.
-  Result<MemArray> EvalTraced(const OpNodePtr& node, TraceNode* self) const;
+  // Evaluates an operator tree bottom-up and flushes each operator's
+  // ExecStats to the scidb.exec.* metrics. When `self` is non-null
+  // (labeled by the caller) the evaluation is traced: wall time, output
+  // cells and ExecStats notes, recursing into child TraceNodes.
+  Result<MemArray> EvalNode(const OpNodePtr& node, TraceNode* self) const;
 
   // Catalog state: a Session is driven by one statement-issuing thread
   // (worker threads only see operator-local state), so the registries and

@@ -61,14 +61,5 @@ Result<MemArray> SharedCatalog::SnapshotAt(const std::string& name,
   return it->second.history.SnapshotAt(history);
 }
 
-Result<MemArray> SharedCatalog::SnapshotLatest(const std::string& name) const {
-  MutexLock lk(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound("no shared array named " + name);
-  }
-  return it->second.history.SnapshotLatest();
-}
-
 }  // namespace server
 }  // namespace scidb

@@ -53,10 +53,6 @@ class SharedCatalog {
   Result<MemArray> SnapshotAt(const std::string& name, int64_t epoch) const
       LOCKS_EXCLUDED(mu_);
 
-  // Convenience for tests/benchmarks: latest state.
-  Result<MemArray> SnapshotLatest(const std::string& name) const
-      LOCKS_EXCLUDED(mu_);
-
  private:
   struct Entry {
     explicit Entry(ArraySchema schema) : history(std::move(schema)) {}

@@ -46,98 +46,6 @@ struct StorageMetrics {
   }
 };
 
-// Manifest schema blocks use the shared canonical codec (DESIGN.md §15:
-// the query server ships result schemas over the wire in the same
-// format). Kept as thin local names so manifest read/write sites below
-// stay unchanged.
-void WriteSchemaTo(ByteWriter* w, const ArraySchema& s) {
-  EncodeSchema(s, w);
-}
-
-Result<ArraySchema> ReadSchemaFrom(ByteReader* r) { return DecodeSchema(r); }
-
-// Copies the cells of `src` that lie in `part` — inside one grid chunk of
-// `out`, anchored at `origin` — row by row with typed cell copies. The
-// destination chunk is resolved once, and only when a present cell needs
-// it, so the chunk map holds exactly the chunks that have cells.
-void CopyPart(const Chunk& src, const Box& part, const Coordinates& origin,
-              MemArray* out) {
-  if (src.box() == part && src.present_count() > 0 &&
-      out->FindChunk(origin) == nullptr &&
-      out->ChunkBoxFor(origin) == part) {
-    // A bucket that is exactly a grid chunk nobody wrote yet.
-    out->mutable_chunks()->emplace(origin, std::make_shared<Chunk>(src));
-    return;
-  }
-  const size_t last = part.ndims() - 1;
-  const int64_t row = part.high[last] - part.low[last] + 1;
-  Box rows = part;
-  rows.high[last] = part.low[last];
-  Chunk* dst = nullptr;
-  Coordinates c = rows.low;
-  do {
-    const int64_t s = RankInBox(src.box(), c);
-    int64_t d = -1;
-    for (int64_t k = 0; k < row; ++k) {
-      if (!src.IsPresent(s + k)) continue;
-      if (dst == nullptr) dst = out->GetOrCreateChunk(origin);
-      if (d < 0) d = RankInBox(dst->box(), c);
-      for (size_t at = 0; at < src.nattrs(); ++at) {
-        dst->block(at).CopyCell(src.block(at), s + k, d + k);
-      }
-      dst->MarkPresent(d + k);
-    }
-  } while (NextInBox(rows, &c));
-}
-
-// Copies the present cells of `src` inside `region` into `out`, one grid
-// chunk at a time. A cell this call copies replaces what an earlier call
-// left there; other cells stay as they were (last writer wins per cell).
-// Fails as MemArray::SetCell would on the first present cell outside the
-// schema's bounds.
-Status CopyCells(const Chunk& src, const Box& region, MemArray* out) {
-  const ArraySchema& schema = out->schema();
-  if (region.ndims() != schema.ndims()) {
-    return Status::Invalid("coordinate arity " +
-                           std::to_string(region.ndims()) + " != ndims " +
-                           std::to_string(schema.ndims()));
-  }
-  Box inside = region;
-  if (!schema.ContainsCoords(region.low) ||
-      !schema.ContainsCoords(region.high)) {
-    Coordinates c = region.low;
-    do {
-      if (src.IsPresentAt(c) && !schema.ContainsCoords(c)) {
-        return Status::OutOfRange("cell " + CoordsToString(c) +
-                                  " outside bounds of array '" +
-                                  schema.name() + "'");
-      }
-    } while (NextInBox(region, &c));
-    // No present cell lies outside the bounds: clip to them.
-    for (size_t d = 0; d < schema.ndims(); ++d) {
-      const DimensionDesc& dim = schema.dim(d);
-      inside.low[d] = std::max(inside.low[d], dim.low);
-      if (!dim.unbounded()) inside.high[d] = std::min(inside.high[d], dim.high);
-      if (inside.high[d] < inside.low[d]) return Status::OK();
-    }
-  }
-  const Coordinates first = out->ChunkOriginFor(inside.low);
-  const Coordinates end = out->ChunkOriginFor(inside.high);
-  Coordinates origin = first;
-  while (true) {
-    CopyPart(src, out->ChunkBoxFor(origin).Intersect(inside), origin, out);
-    // Next grid chunk, last dimension fastest.
-    size_t d = origin.size();
-    while (d > 0) {
-      --d;
-      origin[d] += schema.dim(d).chunk_interval;
-      if (origin[d] <= end[d]) break;
-      origin[d] = first[d];
-      if (d == 0) return Status::OK();
-    }
-  }
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- DiskArray
@@ -438,7 +346,7 @@ Status DiskArray::CompactDataFile() {
 Status DiskArray::Flush() {
   ByteWriter w;
   w.PutU32(kManifestMagic);
-  WriteSchemaTo(&w, schema_);
+  EncodeSchema(schema_, &w);
   w.PutU8(static_cast<uint8_t>(codec_));
   w.PutU64(next_id_);
   w.PutU64(data_end_);
@@ -476,7 +384,7 @@ Status DiskArray::LoadManifest() {
   ByteReader r(bytes);
   ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
   if (magic != kManifestMagic) return Status::Corruption("bad manifest");
-  ASSIGN_OR_RETURN(schema_, ReadSchemaFrom(&r));
+  ASSIGN_OR_RETURN(schema_, DecodeSchema(&r));
   ASSIGN_OR_RETURN(uint8_t codec, r.GetU8());
   codec_ = static_cast<CodecType>(codec);
   ASSIGN_OR_RETURN(next_id_, r.GetU64());

@@ -107,32 +107,25 @@ Result<MemArray> HistoryArray::SnapshotAt(int64_t history) const {
                               std::to_string(current_history()) + "]");
   }
   MemArray out(schema_);
-  // Apply layers oldest-to-newest; later layers overwrite.
+  RETURN_NOT_OK(Overlay(history, &out));
+  return out;
+}
+
+Status HistoryArray::Overlay(int64_t history, MemArray* out) const {
+  // Oldest to newest, sets before deletion flags within each layer (a
+  // delete-then-set transaction keeps the set: Commit() removed the
+  // coordinate from the deletion list).
   for (int64_t h = 1; h <= history; ++h) {
     const Layer& layer = layers_[static_cast<size_t>(h - 1)];
-    Status st;
-    bool failed = false;
-    std::vector<Value> cell;
-    layer.delta.ForEachCell(
-        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-          cell.clear();
-          for (size_t a = 0; a < chunk.nattrs(); ++a) {
-            cell.push_back(chunk.block(a).Get(rank));
-          }
-          st = out.SetCell(c, cell);
-          if (!st.ok()) {
-            failed = true;
-            return false;
-          }
-          return true;
-        });
-    if (failed) return st;
+    for (const auto& [origin, chunk] : layer.delta.chunks()) {
+      RETURN_NOT_OK(CopyCells(*chunk, chunk->box(), out));
+    }
     for (const Coordinates& c : layer.deletions) {
-      (void)out.DeleteCell(c);  // status-ignored: deleting a never-present
-                                // cell is a no-op at snapshot level
+      (void)out->DeleteCell(c);  // status-ignored: deleting a never-present
+                                 // cell is a no-op at snapshot level
     }
   }
-  return out;
+  return Status::OK();
 }
 
 size_t HistoryArray::ByteSize() const {

@@ -108,6 +108,10 @@ class HistoryArray {
   std::optional<CellVersion> FindLocal(const Coordinates& c,
                                        int64_t history) const;
 
+  // Applies layers 1..history of THIS array on top of `out`, chunk by
+  // chunk: each delta's cells, then that layer's deletions.
+  Status Overlay(int64_t history, MemArray* out) const;
+
   ArraySchema schema_;
   std::vector<Layer> layers_;  // layers_[h-1] = history index h
   WallClockEnhancement clock_;

@@ -121,34 +121,8 @@ Result<MemArray> VersionTree::SnapshotVersionAt(const NamedVersion& v,
       ASSIGN_OR_RETURN(out, SnapshotVersionAt(*p, v.parent_history));
     }
   }
-  // Overlay this version's own layers, oldest to newest, sets before
-  // deletion flags within each layer (a delete-then-set transaction keeps
-  // the set: Commit() removed the coordinate from the deletion list).
-  int64_t h = std::min<int64_t>(history, v.deltas->current_history());
-  for (int64_t i = 1; i <= h; ++i) {
-    const auto& layer = v.deltas->layers_[static_cast<size_t>(i - 1)];
-    Status st;
-    bool failed = false;
-    std::vector<Value> cell;
-    layer.delta.ForEachCell(
-        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-          cell.clear();
-          for (size_t a = 0; a < chunk.nattrs(); ++a) {
-            cell.push_back(chunk.block(a).Get(rank));
-          }
-          st = out.SetCell(c, cell);
-          if (!st.ok()) {
-            failed = true;
-            return false;
-          }
-          return true;
-        });
-    if (failed) return st;
-    for (const Coordinates& c : layer.deletions) {
-      (void)out.DeleteCell(c);  // status-ignored: deleting a never-present
-                                // cell is a no-op at snapshot level
-    }
-  }
+  RETURN_NOT_OK(v.deltas->Overlay(
+      std::min<int64_t>(history, v.deltas->current_history()), &out));
   return out;
 }
 
@@ -176,27 +150,25 @@ Status VersionTree::MaterializeVersion(const std::string& name) {
   ASSIGN_OR_RETURN(NamedVersion* v, Find(name));
   if (v->materialized) return Status::OK();
   ASSIGN_OR_RETURN(MemArray full, Snapshot(name));
-  // Rebuild the version as a single-layer materialized copy.
+  // Rebuild the version as a single-layer materialized copy. Copying the
+  // snapshot instead of installing it drops the chunks deletions emptied
+  // and what blocks keep for cells that are gone (string payload, a
+  // stderr column), so the layer is what one Commit of the present cells
+  // builds, byte size included.
   auto fresh = std::make_unique<HistoryArray>(schema_);
-  std::vector<CellUpdate> updates;
-  std::vector<Value> cell;
-  full.ForEachCell([&](const Coordinates& c, const Chunk& chunk,
-                       int64_t rank) {
-    cell.clear();
-    for (size_t a = 0; a < chunk.nattrs(); ++a) {
-      cell.push_back(chunk.block(a).Get(rank));
-    }
-    updates.push_back(CellUpdate::Set(c, cell));
-    return true;
-  });
-  if (!updates.empty()) {
+  HistoryArray::Layer layer{MemArray(schema_), {}};
+  for (const auto& [origin, chunk] : full.chunks()) {
+    RETURN_NOT_OK(CopyCells(*chunk, chunk->box(), &layer.delta));
+  }
+  if (layer.delta.ChunkCount() > 0) {
     int64_t ts = 0;
     if (v->deltas->wall_clock().recorded() > 0) {
       auto t = v->deltas->wall_clock().Forward(
           {v->deltas->wall_clock().recorded()});
       if (t.ok()) ts = t.value()[0].int64_value();
     }
-    RETURN_NOT_OK(fresh->Commit(updates, ts).status());
+    fresh->layers_.push_back(std::move(layer));
+    fresh->clock_.RecordTimestamp(ts);
   }
   v->deltas = std::move(fresh);
   v->materialized = true;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -71,6 +72,55 @@ TEST(SciDbFileTest, RejectsForeignFile) {
   }
   EXPECT_FALSE(SciDbFile::Open(path).ok());
   EXPECT_TRUE(SciDbFile::Open(TempPath("missing.sdb")).status().IsIOError());
+  fs::remove(path);
+}
+
+TEST(SciDbFileTest, SchemaRoundTripsExactly) {
+  // A non-nullable attribute next to a nullable uncertain one: the file
+  // header carries every schema field, so the opened schema is the
+  // written one.
+  std::string path = TempPath("schema.sdb");
+  ArraySchema s("exact", {{"I", 1, 8, 4}, {"J", 1, 8, 4}},
+                {{"count", DataType::kInt64, false, false},
+                 {"flux", DataType::kDouble, true, true}});
+  MemArray a(s);
+  ASSERT_TRUE(
+      a.SetCell({2, 3}, {Value(int64_t{7}), Value(Uncertain(1.5, 0.25))})
+          .ok());
+  ASSERT_TRUE(WriteSciDbFile(path, a).ok());
+
+  auto file = SciDbFile::Open(path).ValueOrDie();
+  EXPECT_FALSE(file->schema().attr(0).nullable);
+  EXPECT_TRUE(file->schema() == s);
+  MemArray back = file->ReadAll().ValueOrDie();
+  EXPECT_EQ((*back.GetCell({2, 3}))[0].int64_value(), 7);
+  EXPECT_EQ((*back.GetCell({2, 3}))[1].uncertain_value().stderr_, 0.25);
+  fs::remove(path);
+}
+
+TEST(SciDbFileTest, CorruptTypeByteFailsOpen) {
+  std::string path = TempPath("badtype.sdb");
+  ArraySchema s("bad", {{"I", 1, 8, 4}},
+                {{"zqattr", DataType::kDouble, true, false}});
+  MemArray a(s);
+  ASSERT_TRUE(a.SetCell({1}, Value(1.0)).ok());
+  ASSERT_TRUE(WriteSciDbFile(path, a).ok());
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The attribute's type byte follows its name in the header.
+  const std::string name = "zqattr";
+  auto at = std::search(bytes.begin(), bytes.end(), name.begin(), name.end());
+  ASSERT_NE(at, bytes.end());
+  *(at + static_cast<std::ptrdiff_t>(name.size())) = static_cast<char>(0xEE);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_TRUE(SciDbFile::Open(path).status().IsCorruption());
   fs::remove(path);
 }
 

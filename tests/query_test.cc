@@ -312,9 +312,7 @@ TEST_F(SessionTest, SetParallelismStatement) {
   EXPECT_EQ(session_.parallelism(), 1);
 
   // The programmatic knob mirrors the AQL statement.
-  ParallelismOptions opts;
-  opts.workers = 2;
-  ASSERT_TRUE(session_.set_parallelism(opts).ok());
+  ASSERT_TRUE(session_.set_parallelism(2).ok());
   EXPECT_EQ(session_.parallelism(), 2);
   ASSERT_TRUE(session_.set_parallelism(1).ok());
 }

@@ -477,6 +477,13 @@ ArraySchema MixedStoredSchema(const std::string& name) {
                       {"d", DataType::kDouble, true, false}});
 }
 
+// int64 and double only, the schema whose scans copy whole chunks.
+ArraySchema NumericStoredSchema(const std::string& name) {
+  return ArraySchema(name, {{"I", 1, 18, 4}, {"J", 1, 17, 5}},
+                     {{"n", DataType::kInt64, true, false},
+                      {"d", DataType::kDouble, true, false}});
+}
+
 // Every cell of the array with probability `keep_pct`, values drawn from
 // `rng` (about one attribute in ten NULL).
 MemArray MixedStoredCells(const ArraySchema& schema, Rng* rng, int keep_pct) {
@@ -488,15 +495,30 @@ MemArray MixedStoredCells(const ArraySchema& schema, Rng* rng, int keep_pct) {
         return rng->Uniform(10) == 0 ? Value::Null() : std::move(v);
       };
       const double x = static_cast<double>(rng->UniformInt(-1000, 1000)) / 8;
-      std::vector<Value> cell = {
-          maybe(Value(rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40))),
-          maybe(Value("s" + std::to_string(rng->Uniform(50)))),
-          maybe(Value(Uncertain(x, rng->Uniform(3) == 0 ? 0.5 : 0.125))),
-          maybe(Value(x * 3))};
+      std::vector<Value> cell;
+      for (const AttributeDesc& attr : schema.attrs()) {
+        if (attr.type == DataType::kInt64) {
+          cell.push_back(maybe(Value(
+              rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40))));
+        } else if (attr.type == DataType::kString) {
+          cell.push_back(maybe(Value("s" + std::to_string(rng->Uniform(50)))));
+        } else if (attr.uncertain) {
+          cell.push_back(
+              maybe(Value(Uncertain(x, rng->Uniform(3) == 0 ? 0.5 : 0.125))));
+        } else {
+          cell.push_back(maybe(Value(x * 3)));
+        }
+      }
       EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
     }
   }
   return a;
+}
+
+// Both schemas, named `name` with a suffix.
+std::vector<ArraySchema> StoredSchemas(const std::string& name) {
+  return {MixedStoredSchema(name + "_mixed"),
+          NumericStoredSchema(name + "_numeric")};
 }
 
 // The reference: `layers` scattered cell by cell, later layers winning.
@@ -545,15 +567,16 @@ TEST(StoredScanTest, PartialOverwriteIsLastWriterWinsPerCell) {
   std::string dir = TempDir("scan_overwrite");
   {
     StorageManager sm(dir);
-    const ArraySchema schema = MixedStoredSchema("overwrite");
-    DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
-    Rng rng(TestSeed(71));
-    const MemArray first = MixedStoredCells(schema, &rng, 90);
-    // A partial, overlapping subset with new values.
-    const MemArray second = MixedStoredCells(schema, &rng, 35);
-    ASSERT_TRUE(arr->WriteAll(first).ok());
-    ASSERT_TRUE(arr->WriteAll(second).ok());
-    ExpectReadsMatch(*arr, schema, {&first, &second}, "overwrite");
+    for (const ArraySchema& schema : StoredSchemas("overwrite")) {
+      DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
+      Rng rng(TestSeed(71));
+      const MemArray first = MixedStoredCells(schema, &rng, 90);
+      // A partial, overlapping subset with new values.
+      const MemArray second = MixedStoredCells(schema, &rng, 35);
+      ASSERT_TRUE(arr->WriteAll(first).ok());
+      ASSERT_TRUE(arr->WriteAll(second).ok());
+      ExpectReadsMatch(*arr, schema, {&first, &second}, schema.name());
+    }
   }
   fs::remove_all(dir);
 }
@@ -562,17 +585,18 @@ TEST(StoredScanTest, MergedBucketsCrossingGridChunks) {
   std::string dir = TempDir("scan_merged");
   {
     StorageManager sm(dir);
-    const ArraySchema schema = MixedStoredSchema("merged");
-    DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
-    Rng rng(TestSeed(73));
-    const MemArray cells = MixedStoredCells(schema, &rng, 60);
-    ASSERT_TRUE(arr->WriteAll(cells).ok());
-    // Every bucket is one grid chunk, so each merge makes a bucket that
-    // crosses a grid-chunk boundary.
-    const size_t before = arr->bucket_count();
-    ASSERT_GT(arr->MergeSmallBuckets(1 << 20).ValueOrDie(), 0);
-    ASSERT_LT(arr->bucket_count(), before);
-    ExpectReadsMatch(*arr, schema, {&cells}, "merged");
+    for (const ArraySchema& schema : StoredSchemas("merged")) {
+      DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
+      Rng rng(TestSeed(73));
+      const MemArray cells = MixedStoredCells(schema, &rng, 60);
+      ASSERT_TRUE(arr->WriteAll(cells).ok());
+      // Every bucket is one grid chunk, so each merge makes a bucket that
+      // crosses a grid-chunk boundary.
+      const size_t before = arr->bucket_count();
+      ASSERT_GT(arr->MergeSmallBuckets(1 << 20).ValueOrDie(), 0);
+      ASSERT_LT(arr->bucket_count(), before);
+      ExpectReadsMatch(*arr, schema, {&cells}, schema.name());
+    }
   }
   fs::remove_all(dir);
 }

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <map>
+
+#include "common/rng.h"
+#include "server/shared_catalog.h"
 #include "version/history.h"
 #include "version/named_version.h"
 
@@ -243,6 +249,323 @@ TEST(VersionTreeTest, SpaceGrowsOnlyWithDivergence) {
   size_t base_bytes = tree.VersionByteSize("").ValueOrDie();
   size_t v_bytes = tree.VersionByteSize("v").ValueOrDie();
   EXPECT_LT(v_bytes, base_bytes / 10);
+}
+
+// ====================== snapshot oracle (§2.5, §2.11) ==================
+//
+// The reference is the per-cell replay snapshots used before they were
+// built from typed chunk copies: every delta cell boxed into Values and
+// set, oldest layer first, then that layer's deletion flags.
+
+constexpr int64_t kLatest = std::numeric_limits<int64_t>::max();
+
+// x is bounded, y unbounded. The mixed schema has a nullable double v,
+// an uncertain u and a string s (the two block kinds whose representation
+// depends on every value ever set); the numeric one, int64 n and double d,
+// is the schema whose snapshots copy whole delta chunks.
+ArraySchema OracleSchema(bool numeric, const std::string& name = "oracle") {
+  std::vector<AttributeDesc> attrs =
+      numeric ? std::vector<AttributeDesc>{{"n", DataType::kInt64, true, false},
+                                           {"d", DataType::kDouble, true, false}}
+              : std::vector<AttributeDesc>{{"v", DataType::kDouble, true, false},
+                                           {"u", DataType::kDouble, true, true},
+                                           {"s", DataType::kString, true, false}};
+  return ArraySchema(name, {{"x", 1, 12, 4}, {"y", 1, kUnboundedDim, 4}},
+                     std::move(attrs));
+}
+
+void ReplayLayers(const HistoryArray& h, int64_t upto, MemArray* out) {
+  std::vector<Value> cell;
+  for (int64_t i = 1; i <= std::min(upto, h.current_history()); ++i) {
+    h.layer_delta(i).ForEachCell(
+        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+          cell.clear();
+          for (size_t a = 0; a < chunk.nattrs(); ++a) {
+            cell.push_back(chunk.block(a).Get(rank));
+          }
+          EXPECT_TRUE(out->SetCell(c, cell).ok());
+          return true;
+        });
+    for (const Coordinates& c : h.layer_deletions(i)) {
+      (void)out->DeleteCell(c);  // status-ignored: a never-present cell
+                                 // is a no-op at snapshot level
+    }
+  }
+}
+
+// About one value in five is NULL.
+std::vector<Value> RandomCell(const ArraySchema& schema, Rng* rng) {
+  std::vector<Value> cell;
+  for (const AttributeDesc& attr : schema.attrs()) {
+    if (rng->Uniform(5) == 0) {
+      cell.emplace_back();
+      continue;
+    }
+    const int64_t x = rng->UniformInt(0, 99);
+    if (attr.type == DataType::kString) {
+      cell.emplace_back(std::string(static_cast<size_t>(x % 24 + 1),
+                                    static_cast<char>('a' + rng->Uniform(26))));
+    } else if (attr.uncertain) {
+      // Two error bars, so some chunks keep the constant-stderr collapse.
+      cell.emplace_back(Uncertain(static_cast<double>(x),
+                                  rng->Uniform(4) == 0 ? 1.0 : 0.5));
+    } else if (attr.type == DataType::kInt64) {
+      cell.emplace_back(x);
+    } else {
+      cell.emplace_back(static_cast<double>(x));
+    }
+  }
+  return cell;
+}
+
+// Sets, deletes, re-inserts, set-then-delete, delete-then-set and
+// set-then-set of one cell inside the transaction, and now and then a
+// deletion of every cell of one grid chunk.
+std::vector<CellUpdate> RandomTxn(const ArraySchema& schema, Rng* rng) {
+  std::vector<CellUpdate> txn;
+  const int64_t n = rng->UniformInt(1, 8);
+  for (int64_t k = 0; k < n; ++k) {
+    Coordinates c{rng->UniformInt(1, 12), rng->UniformInt(1, 20)};
+    switch (rng->Uniform(6)) {
+      case 0:
+        txn.push_back(CellUpdate::Delete(c));
+        break;
+      case 1:
+        txn.push_back(CellUpdate::Set(c, RandomCell(schema, rng)));
+        txn.push_back(CellUpdate::Delete(c));
+        break;
+      case 2:
+        txn.push_back(CellUpdate::Delete(c));
+        txn.push_back(CellUpdate::Set(c, RandomCell(schema, rng)));
+        break;
+      case 3:
+        txn.push_back(CellUpdate::Set(c, RandomCell(schema, rng)));
+        txn.push_back(CellUpdate::Set(c, RandomCell(schema, rng)));
+        break;
+      default:
+        txn.push_back(CellUpdate::Set(c, RandomCell(schema, rng)));
+        break;
+    }
+  }
+  if (rng->Uniform(4) == 0) {
+    const int64_t x0 = 1 + 4 * static_cast<int64_t>(rng->Uniform(3));
+    const int64_t y0 = 1 + 4 * static_cast<int64_t>(rng->Uniform(5));
+    for (int64_t x = x0; x < x0 + 4; ++x) {
+      for (int64_t y = y0; y < y0 + 4; ++y) {
+        txn.push_back(CellUpdate::Delete({x, y}));
+      }
+    }
+  }
+  return txn;
+}
+
+// Same chunks, presence, null flags and values of present cells, and the
+// same constant-stderr flag per block.
+void ExpectSameSnapshot(const MemArray& got, const MemArray& want) {
+  ASSERT_EQ(got.ChunkCount(), want.ChunkCount());
+  for (const auto& [origin, w] : want.chunks()) {
+    SCOPED_TRACE("chunk " + CoordsToString(origin));
+    const Chunk* g = got.FindChunk(origin);
+    ASSERT_NE(g, nullptr);
+    ASSERT_EQ(g->box(), w->box());
+    ASSERT_EQ(g->present_count(), w->present_count());
+    for (size_t a = 0; a < w->nattrs(); ++a) {
+      EXPECT_EQ(g->block(a).has_constant_stderr(),
+                w->block(a).has_constant_stderr())
+          << "attr " << a;
+    }
+    for (int64_t r = 0; r < w->cell_capacity(); ++r) {
+      ASSERT_EQ(g->IsPresent(r), w->IsPresent(r)) << "rank " << r;
+      if (!w->IsPresent(r)) continue;
+      for (size_t a = 0; a < w->nattrs(); ++a) {
+        const AttributeBlock& gb = g->block(a);
+        const AttributeBlock& wb = w->block(a);
+        ASSERT_EQ(gb.IsNull(r), wb.IsNull(r)) << "rank " << r;
+        if (wb.IsNull(r)) continue;
+        if (wb.type() == DataType::kString) {
+          EXPECT_EQ(gb.Get(r).string_value(), wb.Get(r).string_value());
+        } else if (wb.type() == DataType::kInt64) {
+          EXPECT_EQ(gb.GetInt64(r), wb.GetInt64(r)) << "rank " << r;
+        } else {
+          EXPECT_EQ(gb.GetDouble(r), wb.GetDouble(r)) << "rank " << r;
+          if (wb.uncertain()) {
+            EXPECT_EQ(gb.GetStderr(r), wb.GetStderr(r)) << "rank " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Both oracle schemas: the mixed one and the numeric one.
+constexpr bool kSchemas[] = {false, true};
+
+std::string SchemaLabel(bool numeric) {
+  return numeric ? "numeric schema" : "mixed schema";
+}
+
+TEST(SnapshotOracleTest, HistorySnapshotsMatchPerCellReplay) {
+  for (bool numeric : kSchemas) {
+    for (uint64_t seed : {161u, 162u, 163u}) {
+      SCOPED_TRACE(SchemaLabel(numeric) + ", seed " + std::to_string(seed));
+      Rng rng(TestSeed(seed));
+      HistoryArray a(OracleSchema(numeric));
+      for (int64_t t = 1; t <= 14; ++t) {
+        ASSERT_TRUE(a.Commit(RandomTxn(a.schema(), &rng), 1000 * t).ok());
+      }
+      for (int64_t h = 0; h <= a.current_history(); ++h) {
+        SCOPED_TRACE("history " + std::to_string(h));
+        MemArray want(a.schema());
+        ReplayLayers(a, h, &want);
+        ExpectSameSnapshot(a.SnapshotAt(h).ValueOrDie(), want);
+      }
+    }
+  }
+}
+
+// The test's own record of the version tree: parent and pinned history
+// per version, and whether MaterializeVersion cut the chain.
+struct Pin {
+  std::string parent;
+  int64_t history = 0;
+  bool materialized = false;
+  int64_t last_ts = 0;
+};
+
+MemArray OracleSnapshot(const VersionTree& tree,
+                        const std::map<std::string, Pin>& pins,
+                        const std::string& name, int64_t history) {
+  const HistoryArray& own = *tree.VersionHistory(name).ValueOrDie();
+  MemArray out(own.schema());
+  if (!name.empty() && !pins.at(name).materialized) {
+    const Pin& p = pins.at(name);
+    out = OracleSnapshot(tree, pins, p.parent, p.history);
+  }
+  ReplayLayers(own, history, &out);
+  return out;
+}
+
+void CheckVersionChains(bool numeric, uint64_t seed) {
+  Rng rng(TestSeed(seed));
+  const ArraySchema schema = OracleSchema(numeric);
+  VersionTree tree(schema);
+  std::map<std::string, Pin> pins;
+  int64_t ts = 1000;
+  auto commit = [&](const std::string& name, int txns) {
+    for (int i = 0; i < txns; ++i) {
+      ts += 10;
+      ASSERT_TRUE(tree.Commit(name, RandomTxn(schema, &rng), ts).ok());
+      if (!name.empty()) pins[name].last_ts = ts;
+    }
+  };
+  auto create = [&](const std::string& name, const std::string& parent) {
+    ASSERT_TRUE(tree.CreateVersion(name, parent).ok());
+    const HistoryArray* p = tree.VersionHistory(parent).ValueOrDie();
+    pins[name] = {parent, p->current_history()};
+  };
+  // Chains one ("a"), two ("b") and three ("c") deep; every parent
+  // keeps committing after its child was pinned.
+  commit("", 5);
+  create("a", "");
+  commit("a", 4);
+  commit("", 3);
+  create("b", "a");
+  commit("b", 4);
+  commit("a", 2);
+  create("c", "b");
+  commit("c", 4);
+  commit("b", 2);
+  const std::vector<std::string> names = {"", "a", "b", "c"};
+  auto check_all = [&] {
+    for (const std::string& name : names) {
+      SCOPED_TRACE("version '" + name + "'");
+      ExpectSameSnapshot(tree.Snapshot(name).ValueOrDie(),
+                         OracleSnapshot(tree, pins, name, kLatest));
+    }
+  };
+  check_all();
+  EXPECT_EQ(tree.ChainDepth("c").ValueOrDie(), 3);
+
+  // Leaf first, so no materialized version is still a pinned parent.
+  for (const std::string name : {"c", "b", "a"}) {
+    SCOPED_TRACE("materialize '" + name + "'");
+    const MemArray full = OracleSnapshot(tree, pins, name, kLatest);
+    // The reference materialization: one Commit of the boxed cells.
+    HistoryArray ref(schema);
+    std::vector<CellUpdate> updates;
+    full.ForEachCell([&](const Coordinates& c, const Chunk& chunk,
+                         int64_t rank) {
+      std::vector<Value> cell;
+      for (size_t a = 0; a < chunk.nattrs(); ++a) {
+        cell.push_back(chunk.block(a).Get(rank));
+      }
+      updates.push_back(CellUpdate::Set(c, cell));
+      return true;
+    });
+    if (!updates.empty()) {
+      ASSERT_TRUE(ref.Commit(updates, pins[name].last_ts).ok());
+    }
+
+    ASSERT_TRUE(tree.MaterializeVersion(name).ok());
+    pins[name].materialized = true;
+    const HistoryArray& got = *tree.VersionHistory(name).ValueOrDie();
+    EXPECT_EQ(tree.VersionByteSize(name).ValueOrDie(), ref.ByteSize());
+    EXPECT_EQ(tree.ChainDepth(name).ValueOrDie(), 1);
+    EXPECT_EQ(got.current_history(), ref.current_history());
+    EXPECT_EQ(got.wall_clock().recorded(), ref.wall_clock().recorded());
+    if (ref.current_history() > 0) {
+      EXPECT_EQ(got.layer_delta(1).ChunkCount(),
+                ref.layer_delta(1).ChunkCount());
+      EXPECT_EQ(got.wall_clock().Forward({1}).ValueOrDie()[0].int64_value(),
+                pins[name].last_ts);
+    }
+    MemArray want(schema);
+    ReplayLayers(ref, kLatest, &want);
+    ExpectSameSnapshot(tree.Snapshot(name).ValueOrDie(), want);
+    check_all();
+  }
+}
+
+TEST(SnapshotOracleTest, VersionChainsMatchPerCellReplay) {
+  for (bool numeric : kSchemas) {
+    for (uint64_t seed : {171u, 172u, 173u}) {
+      SCOPED_TRACE(SchemaLabel(numeric) + ", seed " + std::to_string(seed));
+      CheckVersionChains(numeric, seed);
+    }
+  }
+}
+
+TEST(SnapshotOracleTest, SharedCatalogEpochCutsMatchPerCellReplay) {
+  for (bool numeric : kSchemas) {
+    SCOPED_TRACE(SchemaLabel(numeric));
+    Rng rng(TestSeed(numeric ? 182 : 181));
+    server::SharedCatalog catalog;
+    std::map<std::string, HistoryArray> mirror;
+    std::map<std::string, std::vector<int64_t>> epochs;
+    for (const std::string name : {"a", "b"}) {
+      ASSERT_TRUE(catalog.Define(OracleSchema(numeric, name)).ok());
+      mirror.emplace(name, HistoryArray(OracleSchema(numeric, name)));
+    }
+    for (int i = 0; i < 16; ++i) {
+      const std::string name = rng.Uniform(3) == 0 ? "b" : "a";
+      std::vector<CellUpdate> txn =
+          RandomTxn(mirror.at(name).schema(), &rng);
+      const int64_t epoch = catalog.CommitCells(name, txn).ValueOrDie();
+      ASSERT_TRUE(mirror.at(name).Commit(txn, epoch).ok());
+      epochs[name].push_back(epoch);
+    }
+    for (int64_t e = 0; e <= catalog.epoch(); ++e) {
+      for (const auto& [name, history] : mirror) {
+        SCOPED_TRACE(name + " at epoch " + std::to_string(e));
+        const std::vector<int64_t>& cuts = epochs[name];
+        const int64_t h =
+            std::upper_bound(cuts.begin(), cuts.end(), e) - cuts.begin();
+        MemArray want(history.schema());
+        ReplayLayers(history, h, &want);
+        ExpectSameSnapshot(catalog.SnapshotAt(name, e).ValueOrDie(), want);
+      }
+    }
+  }
 }
 
 }  // namespace
