@@ -29,6 +29,14 @@ struct Box {
 
   size_t ndims() const { return low.size(); }
 
+  // True when some dimension has low > high: the box holds no cell.
+  [[nodiscard]] bool empty() const {
+    for (size_t d = 0; d < low.size(); ++d) {
+      if (low[d] > high[d]) return true;
+    }
+    return false;
+  }
+
   [[nodiscard]] bool Contains(const Coordinates& c) const {
     for (size_t d = 0; d < low.size(); ++d) {
       if (c[d] < low[d] || c[d] > high[d]) return false;

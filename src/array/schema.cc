@@ -31,6 +31,15 @@ Result<size_t> ArraySchema::AttrIndex(const std::string& name) const {
                           name_ + "'");
 }
 
+Box ArraySchema::DeclaredBox() const {
+  Box b;
+  for (const auto& d : dims_) {
+    b.low.push_back(d.low);
+    b.high.push_back(d.high);  // kUnboundedDim when unbounded
+  }
+  return b;
+}
+
 Result<Box> ArraySchema::Bounds() const {
   Box b;
   b.low.reserve(dims_.size());

@@ -86,6 +86,9 @@ class ArraySchema {
   // The full logical box [low, high] per dimension. Invalid for schemas
   // with unbounded dimensions (callers use the storage high-water mark).
   Result<Box> Bounds() const;
+  // The declared box: Bounds(), with an unbounded dimension open up to
+  // kUnboundedDim. Every cell the schema admits lies inside it.
+  Box DeclaredBox() const;
   [[nodiscard]] bool HasUnboundedDim() const;
 
   // Validates shape invariants: nonempty dims/attrs, unique names,

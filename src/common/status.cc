@@ -39,6 +39,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Busy";
     case StatusCode::kCancelled:
       return "Cancelled";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -34,6 +34,10 @@ enum class StatusCode {
   // pointless (the caller asked for the abort).
   kBusy,
   kCancelled,
+  // The object is not in the state the call needs (e.g. materializing a
+  // named version that another version still reads through); retrying
+  // verbatim fails the same way until that state changes.
+  kFailedPrecondition,
 };
 
 // Returns a stable human-readable name ("InvalidArgument", ...).
@@ -97,6 +101,9 @@ class [[nodiscard]] Status {
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
   }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
+  }
 
   [[nodiscard]] bool ok() const { return rep_ == nullptr; }
   [[nodiscard]] StatusCode code() const {
@@ -121,6 +128,9 @@ class [[nodiscard]] Status {
   }
   bool IsBusy() const { return code() == StatusCode::kBusy; }
   bool IsCancelled() const { return code() == StatusCode::kCancelled; }
+  bool IsFailedPrecondition() const {
+    return code() == StatusCode::kFailedPrecondition;
+  }
 
   // "OK" or "InvalidArgument: <message>".
   std::string ToString() const;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "array/array_source.h"
 #include "array/mem_array.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -58,6 +59,15 @@ struct ExecContext {
 // matching cells at their original index values; same dimensionality.
 Result<MemArray> Subsample(const ExecContext& ctx, const MemArray& a,
                            const ExprPtr& pred);
+
+// The box a Subsample by `pred` needs read from `source` (DESIGN.md §5):
+// ExtractDimBounds of the predicate over source.Extent(), empty when no
+// cell can match. The whole extent when ctx.enable_chunk_pruning is off
+// or `pred` is not a per-dimension conjunction (Subsample then rejects it
+// after a full read, as it would without pushdown). Subsample still
+// applies the exact predicate to what the box read returns.
+Box SubsampleBox(const ExecContext& ctx, const ArraySource& source,
+                 const Expr& pred);
 
 // Exists? [A, 7, 7]
 [[nodiscard]] bool Exists(const MemArray& a, const Coordinates& c);

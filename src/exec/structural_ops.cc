@@ -89,6 +89,22 @@ Result<MemArray> Subsample(const ExecContext& ctx, const MemArray& a,
   return out;
 }
 
+Box SubsampleBox(const ExecContext& ctx, const ArraySource& source,
+                 const Expr& pred) {
+  Box box = source.Extent();
+  if (!ctx.enable_chunk_pruning ||
+      !IsPerDimensionConjunction(pred, source.schema())) {
+    return box;
+  }
+  std::vector<DimBounds> bounds =
+      ExtractDimBounds(pred, source.schema(), box);
+  for (size_t d = 0; d < bounds.size(); ++d) {
+    box.low[d] = bounds[d].low;
+    box.high[d] = bounds[d].high;
+  }
+  return box;
+}
+
 bool Exists(const MemArray& a, const Coordinates& c) { return a.Exists(c); }
 
 // --------------------------------------------------------------- Reshape

@@ -32,12 +32,25 @@ Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
   return bytes;
 }
 
-}  // namespace
-
-Result<MemArray> ExternalArraySource::ReadAll() const {
-  ASSIGN_OR_RETURN(Box bounds, schema().Bounds());
-  return ReadRegion(bounds);
+// The cells of a dense row-major double payload spanning `schema`'s
+// bounds that lie inside `region`, counting the payload bytes touched.
+Result<MemArray> ReadDense(const ArraySchema& schema,
+                           const std::vector<double>& data, const Box& region,
+                           int64_t* bytes_read) {
+  ASSIGN_OR_RETURN(Box bounds, schema.Bounds());
+  MemArray out(schema);
+  if (!bounds.Intersects(region)) return out;
+  Box want = bounds.Intersect(region);
+  Coordinates c = want.low;
+  do {
+    int64_t rank = RankInBox(bounds, c);
+    *bytes_read += static_cast<int64_t>(sizeof(double));
+    RETURN_NOT_OK(out.SetCell(c, Value(data[static_cast<size_t>(rank)])));
+  } while (NextInBox(want, &c));
+  return out;
 }
+
+}  // namespace
 
 // --------------------------------------------------------------- .sdb
 
@@ -126,7 +139,9 @@ Result<std::unique_ptr<SciDbFile>> SciDbFile::Open(const std::string& path) {
   return file;
 }
 
-Result<MemArray> SciDbFile::ReadRegion(const Box& region) const {
+Result<MemArray> SciDbFile::ReadBox(const Box& region,
+                                    ThreadPool* pool) const {
+  (void)pool;  // one sequential pass over the file
   MemArray out(schema_);
   std::ifstream f(path_, std::ios::binary);
   if (!f) return Status::IOError("cannot open " + path_);
@@ -239,22 +254,10 @@ Result<std::unique_ptr<H5DatasetAdaptor>> H5DatasetAdaptor::Open(
   return adaptor;
 }
 
-Result<MemArray> H5DatasetAdaptor::ReadRegion(const Box& region) const {
-  if (region.ndims() != schema_.ndims()) {
-    return Status::Invalid("region arity mismatch");
-  }
-  ASSIGN_OR_RETURN(Box bounds, schema_.Bounds());
-  if (!bounds.Intersects(region)) return MemArray(schema_);
-  Box want = bounds.Intersect(region);
-  MemArray out(schema_);
-  Coordinates c = want.low;
-  do {
-    int64_t rank = RankInBox(bounds, c);
-    bytes_read_ += static_cast<int64_t>(sizeof(double));
-    RETURN_NOT_OK(out.SetCell(
-        c, Value(dataset_.data[static_cast<size_t>(rank)])));
-  } while (NextInBox(want, &c));
-  return out;
+Result<MemArray> H5DatasetAdaptor::ReadBox(const Box& region,
+                                           ThreadPool* pool) const {
+  (void)pool;  // the payload is in memory: one pass over the box
+  return ReadDense(schema_, dataset_.data, region, &bytes_read_);
 }
 
 // ---------------------------------------------------------------- .snc
@@ -366,22 +369,10 @@ Result<std::unique_ptr<NcVariableAdaptor>> NcVariableAdaptor::Open(
   return adaptor;
 }
 
-Result<MemArray> NcVariableAdaptor::ReadRegion(const Box& region) const {
-  if (region.ndims() != schema_.ndims()) {
-    return Status::Invalid("region arity mismatch");
-  }
-  ASSIGN_OR_RETURN(Box bounds, schema_.Bounds());
-  if (!bounds.Intersects(region)) return MemArray(schema_);
-  Box want = bounds.Intersect(region);
-  MemArray out(schema_);
-  Coordinates c = want.low;
-  do {
-    int64_t rank = RankInBox(bounds, c);
-    bytes_read_ += static_cast<int64_t>(sizeof(double));
-    RETURN_NOT_OK(out.SetCell(
-        c, Value(variable_.data[static_cast<size_t>(rank)])));
-  } while (NextInBox(want, &c));
-  return out;
+Result<MemArray> NcVariableAdaptor::ReadBox(const Box& region,
+                                            ThreadPool* pool) const {
+  (void)pool;  // the payload is in memory: one pass over the box
+  return ReadDense(schema_, variable_.data, region, &bytes_read_);
 }
 
 }  // namespace scidb

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "array/array_source.h"
 #include "array/mem_array.h"
 #include "common/result.h"
 #include "storage/codec.h"
@@ -23,18 +24,10 @@ namespace scidb {
 // DESIGN.md §3. The code path exercised — querying foreign files without
 // a load step, reading only the region a query needs — is the paper's
 // point, not wire compatibility.
-
-// A queryable external data source: schema plus region reads that touch
-// only the needed part of the file.
-class ExternalArraySource {
- public:
-  virtual ~ExternalArraySource() = default;
-  virtual const ArraySchema& schema() const = 0;
-  virtual Result<MemArray> ReadRegion(const Box& region) const = 0;
-  Result<MemArray> ReadAll() const;
-  // Bytes of file payload actually read so far (EXP-SITU accounting).
-  virtual int64_t bytes_read() const = 0;
-};
+//
+// Each adaptor is an ArraySource (array/array_source.h): ReadRegion
+// touches only the needed part of the file, and bytes_read() counts the
+// file payload read so far (EXP-SITU accounting).
 
 // ---------------- SciDB self-describing format (.sdb) ----------------
 // Layout: magic | schema | chunk directory (box, offset, size) | chunk
@@ -44,14 +37,16 @@ class ExternalArraySource {
 Status WriteSciDbFile(const std::string& path, const MemArray& array,
                       CodecType codec = CodecType::kLz);
 
-class SciDbFile : public ExternalArraySource {
+class SciDbFile : public ArraySource {
  public:
   static Result<std::unique_ptr<SciDbFile>> Open(const std::string& path);
 
   const ArraySchema& schema() const override { return schema_; }
-  Result<MemArray> ReadRegion(const Box& region) const override;
-  int64_t bytes_read() const override { return bytes_read_; }
+  int64_t bytes_read() const { return bytes_read_; }
   size_t chunk_count() const { return directory_.size(); }
+
+ protected:
+  Result<MemArray> ReadBox(const Box& box, ThreadPool* pool) const override;
 
  private:
   struct DirEntry {
@@ -94,7 +89,7 @@ class H5File {
 };
 
 // Adaptor: one H5 dataset as a queryable array without a load step.
-class H5DatasetAdaptor : public ExternalArraySource {
+class H5DatasetAdaptor : public ArraySource {
  public:
   // Keeps the file open; `array_name` names the resulting array.
   static Result<std::unique_ptr<H5DatasetAdaptor>> Open(
@@ -102,8 +97,10 @@ class H5DatasetAdaptor : public ExternalArraySource {
       const std::string& array_name);
 
   const ArraySchema& schema() const override { return schema_; }
-  Result<MemArray> ReadRegion(const Box& region) const override;
-  int64_t bytes_read() const override { return bytes_read_; }
+  int64_t bytes_read() const { return bytes_read_; }
+
+ protected:
+  Result<MemArray> ReadBox(const Box& box, ThreadPool* pool) const override;
 
  private:
   H5DatasetAdaptor() = default;
@@ -137,15 +134,17 @@ Status WriteNcFile(const std::string& path, const NcFileContents& contents);
 Result<NcFileContents> ReadNcFile(const std::string& path);
 
 // Adaptor: one NetCDF variable as a queryable array.
-class NcVariableAdaptor : public ExternalArraySource {
+class NcVariableAdaptor : public ArraySource {
  public:
   static Result<std::unique_ptr<NcVariableAdaptor>> Open(
       const std::string& path, const std::string& variable,
       const std::string& array_name);
 
   const ArraySchema& schema() const override { return schema_; }
-  Result<MemArray> ReadRegion(const Box& region) const override;
-  int64_t bytes_read() const override { return bytes_read_; }
+  int64_t bytes_read() const { return bytes_read_; }
+
+ protected:
+  Result<MemArray> ReadBox(const Box& box, ThreadPool* pool) const override;
 
  private:
   NcVariableAdaptor() = default;

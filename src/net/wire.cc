@@ -11,7 +11,7 @@ namespace net {
 namespace {
 
 constexpr uint8_t kMaxStatusCode =
-    static_cast<uint8_t>(StatusCode::kCancelled);
+    static_cast<uint8_t>(StatusCode::kFailedPrecondition);
 
 }  // namespace
 

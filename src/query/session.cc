@@ -683,64 +683,87 @@ void FlushExecStats(const std::string& op, const ExecStats& stats,
 
 }  // namespace
 
-Result<MemArray> Session::ResolveArrayRef(const OpNode& node,
-                                          TraceNode* tn) const {
-  auto it = arrays_.find(node.array);
-  if (it != arrays_.end()) {
-    return *it->second;  // value copy: operators never mutate catalog arrays
+Result<std::shared_ptr<const ArraySource>> Session::ResolveArrayRef(
+    const std::string& name, TraceNode* tn) const {
+  if (auto it = arrays_.find(name); it != arrays_.end()) {
+    // Shares the catalog's chunks; operators never mutate their inputs.
+    return std::shared_ptr<const ArraySource>(
+        std::make_shared<MemArraySource>(it->second));
   }
   // Snapshot the guarded pointers; mu_ must not be held across the read
-  // itself (ReadAll can run for a long time and takes engine locks).
+  // itself (it can run for a long time and takes engine locks).
   StorageManager* storage = nullptr;
-  ThreadPool* pool = nullptr;
   ArrayResolver resolver;
   {
     MutexLock lock(mu_);
     storage = storage_;
-    pool = pool_.get();
     resolver = resolver_;
   }
   // Query-server snapshots shadow disk arrays but not session-local
   // names: a session's own `store` always wins (session isolation),
   // while shared arrays resolve to the epoch-pinned version.
   if (resolver != nullptr) {
-    Result<MemArray> resolved = resolver(node.array);
+    Result<std::shared_ptr<const ArraySource>> resolved = resolver(name);
     if (resolved.ok() || !resolved.status().IsNotFound()) {
-      if (resolved.ok() && tn != nullptr) {
-        tn->AddNote("snapshot", 1.0);
-      }
+      if (resolved.ok() && tn != nullptr) tn->AddNote("snapshot", 1.0);
       return resolved;
     }
   }
   if (storage != nullptr) {
-    Result<DiskArray*> da = storage->OpenArray(node.array);
+    Result<DiskArray*> da = storage->OpenArray(name);
+    // The storage manager owns the array: alias it without ownership.
     if (da.ok()) {
-      DiskArray* disk = da.value();
-      // Deltas, not totals: the trace reports what THIS scan did to the
-      // cache, not the cache's lifetime history.
-      ChunkCache::Stats before;
-      if (disk->cache() != nullptr) before = disk->cache()->stats();
-      int64_t bytes_read_before = disk->stats().bytes_read;
-      ASSIGN_OR_RETURN(MemArray out, disk->ReadAll(pool));
-      if (tn != nullptr) {
-        tn->AddNote("disk_bytes_read",
-                    static_cast<double>(disk->stats().bytes_read -
-                                        bytes_read_before));
-        if (disk->cache() != nullptr) {
-          const ChunkCache::Stats& after = disk->cache()->stats();
-          double hits = static_cast<double>(after.hits - before.hits);
-          double misses = static_cast<double>(after.misses - before.misses);
-          tn->AddNote("cache_hits", hits);
-          tn->AddNote("cache_misses", misses);
-          if (hits + misses > 0) {
-            tn->AddNote("cache_hit_ratio", hits / (hits + misses));
-          }
-        }
-      }
-      return out;
+      return std::shared_ptr<const ArraySource>(std::shared_ptr<void>(),
+                                                da.value());
     }
   }
-  return Status::NotFound("no array named '" + node.array + "'");
+  return Status::NotFound("no array named '" + name + "'");
+}
+
+Result<MemArray> Session::ReadArrayRef(const std::string& name,
+                                       const Expr* subsample,
+                                       TraceNode* tn) const {
+  ASSIGN_OR_RETURN(std::shared_ptr<const ArraySource> source,
+                   ResolveArrayRef(name, tn));
+  ThreadPool* pool = nullptr;
+  {
+    MutexLock lock(mu_);
+    pool = pool_.get();
+  }
+  const Box box = subsample != nullptr
+                      ? SubsampleBox(MakeContext(), *source, *subsample)
+                      : source->Extent();
+  // Deltas, not totals: the trace reports what THIS read did to the
+  // cache and the disk, not their lifetime history.
+  const auto* disk = dynamic_cast<const DiskArray*>(source.get());
+  ChunkCache::Stats before;
+  int64_t bytes_read_before = 0;
+  if (tn != nullptr && disk != nullptr) {
+    if (disk->cache() != nullptr) before = disk->cache()->stats();
+    bytes_read_before = disk->stats().bytes_read;
+  }
+  ASSIGN_OR_RETURN(MemArray out, source->ReadRegion(box, pool));
+  if (tn == nullptr) return out;
+  if (subsample != nullptr) {
+    tn->AddNote("region " + box.ToString(),
+                static_cast<double>(out.CellCount()));
+  }
+  if (disk != nullptr) {
+    tn->AddNote("disk_bytes_read",
+                static_cast<double>(disk->stats().bytes_read -
+                                    bytes_read_before));
+    if (disk->cache() != nullptr) {
+      const ChunkCache::Stats& after = disk->cache()->stats();
+      double hits = static_cast<double>(after.hits - before.hits);
+      double misses = static_cast<double>(after.misses - before.misses);
+      tn->AddNote("cache_hits", hits);
+      tn->AddNote("cache_misses", misses);
+      if (hits + misses > 0) {
+        tn->AddNote("cache_hit_ratio", hits / (hits + misses));
+      }
+    }
+  }
+  return out;
 }
 
 Result<MemArray> Session::EvalOp(const OpNode& node,
@@ -839,17 +862,22 @@ Result<MemArray> Session::Eval(const OpNodePtr& node) const {
   return EvalNode(node, nullptr);
 }
 
-Result<MemArray> Session::EvalNode(const OpNodePtr& node,
-                                   TraceNode* self) const {
+Result<MemArray> Session::EvalNode(const OpNodePtr& node, TraceNode* self,
+                                   const Expr* subsample) const {
   if (node == nullptr) return Status::Invalid("null query node");
   TraceSpan span(clock_, self);
 
   if (node->is_array_ref()) {
-    ASSIGN_OR_RETURN(MemArray out, ResolveArrayRef(*node, self));
+    ASSIGN_OR_RETURN(MemArray out, ReadArrayRef(node->array, subsample, self));
     if (self != nullptr) self->out_cells = out.CellCount();
     return out;
   }
 
+  // Pushdown at the leaf: an array reference a Subsample reads directly
+  // reads only the predicate's box.
+  const Expr* pushdown = node->op == "subsample" && !node->exprs.empty()
+                             ? node->exprs[0].get()
+                             : nullptr;
   std::vector<MemArray> inputs;
   inputs.reserve(node->inputs.size());
   for (const auto& in : node->inputs) {
@@ -858,7 +886,7 @@ Result<MemArray> Session::EvalNode(const OpNodePtr& node,
       child = self->AddChild();
       child->label = PlanLabel(*in);
     }
-    ASSIGN_OR_RETURN(MemArray a, EvalNode(in, child));
+    ASSIGN_OR_RETURN(MemArray a, EvalNode(in, child, pushdown));
     inputs.push_back(std::move(a));
   }
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "array/array_source.h"
 #include "array/mem_array.h"
 #include "common/metrics.h"
 #include "common/mutex.h"
@@ -115,13 +116,14 @@ class Session {
 
   // Fallback array source consulted by array references that miss the
   // session catalog, BEFORE the attached storage manager. The query
-  // server installs a per-query resolver that materializes
-  // epoch-pinned snapshots of shared arrays (DESIGN.md §15), which is
-  // what makes reads run against a stable version while loaders
-  // commit. Return NotFound to fall through; any other error aborts
-  // the query. Null detaches.
+  // server installs a per-query resolver that returns epoch-pinned
+  // snapshot sources of shared arrays (DESIGN.md §15), which is what
+  // makes reads run against a stable version while loaders commit.
+  // Return NotFound to fall through; any other error aborts the query.
+  // Null detaches.
   using ArrayResolver =
-      std::function<Result<MemArray>(const std::string& name)>;
+      std::function<Result<std::shared_ptr<const ArraySource>>(
+          const std::string& name)>;
   void set_array_resolver(ArrayResolver resolver) LOCKS_EXCLUDED(mu_) {
     MutexLock lock(mu_);
     resolver_ = std::move(resolver);
@@ -129,7 +131,7 @@ class Session {
 
   // ---- observability (DESIGN.md §7) ----
   // Array references not found in the in-memory catalog fall back to this
-  // storage manager (DiskArray::ReadAll through its chunk cache), so
+  // storage manager (DiskArray reads through its chunk cache), so
   // `explain analyze` can report cache hit ratios for stored arrays.
   // Non-owning; pass nullptr to detach.
   void AttachStorage(StorageManager* storage) LOCKS_EXCLUDED(mu_) {
@@ -174,10 +176,20 @@ class Session {
   Result<QueryResult> ExecuteStatement(const Statement& stmt);
   Result<QueryResult> ExecuteExplain(const Statement& stmt);
 
-  // Resolves an array reference: in-memory catalog first, then the
-  // attached storage manager. When `tn` is non-null the scan is traced
-  // (cells out, chunk-cache delta for storage-backed reads).
-  Result<MemArray> ResolveArrayRef(const OpNode& node, TraceNode* tn) const;
+  // The source an array reference reads from: the session catalog
+  // first, then the query-server resolver, then the attached storage
+  // manager. NotFound when none holds the name. A non-null `tn` gets the
+  // `snapshot` note for resolver sources.
+  Result<std::shared_ptr<const ArraySource>> ResolveArrayRef(
+      const std::string& name, TraceNode* tn) const;
+
+  // Reads an array reference (DESIGN.md §5). Under a Subsample (its
+  // predicate is `subsample`) only SubsampleBox is read; the Subsample
+  // still applies the exact predicate. Every other parent reads the
+  // whole extent. A non-null `tn` is traced: the `region` read, and the
+  // disk-byte and chunk-cache deltas of stored arrays.
+  Result<MemArray> ReadArrayRef(const std::string& name,
+                                const Expr* subsample, TraceNode* tn) const;
 
   // Applies one operator to its already-evaluated inputs.
   Result<MemArray> EvalOp(const OpNode& node, std::vector<MemArray>* inputs,
@@ -187,7 +199,9 @@ class Session {
   // ExecStats to the scidb.exec.* metrics. When `self` is non-null
   // (labeled by the caller) the evaluation is traced: wall time, output
   // cells and ExecStats notes, recursing into child TraceNodes.
-  Result<MemArray> EvalNode(const OpNodePtr& node, TraceNode* self) const;
+  // `subsample` is the predicate of the Subsample `node` feeds, if any.
+  Result<MemArray> EvalNode(const OpNodePtr& node, TraceNode* self,
+                            const Expr* subsample = nullptr) const;
 
   // Catalog state: a Session is driven by one statement-issuing thread
   // (worker threads only see operator-local state), so the registries and

@@ -146,8 +146,9 @@ Result<QueryResult> QueryServer::ExecuteOnSession(
   // serial run against epoch `pinned`.
   const int64_t pinned = *epoch;
   session->set_array_resolver(
-      [this, pinned](const std::string& name) -> Result<MemArray> {
-        return catalog_.SnapshotAt(name, pinned);
+      [this, pinned](const std::string& name)
+          -> Result<std::shared_ptr<const ArraySource>> {
+        return catalog_.Source(name, pinned);
       });
   std::unique_ptr<SliceGate> gate = scheduler_.MakeGate(&qs->cancel);
   Session::QueryControls controls;

@@ -46,9 +46,8 @@ int64_t SharedCatalog::epoch() const {
   return epoch_;
 }
 
-Result<MemArray> SharedCatalog::SnapshotAt(const std::string& name,
-                                           int64_t epoch) const {
-  MutexLock lk(mu_);
+Result<SharedCatalog::Cut> SharedCatalog::CutLocked(const std::string& name,
+                                                    int64_t epoch) const {
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     return Status::NotFound("no shared array named " + name);
@@ -57,8 +56,56 @@ Result<MemArray> SharedCatalog::SnapshotAt(const std::string& name,
   // is strictly increasing, so upper_bound lands one past the cut.
   const std::vector<int64_t>& epochs = it->second.commit_epochs;
   auto cut = std::upper_bound(epochs.begin(), epochs.end(), epoch);
-  const int64_t history = static_cast<int64_t>(cut - epochs.begin());
-  return it->second.history.SnapshotAt(history);
+  return Cut{&it->second.history, static_cast<int64_t>(cut - epochs.begin())};
+}
+
+Result<MemArray> SharedCatalog::SnapshotAt(const std::string& name,
+                                           int64_t epoch) const {
+  MutexLock lk(mu_);
+  ASSIGN_OR_RETURN(Cut cut, CutLocked(name, epoch));
+  return cut.history->SnapshotAt(cut.index);
+}
+
+Result<MemArray> SharedCatalog::SnapshotAt(const std::string& name,
+                                           int64_t epoch,
+                                           const Box& box) const {
+  MutexLock lk(mu_);
+  ASSIGN_OR_RETURN(Cut cut, CutLocked(name, epoch));
+  return cut.history->SnapshotAt(cut.index, box);
+}
+
+namespace {
+
+// A shared array pinned at one epoch. Immutable; every read takes the
+// catalog lock, so concurrent sessions may read one source.
+class SnapshotSource : public ArraySource {
+ public:
+  SnapshotSource(const SharedCatalog* catalog, ArraySchema schema,
+                 int64_t epoch)
+      : catalog_(catalog), schema_(std::move(schema)), epoch_(epoch) {}
+
+  const ArraySchema& schema() const override { return schema_; }
+
+ protected:
+  Result<MemArray> ReadBox(const Box& box, ThreadPool* pool) const override {
+    (void)pool;  // an in-memory overlay under the catalog lock
+    return catalog_->SnapshotAt(schema_.name(), epoch_, box);
+  }
+
+ private:
+  const SharedCatalog* catalog_;
+  ArraySchema schema_;
+  int64_t epoch_;
+};
+
+}  // namespace
+
+Result<std::shared_ptr<const ArraySource>> SharedCatalog::Source(
+    const std::string& name, int64_t epoch) const {
+  MutexLock lk(mu_);
+  ASSIGN_OR_RETURN(Cut cut, CutLocked(name, epoch));
+  return std::shared_ptr<const ArraySource>(
+      std::make_shared<SnapshotSource>(this, cut.history->schema(), epoch));
 }
 
 }  // namespace server

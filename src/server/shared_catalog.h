@@ -2,9 +2,11 @@
 #define SCIDB_SERVER_SHARED_CATALOG_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "array/array_source.h"
 #include "array/mem_array.h"
 #include "common/mutex.h"
 #include "common/result.h"
@@ -52,6 +54,18 @@ class SharedCatalog {
   // the overlay of exactly those commits with commit epoch <= epoch.
   Result<MemArray> SnapshotAt(const std::string& name, int64_t epoch) const
       LOCKS_EXCLUDED(mu_);
+  // The same state restricted to the cells inside `box`: only the delta
+  // chunks and deletions inside the box are overlaid.
+  Result<MemArray> SnapshotAt(const std::string& name, int64_t epoch,
+                              const Box& box) const LOCKS_EXCLUDED(mu_);
+
+  // `name` pinned at global epoch `epoch` as an ArraySource whose
+  // ReadRegion is SnapshotAt(name, epoch, box): the source the query
+  // server resolves shared arrays to. NotFound for unknown names. The
+  // catalog must outlive the source.
+  Result<std::shared_ptr<const ArraySource>> Source(const std::string& name,
+                                                    int64_t epoch) const
+      LOCKS_EXCLUDED(mu_);
 
  private:
   struct Entry {
@@ -61,6 +75,14 @@ class SharedCatalog {
     // increasing, so the snapshot cut is a binary search.
     std::vector<int64_t> commit_epochs;
   };
+
+  // The entry for `name` and its history index as of `epoch`.
+  struct Cut {
+    const HistoryArray* history;
+    int64_t index;
+  };
+  Result<Cut> CutLocked(const std::string& name, int64_t epoch) const
+      EXCLUSIVE_LOCKS_REQUIRED(mu_);
 
   mutable Mutex mu_{"server.catalog"};
   int64_t epoch_ GUARDED_BY(mu_) = 0;

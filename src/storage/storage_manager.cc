@@ -155,74 +155,58 @@ Result<std::shared_ptr<const Chunk>> DiskArray::ReadBucket(
   return shared;
 }
 
-Result<MemArray> DiskArray::ReadRegion(const Box& query) const {
-  if (query.ndims() != schema_.ndims()) {
-    return Status::Invalid("query box arity mismatch");
-  }
-  // Bucket-id order: a later bucket overwrites the cells it holds.
-  std::vector<uint64_t> ids = rtree_.Search(query);
+Result<MemArray> DiskArray::ReadBox(const Box& box, ThreadPool* pool) const {
+  // Phase 1 (parallel when a pool is supplied): read + decompress +
+  // deserialize every bucket the box touches into an id-ordered slot
+  // vector. ReadBucket is safe concurrently — each call has a private
+  // ifstream, the stat counters are mutex-guarded, and the cache
+  // synchronizes itself.
+  std::vector<uint64_t> ids = rtree_.Search(box);
   std::sort(ids.begin(), ids.end());
-  MemArray out(schema_);
+  std::vector<const BucketMeta*> metas;
+  metas.reserve(ids.size());
   for (uint64_t id : ids) {
     auto it = buckets_.find(id);
     if (it == buckets_.end()) {
       return Status::Internal("r-tree references missing bucket " +
                               std::to_string(id));
     }
-    ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> chunk,
-                     ReadBucket(it->second));
-    if (!chunk->box().Intersects(query)) continue;
-    RETURN_NOT_OK(CopyCells(*chunk, chunk->box().Intersect(query), &out));
+    metas.push_back(&it->second);
   }
-  return out;
-}
-
-Result<MemArray> DiskArray::ReadAll(ThreadPool* pool) const {
-  // Phase 1 (parallel when a pool is supplied): read + decompress +
-  // deserialize every bucket into an id-ordered slot vector. ReadBucket
-  // is safe concurrently — each call has a private ifstream, the stat
-  // counters are mutex-guarded, and the cache synchronizes itself.
-  std::vector<const BucketMeta*> metas;
-  metas.reserve(buckets_.size());
-  for (const auto& [id, meta] : buckets_) metas.push_back(&meta);
   std::vector<std::shared_ptr<const Chunk>> slots(metas.size());
   auto read_one = [&](int64_t i) -> Status {
     ASSIGN_OR_RETURN(slots[static_cast<size_t>(i)],
                      ReadBucket(*metas[static_cast<size_t>(i)]));
     return Status::OK();
   };
-  if (pool != nullptr) {
-    RETURN_NOT_OK(pool->ParallelFor(static_cast<int64_t>(metas.size()),
-                                    read_one));
-  } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(metas.size()); ++i) {
-      RETURN_NOT_OK(read_one(i));
-    }
-  }
-
-  // Phase 2 (always single-threaded): scatter cells in bucket-id order,
-  // so overlapping buckets resolve last-writer-wins identically at every
-  // pool width.
+  // Phase 2 (always single-threaded): copy the cells inside the box in
+  // bucket-id order, so a later bucket overwrites the cells it holds,
+  // then drop the decoded bucket.
   MemArray out(schema_);
-  for (const std::shared_ptr<const Chunk>& chunk : slots) {
-    RETURN_NOT_OK(CopyCells(*chunk, chunk->box(), &out));
+  auto copy_one = [&](int64_t i) -> Status {
+    std::shared_ptr<const Chunk> chunk =
+        std::move(slots[static_cast<size_t>(i)]);
+    if (!chunk->box().Intersects(box)) return Status::OK();
+    return CopyCells(*chunk, chunk->box().Intersect(box), &out);
+  };
+  const int64_t n = static_cast<int64_t>(metas.size());
+  if (pool != nullptr) {
+    RETURN_NOT_OK(pool->ParallelFor(n, read_one));
+    for (int64_t i = 0; i < n; ++i) RETURN_NOT_OK(copy_one(i));
+  } else {
+    // Serially the phases interleave: one decoded bucket at a time.
+    for (int64_t i = 0; i < n; ++i) {
+      RETURN_NOT_OK(read_one(i));
+      RETURN_NOT_OK(copy_one(i));
+    }
   }
   return out;
 }
 
 Result<std::optional<std::vector<Value>>> DiskArray::ReadCell(
     const Coordinates& c) const {
-  Box point(c, c);
-  for (uint64_t id : rtree_.Search(point)) {
-    auto it = buckets_.find(id);
-    if (it == buckets_.end()) continue;
-    ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> chunk,
-                     ReadBucket(it->second));
-    if (chunk->IsPresentAt(c)) {
-      return std::optional<std::vector<Value>>(chunk->GetCell(c));
-    }
-  }
-  return std::optional<std::vector<Value>>(std::nullopt);
+  ASSIGN_OR_RETURN(MemArray cell, ReadRegion(Box(c, c)));
+  return cell.GetCell(c);
 }
 
 Result<int> DiskArray::MergeSmallBuckets(int64_t small_bytes) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "array/array_source.h"
 #include "array/mem_array.h"
 #include "array/schema.h"
 #include "common/mutex.h"
@@ -32,13 +33,20 @@ struct StorageStats {
 // buckets (paper §2.8). Buckets are appended to `<name>.data`; the bucket
 // table and schema live in `<name>.manifest`, rewritten on Flush(). An
 // R-tree indexes bucket boxes for region reads and merge planning.
-class DiskArray {
+//
+// As an ArraySource, ReadRegion fetches only the buckets the R-tree finds
+// in the box. With a pool, bucket read+decompress+decode runs
+// chunk-parallel (one bucket per morsel); the copy into the output array
+// stays single-threaded in bucket-id order, so overlapping buckets resolve
+// last-writer-wins identically at every pool width (DESIGN.md §8).
+// ReadAll is ReadRegion over the whole extent.
+class DiskArray : public ArraySource {
  public:
-  ~DiskArray();
+  ~DiskArray() override;
   DiskArray(const DiskArray&) = delete;
   DiskArray& operator=(const DiskArray&) = delete;
 
-  const ArraySchema& schema() const { return schema_; }
+  const ArraySchema& schema() const override { return schema_; }
   size_t bucket_count() const { return buckets_.size(); }
   // By value: parallel reads mutate the counters concurrently, so a
   // reference would race with the readers it is trying to observe.
@@ -55,16 +63,8 @@ class DiskArray {
   // Persists every chunk of `array` as a bucket.
   Status WriteAll(const MemArray& array);
 
-  // Reads the cells intersecting `query` into a grid-aligned MemArray.
-  Result<MemArray> ReadRegion(const Box& query) const;
-
-  // Reads the whole array. With a pool, bucket read+decompress+decode
-  // runs chunk-parallel (one bucket per morsel); the scatter into the
-  // output array stays single-threaded in bucket-id order, so the result
-  // is identical at every pool width (DESIGN.md §8).
-  Result<MemArray> ReadAll(ThreadPool* pool = nullptr) const;
-
-  // Single cell lookup (empty optional when absent).
+  // Single cell lookup (empty optional when absent): ReadRegion of the
+  // one-cell box, so overlapping buckets resolve as in every other read.
   Result<std::optional<std::vector<Value>>> ReadCell(
       const Coordinates& c) const;
 
@@ -85,6 +85,9 @@ class DiskArray {
   // region reads then skip disk + decompression for resident buckets.
   void EnableCache(size_t byte_budget);
   const ChunkCache* cache() const { return cache_.get(); }
+
+ protected:
+  Result<MemArray> ReadBox(const Box& box, ThreadPool* pool) const override;
 
  private:
   friend class StorageManager;

@@ -101,26 +101,38 @@ std::vector<CellVersion> HistoryArray::CellHistory(
 }
 
 Result<MemArray> HistoryArray::SnapshotAt(int64_t history) const {
+  return SnapshotAt(history, schema_.DeclaredBox());
+}
+
+Result<MemArray> HistoryArray::SnapshotAt(int64_t history,
+                                          const Box& box) const {
   if (history < 0 || history > current_history()) {
     return Status::OutOfRange("history index " + std::to_string(history) +
                               " outside [0, " +
                               std::to_string(current_history()) + "]");
   }
+  if (box.ndims() != schema_.ndims()) {
+    return Status::Invalid("region arity " + std::to_string(box.ndims()) +
+                           " != ndims " + std::to_string(schema_.ndims()));
+  }
   MemArray out(schema_);
-  RETURN_NOT_OK(Overlay(history, &out));
+  if (!box.empty()) RETURN_NOT_OK(Overlay(history, box, &out));
   return out;
 }
 
-Status HistoryArray::Overlay(int64_t history, MemArray* out) const {
+Status HistoryArray::Overlay(int64_t history, const Box& region,
+                             MemArray* out) const {
   // Oldest to newest, sets before deletion flags within each layer (a
   // delete-then-set transaction keeps the set: Commit() removed the
   // coordinate from the deletion list).
   for (int64_t h = 1; h <= history; ++h) {
     const Layer& layer = layers_[static_cast<size_t>(h - 1)];
     for (const auto& [origin, chunk] : layer.delta.chunks()) {
-      RETURN_NOT_OK(CopyCells(*chunk, chunk->box(), out));
+      if (!chunk->box().Intersects(region)) continue;
+      RETURN_NOT_OK(CopyCells(*chunk, chunk->box().Intersect(region), out));
     }
     for (const Coordinates& c : layer.deletions) {
+      if (!region.Contains(c)) continue;
       (void)out->DeleteCell(c);  // status-ignored: deleting a never-present
                                  // cell is a no-op at snapshot level
     }

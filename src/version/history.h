@@ -75,6 +75,11 @@ class HistoryArray {
 
   // Materializes the array state as of `history`.
   Result<MemArray> SnapshotAt(int64_t history) const;
+  // The same state restricted to the cells inside `box`: only the delta
+  // chunks and deletion flags inside the box are applied, so a region
+  // costs what it touches. Invalid when the box's arity is not the
+  // schema's.
+  Result<MemArray> SnapshotAt(int64_t history, const Box& box) const;
   Result<MemArray> SnapshotLatest() const {
     return SnapshotAt(current_history());
   }
@@ -109,8 +114,9 @@ class HistoryArray {
                                        int64_t history) const;
 
   // Applies layers 1..history of THIS array on top of `out`, chunk by
-  // chunk: each delta's cells, then that layer's deletions.
-  Status Overlay(int64_t history, MemArray* out) const;
+  // chunk: each delta's cells, then that layer's deletions, both limited
+  // to the cells inside `region`.
+  Status Overlay(int64_t history, const Box& region, MemArray* out) const;
 
   ArraySchema schema_;
   std::vector<Layer> layers_;  // layers_[h-1] = history index h

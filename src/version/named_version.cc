@@ -122,7 +122,8 @@ Result<MemArray> VersionTree::SnapshotVersionAt(const NamedVersion& v,
     }
   }
   RETURN_NOT_OK(v.deltas->Overlay(
-      std::min<int64_t>(history, v.deltas->current_history()), &out));
+      std::min<int64_t>(history, v.deltas->current_history()),
+      schema_.DeclaredBox(), &out));
   return out;
 }
 
@@ -149,6 +150,15 @@ Result<size_t> VersionTree::VersionByteSize(
 Status VersionTree::MaterializeVersion(const std::string& name) {
   ASSIGN_OR_RETURN(NamedVersion* v, Find(name));
   if (v->materialized) return Status::OK();
+  // A child reads this version's layers up to its pinned history; the
+  // single collapsed layer would show it commits made after that pin.
+  for (const auto& [child, c] : versions_) {
+    if (c.parent == name) {
+      return Status::FailedPrecondition(
+          "version '" + name + "' is the pinned parent of version '" +
+          child + "'; materialize '" + child + "' first");
+    }
+  }
   ASSIGN_OR_RETURN(MemArray full, Snapshot(name));
   // Rebuild the version as a single-layer materialized copy. Copying the
   // snapshot instead of installing it drops the chunks deletions emptied

@@ -60,6 +60,8 @@ class VersionTree {
   // Collapses a version's chain into a materialized copy so reads stop
   // walking parents (the delta-vs-copy ablation of DESIGN.md §5).
   // The version keeps its identity; its parent link is cut.
+  // FailedPrecondition, naming the child, while a non-materialized
+  // version is pinned to this one: materialize children first.
   Status MaterializeVersion(const std::string& name);
 
   // Chain length from version to base (0 for the base itself).

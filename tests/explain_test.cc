@@ -6,6 +6,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "query/session.h"
+#include "server/shared_catalog.h"
 #include "storage/storage_manager.h"
 
 namespace scidb {
@@ -200,6 +201,107 @@ TEST(ExplainTest, AnalyzeStoredArrayReportsCacheHitRatio) {
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->kind, MetricsSnapshot::Kind::kHistogram);
   EXPECT_GT(lat->count, 0);
+}
+
+// A Subsample straight over an array reference reads only its box: the
+// scan says which box it read and how many cells came back, a stored
+// array reads fewer bytes than a full scan, and the cache and disk notes
+// stay. Scans under any other operator read everything and carry no
+// region note.
+TEST(ExplainTest, AnalyzeSubsampleReportsRegionRead) {
+  StorageManager sm(TempDir("region"));
+  ArraySchema schema("R", {{"I", 1, 8, 4}, {"J", 1, 8, 4}},
+                     {{"v", DataType::kDouble, true, false}});
+  MemArray data(schema);
+  for (int64_t i = 1; i <= 8; ++i) {
+    for (int64_t j = 1; j <= 8; ++j) {
+      ASSERT_TRUE(
+          data.SetCell({i, j}, {Value(static_cast<double>(i * j))}).ok());
+    }
+  }
+  DiskArray* da = sm.CreateArray(schema).ValueOrDie();
+  ASSERT_TRUE(da->WriteAll(data).ok());
+  da->EnableCache(1 << 20);
+
+  Session session;
+  session.AttachStorage(&sm);
+  Populate(&session);
+  auto scan_of = [&](const std::string& query) -> const TraceNode* {
+    Result<QueryResult> r = session.Execute("explain analyze select " + query);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return nullptr;
+    const TraceNode* node = &session.last_trace()->root;
+    while (!node->children.empty()) node = node->children[0].get();
+    return node;
+  };
+  auto has_region_note = [](const TraceNode* n) {
+    for (const auto& [key, value] : n->notes) {
+      if (key.rfind("region", 0) == 0) return true;
+    }
+    return false;
+  };
+
+  const TraceNode* full = scan_of("Filter(R, v > 0)");
+  ASSERT_NE(full, nullptr);
+  EXPECT_FALSE(has_region_note(full));
+  const double full_bytes = *full->FindNote("disk_bytes_read");
+  // Drop the cache so the region read goes to disk again.
+  da->EnableCache(0);
+  da->EnableCache(1 << 20);
+
+  const TraceNode* stored = scan_of("Subsample(R, I <= 4 and J >= 5)");
+  ASSERT_NE(stored, nullptr);
+  EXPECT_EQ(stored->label, "scan R");
+  EXPECT_EQ(stored->out_cells, 16);
+  ASSERT_NE(stored->FindNote("region [1,5]..[4,8]"), nullptr);
+  EXPECT_EQ(*stored->FindNote("region [1,5]..[4,8]"), 16.0);
+  ASSERT_NE(stored->FindNote("disk_bytes_read"), nullptr);
+  EXPECT_GT(*stored->FindNote("disk_bytes_read"), 0.0);
+  EXPECT_LT(*stored->FindNote("disk_bytes_read"), full_bytes / 2);
+  ASSERT_NE(stored->FindNote("cache_misses"), nullptr);
+  EXPECT_EQ(*stored->FindNote("cache_misses"), 1.0);  // one of 4 buckets
+
+  // A catalog array: the box is cut from the predicate the same way.
+  const TraceNode* catalog = scan_of("Subsample(A, I = 2)");
+  ASSERT_NE(catalog, nullptr);
+  ASSERT_NE(catalog->FindNote("region [2,1]..[2,8]"), nullptr);
+  EXPECT_EQ(*catalog->FindNote("region [2,1]..[2,8]"), 1.0);
+  EXPECT_EQ(catalog->FindNote("disk_bytes_read"), nullptr);
+
+  // Nothing can match: the empty box reads nothing.
+  const TraceNode* empty = scan_of("Subsample(R, I > 8)");
+  ASSERT_NE(empty, nullptr);
+  ASSERT_NE(empty->FindNote("region [9,1]..[8,8]"), nullptr);
+  EXPECT_EQ(*empty->FindNote("region [9,1]..[8,8]"), 0.0);
+  EXPECT_EQ(*empty->FindNote("disk_bytes_read"), 0.0);
+}
+
+// A shared array resolved through the query-server hook keeps its
+// `snapshot` note and gets the region note under a Subsample.
+TEST(ExplainTest, AnalyzeSnapshotSubsampleReportsRegionRead) {
+  server::SharedCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .Define(ArraySchema("H", {{"I", 1, 8, 4}, {"J", 1, 8, 4}},
+                                      {{"v", DataType::kDouble, true, false}}))
+                  .ok());
+  ASSERT_TRUE(catalog
+                  .CommitCells("H", {CellUpdate::Set({1, 1}, {Value(1.0)}),
+                                     CellUpdate::Set({6, 6}, {Value(2.0)})})
+                  .ok());
+  Session session;
+  session.set_array_resolver([&](const std::string& name) {
+    return catalog.Source(name, catalog.epoch());
+  });
+  Result<QueryResult> r =
+      session.Execute("explain analyze select Subsample(H, I >= 5)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.value().trace->root.children.size(), 1u);
+  const TraceNode& scan = *r.value().trace->root.children[0];
+  EXPECT_EQ(scan.label, "scan H");
+  ASSERT_NE(scan.FindNote("snapshot"), nullptr);
+  ASSERT_NE(scan.FindNote("region [5,1]..[8,8]"), nullptr);
+  EXPECT_EQ(*scan.FindNote("region [5,1]..[8,8]"), 1.0);
+  EXPECT_EQ(scan.out_cells, 1);
 }
 
 // Storage fallback works for plain (untraced) queries too.

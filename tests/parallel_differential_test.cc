@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,7 +23,10 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "exec/operators.h"
+#include "query/session.h"
+#include "server/shared_catalog.h"
 #include "storage/chunk_serde.h"
+#include "storage/storage_manager.h"
 
 namespace scidb {
 namespace {
@@ -685,6 +689,212 @@ TEST_F(ScalarVsBatchTest, WorkloadShapes) {
     CheckBoth(name + "/dims", a,
               And(Le(Ref("I"), Lit(int64_t{30})),
                   Gt(Ref("J"), Lit(int64_t{5}))));
+  }
+}
+
+// ------------------ pushdown vs full read (DESIGN.md §5) -----------------
+//
+// A Subsample over an array reference reads only SubsampleBox from its
+// source; with ExecContext::enable_chunk_pruning off it reads the whole
+// extent. Both sides, and the session's own leaf pushdown, must agree
+// bit for bit at widths 1, 2 and 4 for stored arrays (overlapping
+// rewrites over merged buckets that cross grid chunks), server snapshots
+// and catalog arrays, bounded or unbounded.
+
+// 18 x 17 cells in 4 x 5 chunks of int64, string, uncertain double and
+// double; J is unbounded when `open`, with cells up to J = 23.
+ArraySchema PushdownSchema(const std::string& name, bool open) {
+  const int64_t jhigh = open ? kUnboundedDim : 17;
+  return ArraySchema(name, {{"I", 1, 18, 4}, {"J", 1, jhigh, 5}},
+                     {{"n", DataType::kInt64, true, false},
+                      {"s", DataType::kString, true, false},
+                      {"u", DataType::kDouble, true, true},
+                      {"d", DataType::kDouble, true, false}});
+}
+
+MemArray PushdownCells(const ArraySchema& schema, int keep_pct, Rng* rng) {
+  const int64_t jmax = schema.dim(1).unbounded() ? 23 : 17;
+  MemArray a(schema);
+  for (int64_t i = 1; i <= 18; ++i) {
+    for (int64_t j = 1; j <= jmax; ++j) {
+      if (static_cast<int>(rng->Uniform(100)) >= keep_pct) continue;
+      auto maybe = [&](Value v) {
+        return rng->Uniform(10) == 0 ? Value::Null() : std::move(v);
+      };
+      const double x = static_cast<double>(rng->UniformInt(-1000, 1000)) / 8;
+      std::vector<Value> cell = {
+          maybe(Value(rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40))),
+          maybe(Value("s" + std::to_string(rng->Uniform(50)))),
+          maybe(Value(Uncertain(x, rng->Uniform(3) == 0 ? 0.5 : 0.125))),
+          maybe(Value(x * 3))};
+      EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
+    }
+  }
+  return a;
+}
+
+// One source kind: the source itself and how a session reaches it.
+struct PushdownSource {
+  std::string label;
+  std::shared_ptr<const ArraySource> source;
+  std::function<void(Session*)> attach;
+};
+
+class PushdownDifferentialTest : public ParallelDifferentialTest {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("scidb_pushdown_" + std::to_string(::getpid())))
+               .string();
+    std::filesystem::remove_all(dir_);
+    storage_ = std::make_unique<StorageManager>(dir_);
+  }
+  void TearDown() override {
+    storage_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  // The stored, snapshot and catalog sources over one seeded array.
+  std::vector<PushdownSource> Sources(bool open) {
+    const std::string tag = open ? "_open" : "";
+    std::vector<PushdownSource> out;
+    Rng rng(TestSeed(open ? 401 : 402));
+
+    const ArraySchema stored_schema = PushdownSchema("stored" + tag, open);
+    DiskArray* disk = storage_->CreateArray(stored_schema).ValueOrDie();
+    const MemArray first = PushdownCells(stored_schema, 90, &rng);
+    const MemArray second = PushdownCells(stored_schema, 35, &rng);
+    EXPECT_TRUE(disk->WriteAll(first).ok());
+    EXPECT_GT(disk->MergeSmallBuckets(1 << 20).ValueOrDie(), 0);
+    EXPECT_TRUE(disk->WriteAll(second).ok());
+    out.push_back({stored_schema.name(),
+                   std::shared_ptr<const ArraySource>(std::shared_ptr<void>(),
+                                                      disk),
+                   [this](Session* s) { s->AttachStorage(storage_.get()); }});
+
+    const ArraySchema shared_schema = PushdownSchema("shared" + tag, open);
+    EXPECT_TRUE(catalog_.Define(shared_schema).ok());
+    int64_t pinned = 0;
+    for (int t = 0; t < 3; ++t) {
+      std::vector<CellUpdate> txn;
+      PushdownCells(shared_schema, 40, &rng)
+          .ForEachCell([&](const Coordinates& c, const Chunk& chunk,
+                           int64_t rank) {
+            if (rng.Uniform(6) == 0) {
+              txn.push_back(CellUpdate::Delete(c));
+              return true;
+            }
+            std::vector<Value> cell;
+            for (size_t at = 0; at < chunk.nattrs(); ++at) {
+              cell.push_back(chunk.block(at).Get(rank));
+            }
+            txn.push_back(CellUpdate::Set(c, std::move(cell)));
+            return true;
+          });
+      const int64_t epoch =
+          catalog_.CommitCells(shared_schema.name(), txn).ValueOrDie();
+      if (t == 1) pinned = epoch;  // the last commit stays invisible
+    }
+    out.push_back({shared_schema.name(),
+                   catalog_.Source(shared_schema.name(), pinned).ValueOrDie(),
+                   [this, pinned](Session* s) {
+                     s->set_array_resolver([this, pinned](
+                                               const std::string& name) {
+                       return catalog_.Source(name, pinned);
+                     });
+                   }});
+
+    auto mem = std::make_shared<MemArray>(
+        PushdownCells(PushdownSchema("catalog" + tag, open), 60, &rng));
+    out.push_back({mem->schema().name(), std::make_shared<MemArraySource>(mem),
+                   [mem](Session* s) {
+                     ASSERT_TRUE(s->RegisterArray(mem).ok());
+                   }});
+    return out;
+  }
+
+  // Subsample of what `source` returns for SubsampleBox under `ctx`.
+  static Result<MemArray> ReadAndSubsample(const ExecContext& ctx,
+                                           const ArraySource& source,
+                                           const ExprPtr& pred) {
+    ASSIGN_OR_RETURN(MemArray in,
+                     source.ReadRegion(SubsampleBox(ctx, source, *pred),
+                                       ctx.pool));
+    return Subsample(ctx, in, pred);
+  }
+
+  static void ExpectSameOutcome(const Result<MemArray>& want,
+                                const Result<MemArray>& got,
+                                const std::string& tag) {
+    ASSERT_EQ(want.ok(), got.ok())
+        << tag << ": "
+        << (want.ok() ? got.status().ToString() : want.status().ToString());
+    if (!want.ok()) {
+      EXPECT_EQ(want.status().code(), got.status().code()) << tag;
+      EXPECT_EQ(want.status().message(), got.status().message()) << tag;
+      return;
+    }
+    ExpectArraysIdentical(want.value(), got.value(), tag);
+  }
+
+  std::string dir_;
+  std::unique_ptr<StorageManager> storage_;
+  server::SharedCatalog catalog_;
+};
+
+// Interior, chunk-straddling, single-column, empty, past the high-water
+// mark (past the bounds when J is bounded), open-ended, a conjunct the
+// box cannot capture, and an illegal predicate.
+std::vector<std::pair<std::string, ExprPtr>> PushdownPredicates() {
+  auto i = [](int64_t v) { return Lit(v); };
+  return {
+      {"interior", And(And(Ge(Ref("I"), i(2)), Le(Ref("I"), i(3))),
+                       And(Ge(Ref("J"), i(2)), Le(Ref("J"), i(3))))},
+      {"straddle", And(And(Ge(Ref("I"), i(3)), Le(Ref("I"), i(11))),
+                       And(Ge(Ref("J"), i(4)), Le(Ref("J"), i(12))))},
+      {"column", Eq(Ref("J"), i(16))},
+      {"empty", And(Gt(Ref("I"), i(5)), Lt(Ref("I"), i(3)))},
+      {"past_hwm", Gt(Ref("J"), i(30))},
+      {"open", Ge(Ref("I"), i(7))},
+      {"inexact", And(Eq(Mod(Ref("I"), i(2)), i(0)), Le(Ref("J"), i(9)))},
+      {"illegal", Eq(Ref("I"), Ref("J"))},
+  };
+}
+
+TEST_F(PushdownDifferentialTest, RegionReadMatchesFullRead) {
+  for (bool open : {false, true}) {
+    for (const PushdownSource& src : Sources(open)) {
+      std::vector<std::pair<std::string, Result<MemArray>>> reference;
+      for (const auto& [name, pred] : PushdownPredicates()) {
+        ExecContext full = CtxWith(nullptr);
+        full.enable_chunk_pruning = false;
+        reference.emplace_back(name,
+                               ReadAndSubsample(full, *src.source, pred));
+      }
+      for (int width : {1, 2, 4}) {
+        ThreadPool pool(width);
+        Session session;
+        ASSERT_TRUE(session.set_parallelism(width).ok());
+        src.attach(&session);
+        size_t k = 0;
+        for (const auto& [name, pred] : PushdownPredicates()) {
+          const std::string tag = src.label + "/" + name + " @width " +
+                                  std::to_string(width);
+          const Result<MemArray>& want = reference[k++].second;
+          ExecContext ctx = CtxWith(&pool);
+          ctx.enable_chunk_pruning = false;
+          ExpectSameOutcome(want, ReadAndSubsample(ctx, *src.source, pred),
+                            tag + " full");
+          ctx.enable_chunk_pruning = true;
+          ExpectSameOutcome(want, ReadAndSubsample(ctx, *src.source, pred),
+                            tag + " pushdown");
+          ExpectSameOutcome(
+              want,
+              session.Eval(binding::Subsample(binding::Array(src.label), pred)),
+              tag + " session");
+        }
+      }
+    }
   }
 }
 

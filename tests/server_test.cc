@@ -186,8 +186,10 @@ TEST_F(ServerTest, SharedCatalogInsertAndSnapshotEpoch) {
 }
 
 // The snapshot-read satellite: a loader commits cells while a scanner
-// reads concurrently. Every scan must equal the serial materialization
-// of the epoch it reports — no torn reads, no partially visible commit.
+// reads concurrently, whole scans and region reads (a Subsample reads
+// only its box of the snapshot) in turn. Every scan must equal the serial
+// materialization of the epoch it reports — no torn reads, no partially
+// visible commit.
 TEST_F(ServerTest, ConcurrentLoaderAndScannerAreSnapshotConsistent) {
   StartServer();
   ASSERT_TRUE(server_->catalog()->Define(SharedSchema("S")).ok());
@@ -205,8 +207,11 @@ TEST_F(ServerTest, ConcurrentLoaderAndScannerAreSnapshotConsistent) {
   });
 
   auto scanner = Connect(2);
+  const std::string statements[] = {"select Filter(S, v > 0)",
+                                    "select Subsample(S, i >= 5 and i <= 11)"};
   for (int scan = 0; scan < 8; ++scan) {
-    auto out = scanner->Execute("select Filter(S, v > 0)").value();
+    const std::string& statement = statements[scan % 2];
+    auto out = scanner->Execute(statement).value();
     ASSERT_TRUE(out.status.ok()) << out.status.ToString();
     ASSERT_NE(out.array, nullptr);
     // Bit-identical to the serial snapshot of the pinned epoch.
@@ -216,9 +221,10 @@ TEST_F(ServerTest, ConcurrentLoaderAndScannerAreSnapshotConsistent) {
     ASSERT_TRUE(local.RegisterArray(
                          std::make_shared<MemArray>(std::move(expect)))
                     .ok());
-    auto serial = local.Execute("select Filter(S, v > 0)").ValueOrDie();
+    auto serial = local.Execute(statement).ValueOrDie();
     ExpectArraysIdentical(*out.array, *serial.array,
-                          "scan @" + std::to_string(out.snapshot_epoch));
+                          statement + " @" +
+                              std::to_string(out.snapshot_epoch));
   }
   loader.join();
 

@@ -277,6 +277,26 @@ TEST(StorageManagerTest, ReadCell) {
   fs::remove_all(dir);
 }
 
+// Five one-cell rewrites of {5,5}: every bucket holds the cell, and the
+// newest one wins, for the point read as for region reads.
+TEST(StorageManagerTest, ReadCellIsLastWriterWins) {
+  std::string dir = TempDir("cell_rewrites");
+  StorageManager sm(dir);
+  DiskArray* arr = sm.CreateArray(SmallSchema()).ValueOrDie();
+  for (int v = 1; v <= 5; ++v) {
+    MemArray mem(SmallSchema());
+    ASSERT_TRUE(mem.SetCell({5, 5}, Value(static_cast<double>(v))).ok());
+    ASSERT_TRUE(arr->WriteAll(mem).ok());
+  }
+  ASSERT_EQ(arr->bucket_count(), 5u);
+  auto cell = arr->ReadCell({5, 5}).ValueOrDie();
+  ASSERT_TRUE(cell.has_value());
+  EXPECT_EQ((*cell)[0].double_value(), 5.0);
+  MemArray region = arr->ReadRegion(Box({5, 5}, {5, 5})).ValueOrDie();
+  EXPECT_EQ((*region.GetCell({5, 5}))[0].double_value(), 5.0);
+  fs::remove_all(dir);
+}
+
 TEST(StorageManagerTest, PersistsAcrossReopen) {
   std::string dir = TempDir("reopen");
   {

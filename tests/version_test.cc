@@ -274,11 +274,14 @@ ArraySchema OracleSchema(bool numeric, const std::string& name = "oracle") {
                      std::move(attrs));
 }
 
-void ReplayLayers(const HistoryArray& h, int64_t upto, MemArray* out) {
+// A non-null `region` replays only the cells inside it.
+void ReplayLayers(const HistoryArray& h, int64_t upto, MemArray* out,
+                  const Box* region = nullptr) {
   std::vector<Value> cell;
   for (int64_t i = 1; i <= std::min(upto, h.current_history()); ++i) {
     h.layer_delta(i).ForEachCell(
         [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+          if (region != nullptr && !region->Contains(c)) return true;
           cell.clear();
           for (size_t a = 0; a < chunk.nattrs(); ++a) {
             cell.push_back(chunk.block(a).Get(rank));
@@ -287,6 +290,7 @@ void ReplayLayers(const HistoryArray& h, int64_t upto, MemArray* out) {
           return true;
         });
     for (const Coordinates& c : h.layer_deletions(i)) {
+      if (region != nullptr && !region->Contains(c)) continue;
       (void)out->DeleteCell(c);  // status-ignored: a never-present cell
                                  // is a no-op at snapshot level
     }
@@ -418,6 +422,17 @@ TEST(SnapshotOracleTest, HistorySnapshotsMatchPerCellReplay) {
         MemArray want(a.schema());
         ReplayLayers(a, h, &want);
         ExpectSameSnapshot(a.SnapshotAt(h).ValueOrDie(), want);
+        // Region snapshots: inside one chunk, across chunk corners, past
+        // the high-water mark of the unbounded y, and empty.
+        for (const Box& box :
+             {Box({2, 2}, {3, 3}), Box({3, 2}, {10, 9}),
+              Box({1, 1}, {12, kUnboundedDim}), Box({5, 30}, {9, 40}),
+              Box({6, 1}, {5, 20})}) {
+          SCOPED_TRACE("region " + box.ToString());
+          MemArray region_want(a.schema());
+          ReplayLayers(a, h, &region_want, &box);
+          ExpectSameSnapshot(a.SnapshotAt(h, box).ValueOrDie(), region_want);
+        }
       }
     }
   }
@@ -485,6 +500,20 @@ void CheckVersionChains(bool numeric, uint64_t seed) {
   };
   check_all();
   EXPECT_EQ(tree.ChainDepth("c").ValueOrDie(), 3);
+
+  // Parent first is refused while a child is pinned to the parent: its
+  // collapsed layer would show the child the parent's later commits.
+  for (const auto& [parent, child] :
+       std::vector<std::pair<std::string, std::string>>{{"a", "b"},
+                                                        {"b", "c"}}) {
+    SCOPED_TRACE("materialize '" + parent + "' before '" + child + "'");
+    const Status st = tree.MaterializeVersion(parent);
+    EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+    EXPECT_NE(st.message().find("'" + child + "'"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(tree.ChainDepth(parent).ValueOrDie(), parent == "a" ? 1 : 2);
+    check_all();
+  }
 
   // Leaf first, so no materialized version is still a pinned parent.
   for (const std::string name : {"c", "b", "a"}) {
