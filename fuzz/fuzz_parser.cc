@@ -3,7 +3,9 @@
 // must be a fixed point (DESIGN.md §9). Found for real: std::stoll /
 // std::stod throwing out_of_range on oversized numeric literals, and
 // stack exhaustion on deeply nested "((((" / "not not" / "Filter(Filter("
-// inputs.
+// inputs. Every accepted operator tree must also pass the operator-table
+// validation Session runs before optimization, so the grammar and the
+// validator cannot drift apart.
 
 #include <cstdint>
 #include <cstdio>
@@ -11,6 +13,7 @@
 #include <string>
 
 #include "query/aql_printer.h"
+#include "query/operator_table.h"
 #include "query/parser.h"
 
 namespace {
@@ -27,6 +30,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string input(reinterpret_cast<const char*>(data), size);
   auto parsed = scidb::ParseStatement(input, nullptr);
   if (!parsed.ok()) return 0;  // rejecting is fine; crashing is not
+  if (parsed.value().query != nullptr) {
+    scidb::Status valid = scidb::ValidateOpTree(parsed.value().query, nullptr);
+    if (!valid.ok()) {
+      Fail("parsed tree fails operator-table validation",
+           input + "\n" + valid.ToString());
+    }
+  }
 
   // Accepted statements must print, and the printed form is canonical:
   // it re-parses, and printing the re-parse reproduces it byte for byte.

@@ -8,6 +8,7 @@
 
 #include "common/macros.h"
 #include "exec/expression.h"
+#include "query/operator_table.h"
 
 namespace scidb {
 
@@ -97,108 +98,35 @@ Result<std::string> ExprToAql(const Expr& e, const OpNode* node) {
   return Status::Invalid("unknown expression kind");
 }
 
-std::string JoinInt64(const std::vector<int64_t>& xs) {
-  std::string out;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(xs[i]);
-  }
-  return out;
-}
-
-Result<std::string> OpToAql(const OpNode& node);
-
-Result<std::string> JoinInputs(const OpNode& node) {
-  std::string out;
-  for (size_t i = 0; i < node.inputs.size(); ++i) {
-    if (i > 0) out += ", ";
-    ASSIGN_OR_RETURN(std::string in, OpToAql(*node.inputs[i]));
-    out += in;
-  }
-  return out;
-}
-
-std::string AggToAql(const AggSpec& agg) {
-  return agg.agg + "(" + agg.attr + ")";
-}
-
-// Operator argument shapes mirror Parser::ParseOpOrArray case by case;
-// anything not special-cased below prints in the user-op shape
-// "op(inputs..., exprs...)".
+// A built-in call prints by walking its operator-table row; a
+// user-registered operation prints as "op(inputs..., exprs...)".
+// Arguments that print empty (a trailing run with no items) are dropped.
 Result<std::string> OpToAql(const OpNode& node) {
   if (node.is_array_ref()) return node.array;
-  const std::string& op = node.op;
-  std::string out = op + "(";
-  if (op == "subsample" || op == "filter" || op == "sjoin" || op == "cjoin") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    if (node.exprs.size() != 1) {
-      return Status::Invalid(op + " requires exactly one predicate");
-    }
-    ASSIGN_OR_RETURN(std::string e, ExprToAql(*node.exprs[0], &node));
-    out += ins + ", " + e;
-  } else if (op == "exists") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    out += ins;
-    if (!node.numbers.empty()) out += ", " + JoinInt64(node.numbers);
-  } else if (op == "reshape") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    out += ins + ", [";
-    for (size_t i = 0; i < node.names.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += node.names[i];
-    }
-    out += "], [";
-    for (size_t i = 0; i < node.dims.size(); ++i) {
-      if (i > 0) out += ", ";
-      const DimensionDesc& d = node.dims[i];
-      out += d.name + " = " + std::to_string(d.low) + " : " +
-             std::to_string(d.high);
-    }
-    out += "]";
-  } else if (op == "adddimension" || op == "removedimension" ||
-             op == "concat") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    if (node.names.size() != 1) {
-      return Status::Invalid(op + " requires exactly one dimension name");
-    }
-    out += ins + ", " + node.names[0];
-  } else if (op == "crossproduct") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    out += ins;
-  } else if (op == "aggregate") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    out += ins + ", {";
-    for (size_t i = 0; i < node.names.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += node.names[i];
-    }
-    out += "}";
-    for (const AggSpec& a : node.aggs) out += ", " + AggToAql(a);
-  } else if (op == "apply") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    if (node.names.size() != 1 || node.exprs.size() != 1) {
-      return Status::Invalid("apply requires one name and one expression");
-    }
-    ASSIGN_OR_RETURN(std::string e, ExprToAql(*node.exprs[0], &node));
-    out += ins + ", " + node.names[0] + ", " + e;
-  } else if (op == "project") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    out += ins;
-    for (const std::string& n : node.names) out += ", " + n;
-  } else if (op == "regrid" || op == "window") {
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    out += ins + ", [" + JoinInt64(node.numbers) + "], " + AggToAql(node.agg);
-  } else {
-    // User-registered operation: inputs first, then expressions.
-    ASSIGN_OR_RETURN(std::string ins, JoinInputs(node));
-    out += ins;
-    for (const ExprPtr& e : node.exprs) {
-      ASSIGN_OR_RETURN(std::string s, ExprToAql(*e, &node));
-      if (!out.ends_with("(")) out += ", ";
-      out += s;
-    }
+  std::vector<ArgKind> kinds(node.inputs.size(), ArgKind::kInput);
+  kinds.insert(kinds.end(), node.exprs.size(), ArgKind::kExpr);
+  if (const OperatorRow* row = FindOperator(node.op)) {
+    RETURN_NOT_OK(CheckArgs(*row, node));
+    kinds = row->args;
   }
-  return out + ")";
+  std::vector<std::string> args;
+  size_t input = 0;
+  size_t expr = 0;
+  for (ArgKind kind : kinds) {
+    std::string arg = ListText(kind, node);
+    if (kind == ArgKind::kInput) {
+      ASSIGN_OR_RETURN(arg, OpToAql(*node.inputs[input++]));
+    } else if (kind == ArgKind::kExpr) {
+      ASSIGN_OR_RETURN(arg, ExprToAql(*node.exprs[expr++], &node));
+    } else if (kind == ArgKind::kGroupNames) {
+      arg = "{" + arg + "}";
+    } else if (kind == ArgKind::kNames || kind == ArgKind::kNumbers ||
+               kind == ArgKind::kDims) {
+      arg = "[" + arg + "]";
+    }
+    if (!arg.empty()) args.push_back(std::move(arg));
+  }
+  return node.op + "(" + JoinArgs(args) + ")";
 }
 
 Result<std::string> ValuesToAql(const std::vector<Value>& vals) {
@@ -265,11 +193,11 @@ Result<std::string> StatementToAql(const Statement& stmt) {
     case Statement::Kind::kInsert: {
       ASSIGN_OR_RETURN(std::string vals, ValuesToAql(stmt.insert_values));
       return "insert " + stmt.insert_array + " [" +
-             JoinInt64(stmt.insert_coords) + "] values (" + vals + ")";
+             JoinArgs(stmt.insert_coords) + "] values (" + vals + ")";
     }
     case Statement::Kind::kTrace: {
       return "trace " + std::string(stmt.trace_back ? "back " : "forward ") +
-             stmt.trace_array + " [" + JoinInt64(stmt.trace_coords) + "]";
+             stmt.trace_array + " [" + JoinArgs(stmt.trace_coords) + "]";
     }
     case Statement::Kind::kEnhance:
     case Statement::Kind::kShape: {

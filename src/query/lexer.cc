@@ -21,13 +21,13 @@ const std::set<std::string>& Keywords() {
   return *kKeywords;
 }
 
+}  // namespace
+
 std::string ToLower(const std::string& s) {
   std::string out = s;
   for (char& c : out) c = static_cast<char>(std::tolower(c));
   return out;
 }
-
-}  // namespace
 
 Result<std::vector<Token>> Tokenize(const std::string& input) {
   std::vector<Token> out;

@@ -38,6 +38,9 @@ struct Token {
 // normalized to lower case; identifiers keep their case.
 Result<std::vector<Token>> Tokenize(const std::string& input);
 
+// ASCII lower case: how keywords, operator, type and aggregate names fold.
+std::string ToLower(const std::string& s);
+
 }  // namespace scidb
 
 #endif  // SCIDB_QUERY_LEXER_H_

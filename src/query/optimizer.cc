@@ -1,6 +1,7 @@
 #include "query/optimizer.h"
 
 #include "common/macros.h"
+#include "query/operator_table.h"
 
 namespace scidb {
 
@@ -14,6 +15,17 @@ std::shared_ptr<OpNode> CloneNode(const OpNode& n) {
 
 bool IsOp(const OpNodePtr& n, const char* op) {
   return n != nullptr && n->op == op;
+}
+
+// `node` is an `op` over an `inner_op`, both well-formed (operator
+// table): the rules never fire on, or index into, a malformed node;
+// ValidateOpTree is what rejects it. Names are compared first, so only
+// nodes a rule is about to rewrite pay for the check.
+bool Matches(const OpNodePtr& node, const char* op, const char* inner_op) {
+  return IsOp(node, op) && !node->inputs.empty() &&
+         IsOp(node->inputs[0], inner_op) &&
+         CheckArgs(*FindOperator(op), *node).ok() &&
+         CheckArgs(*FindOperator(inner_op), *node->inputs[0]).ok();
 }
 
 // One top-down rewrite pass; sets *changed when a rule fired.
@@ -41,34 +53,31 @@ Result<OpNodePtr> Rewrite(const OpNodePtr& node, OptimizerStats* stats,
   if (node == nullptr || node->is_array_ref()) return node;
 
   // R2: Subsample(Subsample(A, p), q) -> Subsample(A, p and q).
-  if (IsOp(node, "subsample") && !node->inputs.empty() &&
-      IsOp(node->inputs[0], "subsample")) {
+  if (Matches(node, "subsample", "subsample")) {
     const OpNode& inner = *node->inputs[0];
     auto merged = std::make_shared<OpNode>();
     merged->op = "subsample";
     merged->inputs = inner.inputs;
-    merged->exprs = {And(inner.exprs.at(0), node->exprs.at(0))};
+    merged->exprs = {And(inner.exprs[0], node->exprs[0])};
     if (stats) ++stats->subsample_merges;
     *changed = true;
     return Rewrite(OpNodePtr(merged), stats, changed);
   }
 
   // R3: Filter(Filter(A, p), q) -> Filter(A, p and q).
-  if (IsOp(node, "filter") && !node->inputs.empty() &&
-      IsOp(node->inputs[0], "filter")) {
+  if (Matches(node, "filter", "filter")) {
     const OpNode& inner = *node->inputs[0];
     auto merged = std::make_shared<OpNode>();
     merged->op = "filter";
     merged->inputs = inner.inputs;
-    merged->exprs = {And(inner.exprs.at(0), node->exprs.at(0))};
+    merged->exprs = {And(inner.exprs[0], node->exprs[0])};
     if (stats) ++stats->filter_merges;
     *changed = true;
     return Rewrite(OpNodePtr(merged), stats, changed);
   }
 
   // R1: Subsample(Filter(A, p), q) -> Filter(Subsample(A, q), p).
-  if (IsOp(node, "subsample") && !node->inputs.empty() &&
-      IsOp(node->inputs[0], "filter")) {
+  if (Matches(node, "subsample", "filter")) {
     const OpNode& filter = *node->inputs[0];
     auto pushed = std::make_shared<OpNode>();
     pushed->op = "subsample";
@@ -85,14 +94,13 @@ Result<OpNodePtr> Rewrite(const OpNodePtr& node, OptimizerStats* stats,
 
   // R4: Subsample(Apply(A, x, e), q) -> Apply(Subsample(A, q), x, e),
   // legal only when q does not reference the applied attribute.
-  if (IsOp(node, "subsample") && !node->inputs.empty() &&
-      IsOp(node->inputs[0], "apply")) {
+  if (Matches(node, "subsample", "apply")) {
     const OpNode& apply = *node->inputs[0];
     std::vector<std::string> refs;
-    node->exprs.at(0)->CollectRefs(&refs);
+    node->exprs[0]->CollectRefs(&refs);
     bool references_new_attr = false;
     for (const auto& r : refs) {
-      if (!apply.names.empty() && r == apply.names[0]) {
+      if (r == apply.names[0]) {
         references_new_attr = true;
         break;
       }
@@ -113,8 +121,7 @@ Result<OpNodePtr> Rewrite(const OpNodePtr& node, OptimizerStats* stats,
   }
 
   // R5: Project(Project(A, xs), ys) -> Project(A, ys).
-  if (IsOp(node, "project") && !node->inputs.empty() &&
-      IsOp(node->inputs[0], "project")) {
+  if (Matches(node, "project", "project")) {
     const OpNode& inner = *node->inputs[0];
     bool subset = true;
     for (const auto& y : node->names) {
@@ -143,6 +150,11 @@ Result<OpNodePtr> Rewrite(const OpNodePtr& node, OptimizerStats* stats,
 }
 
 }  // namespace
+
+const Expr* RegionPredicate(const OpNode& node) {
+  return node.op == "subsample" && !node.exprs.empty() ? node.exprs[0].get()
+                                                       : nullptr;
+}
 
 Result<OpNodePtr> OptimizeOpTree(const OpNodePtr& root,
                                  OptimizerStats* stats) {

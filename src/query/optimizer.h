@@ -39,6 +39,11 @@ struct OptimizerStats {
 Result<OpNodePtr> OptimizeOpTree(const OpNodePtr& root,
                                  OptimizerStats* stats = nullptr);
 
+// The predicate whose box an array-reference input of `node` reads
+// instead of its whole extent (DESIGN.md §5): a Subsample's, else null.
+// R1 and R4 sink Subsamples onto array references to make this apply.
+const Expr* RegionPredicate(const OpNode& node);
+
 }  // namespace scidb
 
 #endif  // SCIDB_QUERY_OPTIMIZER_H_

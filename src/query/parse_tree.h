@@ -7,6 +7,7 @@
 
 #include "array/schema.h"
 #include "exec/expression.h"
+#include "exec/operators.h"
 
 namespace scidb {
 
@@ -20,11 +21,6 @@ namespace scidb {
 struct OpNode;
 using OpNodePtr = std::shared_ptr<const OpNode>;
 
-struct AggSpec {
-  std::string agg;   // "sum"
-  std::string attr;  // attribute name or "*"
-};
-
 struct OpNode {
   // "" means: this node is a reference to the array named `array`.
   std::string op;
@@ -35,8 +31,7 @@ struct OpNode {
   std::vector<std::string> names;      // {Y}, attribute lists, dim names
   std::vector<int64_t> numbers;        // [2, 2] factors, Exists coords
   std::vector<DimensionDesc> dims;     // reshape target dims
-  AggSpec agg;                         // Aggregate / Regrid / Window
-  std::vector<AggSpec> aggs;           // multi-aggregate (incl. agg)
+  std::vector<AggCall> aggs;           // sum(v): Aggregate, Regrid, Window
 
   bool is_array_ref() const { return op.empty(); }
 };

@@ -5,25 +5,11 @@
 
 #include "common/macros.h"
 #include "query/lexer.h"
+#include "query/operator_table.h"
 
 namespace scidb {
 
 namespace {
-
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
-  return out;
-}
-
-const std::set<std::string>& OperatorNames() {
-  static const auto* const kOps = new std::set<std::string>{
-      "subsample", "exists", "reshape", "sjoin", "adddimension",
-      "removedimension", "concat", "crossproduct", "filter", "aggregate",
-      "cjoin", "apply", "project", "regrid", "window",
-  };
-  return *kOps;
-}
 
 class Parser {
  public:
@@ -69,12 +55,9 @@ class Parser {
       if (stmt.query->is_array_ref() && Peek().IsSymbol("{")) {
         stmt.kind = Statement::Kind::kEnhancedRead;
         stmt.read_array = stmt.query->array;
-        Advance();  // {
-        do {
-          ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-          stmt.read_pseudo.push_back(std::move(v));
-        } while (AcceptSymbol(","));
-        RETURN_NOT_OK(ExpectSymbol("}"));
+        RETURN_NOT_OK(ParseList("{", "}", false, [&] {
+          return AppendValue(&stmt.read_pseudo);
+        }));
       }
     }
     if (!Peek().Is(TokenType::kEnd)) {
@@ -133,6 +116,29 @@ class Parser {
     int64_t v = Advance().int_value;
     return neg ? -v : v;
   }
+  Status AppendInteger(std::vector<int64_t>* out) {
+    ASSIGN_OR_RETURN(int64_t v, ExpectInteger());
+    out->push_back(v);
+    return Status::OK();
+  }
+  Status AppendValue(std::vector<Value>* out) {
+    ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
+    out->push_back(std::move(v));
+    return Status::OK();
+  }
+
+  // open item {, item} close; `empty_ok` also accepts "open close".
+  template <typename ParseItem>
+  Status ParseList(const char* open, const char* close, bool empty_ok,
+                   ParseItem item) {
+    RETURN_NOT_OK(ExpectSymbol(open));
+    if (!empty_ok || !Peek().IsSymbol(close)) {
+      do {
+        RETURN_NOT_OK(item());
+      } while (AcceptSymbol(","));
+    }
+    return ExpectSymbol(close);
+  }
 
   // ---- define ----
   Status ParseDefine(Statement* stmt) {
@@ -141,9 +147,8 @@ class Parser {
     bool updatable = AcceptKeyword("updatable");
     ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
 
-    RETURN_NOT_OK(ExpectSymbol("("));
     std::vector<AttributeDesc> attrs;
-    do {
+    RETURN_NOT_OK(ParseList("(", ")", false, [&]() -> Status {
       AttributeDesc a;
       ASSIGN_OR_RETURN(a.name, ExpectIdentifier());
       RETURN_NOT_OK(ExpectSymbol("="));
@@ -151,29 +156,23 @@ class Parser {
       ASSIGN_OR_RETURN(std::string type_name, ExpectIdentifier());
       ASSIGN_OR_RETURN(a.type, DataTypeFromName(ToLower(type_name)));
       attrs.push_back(std::move(a));
-    } while (AcceptSymbol(","));
-    RETURN_NOT_OK(ExpectSymbol(")"));
+      return Status::OK();
+    }));
 
-    RETURN_NOT_OK(ExpectSymbol("("));
     std::vector<DimensionDesc> dims;
-    do {
-      DimensionDesc d;
+    RETURN_NOT_OK(ParseList("(", ")", false, [&]() -> Status {
+      DimensionDesc d;  // 1 : *, chunk interval 64
       ASSIGN_OR_RETURN(d.name, ExpectIdentifier());
-      d.low = 1;
-      d.high = kUnboundedDim;
-      d.chunk_interval = 64;
       if (AcceptSymbol("=")) {
         ASSIGN_OR_RETURN(d.low, ExpectInteger());
         RETURN_NOT_OK(ExpectSymbol(":"));
-        if (AcceptSymbol("*")) {
-          d.high = kUnboundedDim;
-        } else {
+        if (!AcceptSymbol("*")) {
           ASSIGN_OR_RETURN(d.high, ExpectInteger());
         }
       }
       dims.push_back(std::move(d));
-    } while (AcceptSymbol(","));
-    RETURN_NOT_OK(ExpectSymbol(")"));
+      return Status::OK();
+    }));
 
     // Paper §2.5: the history dimension of an updatable array is implicit
     // (layered deltas); an explicitly listed trailing "history" dim is
@@ -193,16 +192,11 @@ class Parser {
     ASSIGN_OR_RETURN(stmt->create_name, ExpectIdentifier());
     RETURN_NOT_OK(ExpectKeyword("as"));
     ASSIGN_OR_RETURN(stmt->create_type, ExpectIdentifier());
-    RETURN_NOT_OK(ExpectSymbol("["));
-    do {
-      if (AcceptSymbol("*")) {
-        stmt->create_highs.push_back(kUnboundedDim);
-      } else {
-        ASSIGN_OR_RETURN(int64_t hi, ExpectInteger());
-        stmt->create_highs.push_back(hi);
-      }
-    } while (AcceptSymbol(","));
-    return ExpectSymbol("]");
+    return ParseList("[", "]", false, [&] {
+      if (!AcceptSymbol("*")) return AppendInteger(&stmt->create_highs);
+      stmt->create_highs.push_back(kUnboundedDim);
+      return Status::OK();
+    });
   }
 
   // ---- insert ----
@@ -210,19 +204,12 @@ class Parser {
     Advance();  // insert
     stmt->kind = Statement::Kind::kInsert;
     ASSIGN_OR_RETURN(stmt->insert_array, ExpectIdentifier());
-    RETURN_NOT_OK(ExpectSymbol("["));
-    do {
-      ASSIGN_OR_RETURN(int64_t c, ExpectInteger());
-      stmt->insert_coords.push_back(c);
-    } while (AcceptSymbol(","));
-    RETURN_NOT_OK(ExpectSymbol("]"));
+    RETURN_NOT_OK(ParseList("[", "]", false, [&] {
+      return AppendInteger(&stmt->insert_coords);
+    }));
     RETURN_NOT_OK(ExpectKeyword("values"));
-    RETURN_NOT_OK(ExpectSymbol("("));
-    do {
-      ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-      stmt->insert_values.push_back(std::move(v));
-    } while (AcceptSymbol(","));
-    return ExpectSymbol(")");
+    return ParseList("(", ")", false,
+                     [&] { return AppendValue(&stmt->insert_values); });
   }
 
   // ---- enhance / shape (paper §2.1) ----
@@ -238,16 +225,9 @@ class Parser {
     RETURN_NOT_OK(ExpectKeyword("with"));
     ASSIGN_OR_RETURN(stmt->func_name, ExpectIdentifier());
     stmt->func_name = ToLower(stmt->func_name);
-    if (AcceptSymbol("(")) {
-      if (!Peek().IsSymbol(")")) {
-        do {
-          ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-          stmt->func_args.push_back(std::move(v));
-        } while (AcceptSymbol(","));
-      }
-      RETURN_NOT_OK(ExpectSymbol(")"));
-    }
-    return Status::OK();
+    if (!Peek().IsSymbol("(")) return Status::OK();
+    return ParseList("(", ")", true,
+                     [&] { return AppendValue(&stmt->func_args); });
   }
 
   // ---- trace (provenance query language, §2.12) ----
@@ -262,12 +242,8 @@ class Parser {
       return Err("expected 'back' or 'forward' after 'trace'");
     }
     ASSIGN_OR_RETURN(stmt->trace_array, ExpectIdentifier());
-    RETURN_NOT_OK(ExpectSymbol("["));
-    do {
-      ASSIGN_OR_RETURN(int64_t c, ExpectInteger());
-      stmt->trace_coords.push_back(c);
-    } while (AcceptSymbol(","));
-    return ExpectSymbol("]");
+    return ParseList("[", "]", false,
+                     [&] { return AppendInteger(&stmt->trace_coords); });
   }
 
   Result<Value> ParseLiteralValue() {
@@ -325,7 +301,7 @@ class Parser {
         } else if (next.IsSymbol("(")) {
           std::string lower = ToLower(Peek().text);
           looks_like_input =
-              OperatorNames().count(lower) > 0 || IsUserOp(lower);
+              FindOperator(lower) != nullptr || IsUserOp(lower);
         }
       }
       if (looks_like_input) {
@@ -342,134 +318,84 @@ class Parser {
   }
 
   // ---- operator calls / array refs ----
+  // A built-in call parses by walking its operator-table row.
   Result<OpNodePtr> ParseOpOrArray() {
     DepthGuard depth(&depth_);
     if (depth_ > kMaxDepth) return Err("statement nesting too deep");
     ASSIGN_OR_RETURN(std::string name, ExpectIdentifier());
     std::string lower = ToLower(name);
-    bool known = OperatorNames().count(lower) > 0 || IsUserOp(lower);
-    if (!Peek().IsSymbol("(") || !known) {
-      auto node = std::make_shared<OpNode>();
+    const OperatorRow* row = FindOperator(lower);
+    auto node = std::make_shared<OpNode>();
+    if (!Peek().IsSymbol("(") || (row == nullptr && !IsUserOp(lower))) {
       node->array = name;
       return OpNodePtr(node);
     }
-    if (IsUserOp(lower) && !OperatorNames().count(lower)) {
-      RETURN_NOT_OK(ExpectSymbol("("));
-      auto node = std::make_shared<OpNode>();
-      node->op = lower;
-      RETURN_NOT_OK(ParseUserOpArgs(node.get()));
-      RETURN_NOT_OK(ExpectSymbol(")"));
-      return OpNodePtr(node);
-    }
     RETURN_NOT_OK(ExpectSymbol("("));
-    auto node = std::make_shared<OpNode>();
     node->op = lower;
-    if (lower == "subsample" || lower == "filter") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(BindInputNames(*node));
-      ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-      node->exprs.push_back(std::move(e));
-    } else if (lower == "exists") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      while (AcceptSymbol(",")) {
-        ASSIGN_OR_RETURN(int64_t c, ExpectInteger());
-        node->numbers.push_back(c);
+    if (row == nullptr) RETURN_NOT_OK(ParseUserOpArgs(node.get()));
+    for (size_t i = 0; row != nullptr && i < row->args.size(); ++i) {
+      const ArgKind kind = row->args[i];
+      if (!IsTrailing(kind)) {
+        if (i > 0) RETURN_NOT_OK(ExpectSymbol(","));
+        RETURN_NOT_OK(ParseArg(kind, node.get()));
       }
-    } else if (lower == "reshape") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(ParseNameList(&node->names));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(ParseDimSpecList(&node->dims));
-    } else if (lower == "sjoin" || lower == "cjoin") {
-      ASSIGN_OR_RETURN(OpNodePtr a, ParseOpOrArray());
-      node->inputs.push_back(std::move(a));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      ASSIGN_OR_RETURN(OpNodePtr b, ParseOpOrArray());
-      node->inputs.push_back(std::move(b));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(BindInputNames(*node));
-      ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-      node->exprs.push_back(std::move(e));
-    } else if (lower == "adddimension" || lower == "removedimension") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      ASSIGN_OR_RETURN(std::string dim, ExpectIdentifier());
-      node->names.push_back(std::move(dim));
-    } else if (lower == "concat") {
-      ASSIGN_OR_RETURN(OpNodePtr a, ParseOpOrArray());
-      node->inputs.push_back(std::move(a));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      ASSIGN_OR_RETURN(OpNodePtr b, ParseOpOrArray());
-      node->inputs.push_back(std::move(b));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      ASSIGN_OR_RETURN(std::string dim, ExpectIdentifier());
-      node->names.push_back(std::move(dim));
-    } else if (lower == "crossproduct") {
-      ASSIGN_OR_RETURN(OpNodePtr a, ParseOpOrArray());
-      node->inputs.push_back(std::move(a));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      ASSIGN_OR_RETURN(OpNodePtr b, ParseOpOrArray());
-      node->inputs.push_back(std::move(b));
-    } else if (lower == "aggregate") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(ExpectSymbol("{"));
-      if (!Peek().IsSymbol("}")) {
-        do {
-          ASSIGN_OR_RETURN(std::string g, ExpectIdentifier());
-          node->names.push_back(std::move(g));
-        } while (AcceptSymbol(","));
+      if (IsTrailing(kind) || kind == ArgKind::kAggs) {
+        while (AcceptSymbol(",")) RETURN_NOT_OK(ParseArg(kind, node.get()));
       }
-      RETURN_NOT_OK(ExpectSymbol("}"));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(ParseAggCall(&node->agg));
-      node->aggs.push_back(node->agg);
-      // Multi-aggregate: Aggregate(A, {Y}, sum(a), avg(b), ...) computes
-      // every listed aggregate in one pass.
-      while (AcceptSymbol(",")) {
-        AggSpec extra;
-        RETURN_NOT_OK(ParseAggCall(&extra));
-        node->aggs.push_back(std::move(extra));
-      }
-    } else if (lower == "apply") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      ASSIGN_OR_RETURN(std::string attr, ExpectIdentifier());
-      node->names.push_back(std::move(attr));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(BindInputNames(*node));
-      ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-      node->exprs.push_back(std::move(e));
-    } else if (lower == "project") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      while (AcceptSymbol(",")) {
-        ASSIGN_OR_RETURN(std::string attr, ExpectIdentifier());
-        node->names.push_back(std::move(attr));
-      }
-    } else if (lower == "regrid" || lower == "window") {
-      ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
-      node->inputs.push_back(std::move(in));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(ExpectSymbol("["));
-      do {
-        ASSIGN_OR_RETURN(int64_t f, ExpectInteger());
-        node->numbers.push_back(f);
-      } while (AcceptSymbol(","));
-      RETURN_NOT_OK(ExpectSymbol("]"));
-      RETURN_NOT_OK(ExpectSymbol(","));
-      RETURN_NOT_OK(ParseAggCall(&node->agg));
     }
     RETURN_NOT_OK(ExpectSymbol(")"));
     return OpNodePtr(node);
+  }
+
+  // One argument of `kind`; one item of the trailing kinds and kAggs.
+  Status ParseArg(ArgKind kind, OpNode* node) {
+    switch (kind) {
+      case ArgKind::kInput: {
+        ASSIGN_OR_RETURN(OpNodePtr in, ParseOpOrArray());
+        node->inputs.push_back(std::move(in));
+        return Status::OK();
+      }
+      case ArgKind::kExpr: {
+        RETURN_NOT_OK(BindInputNames(*node));
+        ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
+        node->exprs.push_back(std::move(e));
+        return Status::OK();
+      }
+      case ArgKind::kName:
+      case ArgKind::kTrailingNames: {
+        ASSIGN_OR_RETURN(std::string n, ExpectIdentifier());
+        node->names.push_back(std::move(n));
+        return Status::OK();
+      }
+      case ArgKind::kNames:
+      case ArgKind::kGroupNames: {
+        bool braces = kind == ArgKind::kGroupNames;
+        return ParseList(braces ? "{" : "[", braces ? "}" : "]", braces,
+                         [&] { return ParseArg(ArgKind::kName, node); });
+      }
+      case ArgKind::kNumbers:
+        return ParseList("[", "]", false,
+                         [&] { return AppendInteger(&node->numbers); });
+      case ArgKind::kTrailingNumbers:
+        return AppendInteger(&node->numbers);
+      case ArgKind::kDims:
+        return ParseList("[", "]", false, [&] { return ParseDimSpec(node); });
+      case ArgKind::kAgg:
+      case ArgKind::kAggs: {
+        AggCall call;
+        ASSIGN_OR_RETURN(call.agg, ExpectIdentifier());
+        call.agg = ToLower(call.agg);
+        RETURN_NOT_OK(ExpectSymbol("("));
+        if (AcceptSymbol("*")) {
+          call.attr = "*";
+        } else {
+          ASSIGN_OR_RETURN(call.attr, ExpectIdentifier());
+        }
+        node->aggs.push_back(std::move(call));
+        return ExpectSymbol(")");
+      }
+    }
+    return Err("unknown argument kind");
   }
 
   // Remembers the (plain) input array names so qualified references
@@ -482,40 +408,16 @@ class Parser {
     return Status::OK();
   }
 
-  Status ParseNameList(std::vector<std::string>* out) {
-    RETURN_NOT_OK(ExpectSymbol("["));
-    do {
-      ASSIGN_OR_RETURN(std::string n, ExpectIdentifier());
-      out->push_back(std::move(n));
-    } while (AcceptSymbol(","));
-    return ExpectSymbol("]");
-  }
-
-  Status ParseDimSpecList(std::vector<DimensionDesc>* out) {
-    RETURN_NOT_OK(ExpectSymbol("["));
-    do {
-      DimensionDesc d;
-      ASSIGN_OR_RETURN(d.name, ExpectIdentifier());
-      RETURN_NOT_OK(ExpectSymbol("="));
-      ASSIGN_OR_RETURN(d.low, ExpectInteger());
-      RETURN_NOT_OK(ExpectSymbol(":"));
-      ASSIGN_OR_RETURN(d.high, ExpectInteger());
-      d.chunk_interval = std::max<int64_t>(1, d.high - d.low + 1);
-      out->push_back(std::move(d));
-    } while (AcceptSymbol(","));
-    return ExpectSymbol("]");
-  }
-
-  Status ParseAggCall(AggSpec* agg) {
-    ASSIGN_OR_RETURN(agg->agg, ExpectIdentifier());
-    agg->agg = ToLower(agg->agg);
-    RETURN_NOT_OK(ExpectSymbol("("));
-    if (AcceptSymbol("*")) {
-      agg->attr = "*";
-    } else {
-      ASSIGN_OR_RETURN(agg->attr, ExpectIdentifier());
-    }
-    return ExpectSymbol(")");
+  Status ParseDimSpec(OpNode* node) {
+    DimensionDesc d;
+    ASSIGN_OR_RETURN(d.name, ExpectIdentifier());
+    RETURN_NOT_OK(ExpectSymbol("="));
+    ASSIGN_OR_RETURN(d.low, ExpectInteger());
+    RETURN_NOT_OK(ExpectSymbol(":"));
+    ASSIGN_OR_RETURN(d.high, ExpectInteger());
+    d.chunk_interval = std::max<int64_t>(1, d.high - d.low + 1);
+    node->dims.push_back(std::move(d));
+    return Status::OK();
   }
 
   // ---- expressions (precedence climbing) ----

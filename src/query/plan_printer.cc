@@ -2,38 +2,34 @@
 
 #include <sstream>
 
+#include "query/operator_table.h"
+
 namespace scidb {
 
 namespace {
 
-std::string JoinNames(const std::vector<std::string>& names) {
-  std::string out;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += names[i];
+// One argument's part of a label: inputs (child lines) and reshape dims
+// show nothing, an expression its text, a list its items.
+std::string ArgSummary(ArgKind kind, const OpNode& node) {
+  if (kind == ArgKind::kDims) return "";
+  if (kind == ArgKind::kExpr) {
+    return node.exprs.empty() || node.exprs[0] == nullptr
+               ? ""
+               : node.exprs[0]->ToString();
   }
-  return out;
+  if (kind != ArgKind::kGroupNames) return ListText(kind, node);
+  // Appended, not "{" + ... + "}": GCC 12 at -O3 raises a false
+  // -Werror=restrict on that operator+ chain.
+  std::string out = "{";
+  return out.append(ListText(kind, node)).append("}");
 }
 
-std::string JoinNumbers(const std::vector<int64_t>& nums) {
-  std::string out;
-  for (size_t i = 0; i < nums.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(nums[i]);
-  }
-  return out;
-}
-
-std::string AggSummary(const OpNode& node) {
-  // Multi-aggregate lists every call; plain nodes have just `agg`.
-  const std::vector<AggSpec>& specs =
-      node.aggs.size() > 1 ? node.aggs : std::vector<AggSpec>{node.agg};
-  std::string out;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += specs[i].agg + "(" + specs[i].attr + ")";
-  }
-  return out;
+// What separates a part from the one before it: "x = e" (apply),
+// "2, 2; sum(v)" (regrid, window), "{Y} sum(v)" (aggregate).
+const char* Joiner(ArgKind kind) {
+  if (kind == ArgKind::kExpr) return " = ";
+  if (kind == ArgKind::kAgg) return "; ";
+  return kind == ArgKind::kAggs ? " " : ", ";
 }
 
 void RenderPlanNode(const OpNode& node, int depth, std::ostringstream* out) {
@@ -52,31 +48,17 @@ std::string PlanLabel(const OpNode& node) {
     if (!node.version.empty()) label += "@" + node.version;
     return label;
   }
-  const std::string& op = node.op;
   std::string detail;
-  if (op == "filter" || op == "subsample" || op == "cjoin" ||
-      op == "sjoin") {
-    if (!node.exprs.empty() && node.exprs[0] != nullptr) {
-      detail = node.exprs[0]->ToString();
+  if (const OperatorRow* row = FindOperator(node.op)) {
+    for (ArgKind kind : row->args) {
+      std::string part = ArgSummary(kind, node);
+      if (part.empty()) continue;
+      if (!detail.empty()) detail += Joiner(kind);
+      detail += part;
     }
-  } else if (op == "apply") {
-    if (!node.names.empty()) detail = node.names[0];
-    if (!node.exprs.empty() && node.exprs[0] != nullptr) {
-      detail += " = " + node.exprs[0]->ToString();
-    }
-  } else if (op == "aggregate") {
-    detail = "{";
-    detail.append(JoinNames(node.names)).append("} ").append(AggSummary(node));
-  } else if (op == "regrid" || op == "window") {
-    detail = JoinNumbers(node.numbers) + "; " + AggSummary(node);
-  } else if (op == "project" || op == "concat" || op == "adddimension" ||
-             op == "removedimension" || op == "reshape") {
-    detail = JoinNames(node.names);
-  } else if (op == "exists") {
-    detail = JoinNumbers(node.numbers);
   }
-  if (detail.empty()) return op;
-  return op + " [" + detail + "]";
+  if (detail.empty()) return node.op;
+  return node.op + " [" + detail + "]";
 }
 
 std::string FormatPlan(const OpNode& root) {

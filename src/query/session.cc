@@ -1,9 +1,8 @@
 #include "query/session.h"
 
-#include <cctype>
-
-#include "common/flight_recorder.h"
 #include "common/macros.h"
+#include "query/lexer.h"
+#include "query/operator_table.h"
 #include "query/optimizer.h"
 #include "query/parser.h"
 #include "query/plan_printer.h"
@@ -174,23 +173,6 @@ Result<QueryResult> Session::Execute(const std::string& statement) {
   return Execute(stmt.value());
 }
 
-namespace {
-std::string ToLowerName(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
-  return out;
-}
-
-const std::set<std::string>& BuiltinOpNames() {
-  static const auto* const kOps = new std::set<std::string>{
-      "subsample", "exists", "reshape", "sjoin", "adddimension",
-      "removedimension", "concat", "crossproduct", "filter", "aggregate",
-      "cjoin", "apply", "project", "regrid", "window",
-  };
-  return *kOps;
-}
-}  // namespace
-
 Result<EnhancedArray*> Session::Enhanced(const std::string& array_name) {
   auto it = enhanced_.find(array_name);
   if (it == enhanced_.end()) {
@@ -314,8 +296,8 @@ Result<std::shared_ptr<ShapeFunction>> BuildShape(
 Status Session::RegisterArrayOp(const std::string& name, UserArrayOp op) {
   if (name.empty()) return Status::Invalid("operator name is empty");
   if (op == nullptr) return Status::Invalid("null operator body");
-  std::string lower = ToLowerName(name);
-  if (BuiltinOpNames().count(lower)) {
+  std::string lower = ToLower(name);
+  if (FindOperator(lower) != nullptr) {
     return Status::Invalid("cannot shadow built-in operator '" + lower +
                            "'");
   }
@@ -329,7 +311,7 @@ Status Session::RegisterArrayOp(const std::string& name, UserArrayOp op) {
 }
 
 bool Session::HasArrayOp(const std::string& name) const {
-  return user_ops_.count(ToLowerName(name)) > 0;
+  return user_ops_.count(ToLower(name)) > 0;
 }
 
 namespace {
@@ -435,19 +417,20 @@ Result<QueryResult> Session::ExecuteStatement(const Statement& stmt) {
       }
       return result;
     }
-    case Statement::Kind::kQuery: {
-      OpNodePtr tree = stmt.query;
-      if (optimize_) {
-        ASSIGN_OR_RETURN(tree, OptimizeOpTree(tree));
-      }
-      return ExecuteQueryNode(tree);
-    }
+    case Statement::Kind::kExplain:
+      RETURN_NOT_OK(ValidateOpTree(stmt.query, &user_op_names_));
+      return ExecuteExplain(stmt);
+    case Statement::Kind::kQuery:
     case Statement::Kind::kStore: {
+      // Validated once against the operator table, so the optimizer,
+      // the plan labels and the executors may index arguments freely.
+      RETURN_NOT_OK(ValidateOpTree(stmt.query, &user_op_names_));
       OpNodePtr tree = stmt.query;
       if (optimize_) {
         ASSIGN_OR_RETURN(tree, OptimizeOpTree(tree));
       }
-      ASSIGN_OR_RETURN(MemArray out, Eval(tree));
+      if (stmt.kind == Statement::Kind::kQuery) return ExecuteQueryNode(tree);
+      ASSIGN_OR_RETURN(MemArray out, EvalNode(tree, nullptr));
       if (arrays_.count(stmt.store_into)) {
         return Status::AlreadyExists("array '" + stmt.store_into +
                                      "' already exists");
@@ -458,18 +441,7 @@ Result<QueryResult> Session::ExecuteStatement(const Statement& stmt) {
       result.message = "stored " + stmt.store_into;
       return result;
     }
-    case Statement::Kind::kExplain:
-      return ExecuteExplain(stmt);
     case Statement::Kind::kSet: {
-      if (stmt.set_option == "flight_recorder") {
-        // Process-wide flight-recorder kill switch (DESIGN.md §12):
-        // 0 stops recording (single-digit-ns hot paths), nonzero
-        // resumes. Already-recorded events stay in the ring.
-        FlightRecorder::set_enabled(stmt.set_value != 0);
-        result.message = stmt.set_value != 0 ? "flight recorder enabled"
-                                             : "flight recorder disabled";
-        return result;
-      }
       if (stmt.set_option != "parallelism") {
         return Status::Invalid("unknown session option '" +
                                stmt.set_option + "'");
@@ -516,9 +488,6 @@ struct NetExplainCounters {
 }  // namespace
 
 Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
-  if (stmt.query == nullptr) {
-    return Status::Invalid("explain requires a query");
-  }
   auto trace = std::make_shared<QueryTrace>();
   trace->statement = pending_statement_;
   trace->parse_ns = pending_parse_ns_;
@@ -547,16 +516,14 @@ Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
   const int64_t net_rpcs0 = net.latency->count();
   const int64_t net_us0 = net.latency->sum();
   uint64_t t0 = clock_();
-  if (tree->op == "exists") {
+  const OperatorRow* row = FindOperator(tree->op);
+  if (row != nullptr && row->test != nullptr) {
     // Top-level boolean probe: trace the input scan, note the verdict.
-    if (tree->inputs.size() != 1 || tree->inputs[0] == nullptr) {
-      return Status::Invalid("Exists takes one array");
-    }
     TraceSpan span(clock_, &trace->root);
     TraceNode* child = trace->root.AddChild();
     child->label = PlanLabel(*tree->inputs[0]);
     ASSIGN_OR_RETURN(MemArray in, EvalNode(tree->inputs[0], child));
-    trace->root.AddNote("exists", in.Exists(tree->numbers) ? 1 : 0);
+    trace->root.AddNote(tree->op, row->test(*tree, in) ? 1 : 0);
   } else {
     // EvalNode stamps trace->root's span itself.
     ASSIGN_OR_RETURN(MemArray out, EvalNode(tree, &trace->root));
@@ -595,56 +562,19 @@ Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
 
 Result<QueryResult> Session::ExecuteQueryNode(const OpNodePtr& node) const {
   QueryResult result;
-  if (node->op == "exists") {
+  const OperatorRow* row = FindOperator(node->op);
+  if (row != nullptr && row->test != nullptr) {
     // Exists? [A, 7, 7] — boolean result (paper §2.2.1).
-    if (node->inputs.size() != 1) {
-      return Status::Invalid("Exists takes one array");
-    }
-    ASSIGN_OR_RETURN(MemArray in, Eval(node->inputs[0]));
+    ASSIGN_OR_RETURN(MemArray in, EvalNode(node->inputs[0], nullptr));
     result.kind = QueryResult::Kind::kBool;
-    result.boolean = in.Exists(node->numbers);
+    result.boolean = row->test(*node, in);
     return result;
   }
-  ASSIGN_OR_RETURN(MemArray out, Eval(node));
+  ASSIGN_OR_RETURN(MemArray out, EvalNode(node, nullptr));
   result.kind = QueryResult::Kind::kArray;
   result.array = std::make_shared<MemArray>(std::move(out));
   return result;
 }
-
-namespace {
-
-// Converts an Sjoin predicate expression into dimension pairs: a
-// conjunction of A.dim = B.dim equalities.
-Status ExtractDimPairs(
-    const Expr& e,
-    std::vector<std::pair<std::string, std::string>>* pairs) {
-  if (e.kind() == Expr::Kind::kBinary) {
-    const auto& b = static_cast<const BinaryExpr&>(e);
-    if (b.op() == BinaryOp::kAnd) {
-      RETURN_NOT_OK(ExtractDimPairs(*b.lhs(), pairs));
-      return ExtractDimPairs(*b.rhs(), pairs);
-    }
-    if (b.op() == BinaryOp::kEq &&
-        b.lhs()->kind() == Expr::Kind::kRef &&
-        b.rhs()->kind() == Expr::Kind::kRef) {
-      const auto* l = static_cast<const RefExpr*>(b.lhs().get());
-      const auto* r = static_cast<const RefExpr*>(b.rhs().get());
-      if (l->side() == 0 && r->side() == 1) {
-        pairs->push_back({l->name(), r->name()});
-        return Status::OK();
-      }
-      if (l->side() == 1 && r->side() == 0) {
-        pairs->push_back({r->name(), l->name()});
-        return Status::OK();
-      }
-    }
-  }
-  return Status::Invalid(
-      "Sjoin predicate must be a conjunction of A.dim = B.dim equalities: " +
-      e.ToString());
-}
-
-}  // namespace
 
 namespace {
 
@@ -767,98 +697,24 @@ Result<MemArray> Session::ReadArrayRef(const std::string& name,
 }
 
 Result<MemArray> Session::EvalOp(const OpNode& node,
-                                 std::vector<MemArray>* inputs,
+                                 const std::vector<MemArray>& inputs,
                                  const ExecContext& ctx) const {
-  const std::string& op = node.op;
-  auto arity = [&](size_t n) -> Status {
-    if (inputs->size() != n) {
-      return Status::Invalid(op + " takes " + std::to_string(n) +
-                             " array input(s), got " +
-                             std::to_string(inputs->size()));
+  if (const OperatorRow* row = FindOperator(node.op)) {
+    if (row->exec == nullptr) {
+      return Status::Invalid(node.op +
+                             " is a top-level predicate, not an array "
+                             "expression");
     }
-    return Status::OK();
-  };
-
-  if (op == "subsample") {
-    RETURN_NOT_OK(arity(1));
-    return Subsample(ctx, (*inputs)[0], node.exprs.at(0));
+    return row->exec(ctx, node, inputs);
   }
-  if (op == "filter") {
-    RETURN_NOT_OK(arity(1));
-    return Filter(ctx, (*inputs)[0], node.exprs.at(0));
+  if (auto it = user_ops_.find(node.op); it != user_ops_.end()) {
+    return it->second(ctx, inputs, node.exprs);
   }
-  if (op == "sjoin") {
-    RETURN_NOT_OK(arity(2));
-    std::vector<std::pair<std::string, std::string>> pairs;
-    RETURN_NOT_OK(ExtractDimPairs(*node.exprs.at(0), &pairs));
-    return Sjoin(ctx, (*inputs)[0], (*inputs)[1], pairs);
-  }
-  if (op == "cjoin") {
-    RETURN_NOT_OK(arity(2));
-    return Cjoin(ctx, (*inputs)[0], (*inputs)[1], node.exprs.at(0));
-  }
-  if (op == "aggregate") {
-    RETURN_NOT_OK(arity(1));
-    if (node.aggs.size() > 1) {
-      std::vector<AggCall> calls;
-      for (const AggSpec& spec : node.aggs) {
-        calls.push_back({spec.agg, spec.attr});
-      }
-      return AggregateMulti(ctx, (*inputs)[0], node.names, calls);
-    }
-    return Aggregate(ctx, (*inputs)[0], node.names, node.agg.agg,
-                     node.agg.attr);
-  }
-  if (op == "apply") {
-    RETURN_NOT_OK(arity(1));
-    return Apply(ctx, (*inputs)[0], node.names.at(0), DataType::kDouble,
-                 node.exprs.at(0));
-  }
-  if (op == "project") {
-    RETURN_NOT_OK(arity(1));
-    return Project(ctx, (*inputs)[0], node.names);
-  }
-  if (op == "reshape") {
-    RETURN_NOT_OK(arity(1));
-    return Reshape(ctx, (*inputs)[0], node.names, node.dims);
-  }
-  if (op == "regrid") {
-    RETURN_NOT_OK(arity(1));
-    return Regrid(ctx, (*inputs)[0], node.numbers, node.agg.agg,
-                  node.agg.attr);
-  }
-  if (op == "window") {
-    RETURN_NOT_OK(arity(1));
-    return WindowAggregate(ctx, (*inputs)[0], node.numbers, node.agg.agg,
-                           node.agg.attr);
-  }
-  if (op == "concat") {
-    RETURN_NOT_OK(arity(2));
-    return Concat(ctx, (*inputs)[0], (*inputs)[1], node.names.at(0));
-  }
-  if (op == "crossproduct") {
-    RETURN_NOT_OK(arity(2));
-    return CrossProduct(ctx, (*inputs)[0], (*inputs)[1]);
-  }
-  if (op == "adddimension") {
-    RETURN_NOT_OK(arity(1));
-    return AddDimension(ctx, (*inputs)[0], node.names.at(0));
-  }
-  if (op == "removedimension") {
-    RETURN_NOT_OK(arity(1));
-    return RemoveDimension(ctx, (*inputs)[0], node.names.at(0));
-  }
-  if (op == "exists") {
-    return Status::Invalid(
-        "Exists is a top-level predicate, not an array expression");
-  }
-  if (auto it = user_ops_.find(op); it != user_ops_.end()) {
-    return it->second(ctx, *inputs, node.exprs);
-  }
-  return Status::NotImplemented("unknown operator '" + op + "'");
+  return Status::NotImplemented("unknown operator '" + node.op + "'");
 }
 
 Result<MemArray> Session::Eval(const OpNodePtr& node) const {
+  RETURN_NOT_OK(ValidateOpTree(node, &user_op_names_));
   return EvalNode(node, nullptr);
 }
 
@@ -875,9 +731,7 @@ Result<MemArray> Session::EvalNode(const OpNodePtr& node, TraceNode* self,
 
   // Pushdown at the leaf: an array reference a Subsample reads directly
   // reads only the predicate's box.
-  const Expr* pushdown = node->op == "subsample" && !node->exprs.empty()
-                             ? node->exprs[0].get()
-                             : nullptr;
+  const Expr* pushdown = RegionPredicate(*node);
   std::vector<MemArray> inputs;
   inputs.reserve(node->inputs.size());
   for (const auto& in : node->inputs) {
@@ -894,7 +748,7 @@ Result<MemArray> Session::EvalNode(const OpNodePtr& node, TraceNode* self,
   ExecStats stats;
   ctx.stats = &stats;
   uint64_t t0 = clock_();
-  Result<MemArray> out = EvalOp(*node, &inputs, ctx);
+  Result<MemArray> out = EvalOp(*node, inputs, ctx);
   FlushExecStats(node->op, stats, clock_() - t0);
   if (!out.ok() || self == nullptr) return out;
 
@@ -968,7 +822,7 @@ OpNodePtr Aggregate(OpNodePtr in, std::vector<std::string> group_dims,
   auto n = Node("aggregate");
   n->inputs = {std::move(in)};
   n->names = std::move(group_dims);
-  n->agg = {std::move(agg), std::move(attr)};
+  n->aggs = {{std::move(agg), std::move(attr)}};
   return n;
 }
 
@@ -1001,7 +855,7 @@ OpNodePtr Regrid(OpNodePtr in, std::vector<int64_t> factors, std::string agg,
   auto n = Node("regrid");
   n->inputs = {std::move(in)};
   n->numbers = std::move(factors);
-  n->agg = {std::move(agg), std::move(attr)};
+  n->aggs = {{std::move(agg), std::move(attr)}};
   return n;
 }
 
@@ -1010,7 +864,7 @@ OpNodePtr Window(OpNodePtr in, std::vector<int64_t> radii, std::string agg,
   auto n = Node("window");
   n->inputs = {std::move(in)};
   n->numbers = std::move(radii);
-  n->agg = {std::move(agg), std::move(attr)};
+  n->aggs = {{std::move(agg), std::move(attr)}};
   return n;
 }
 

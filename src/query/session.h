@@ -192,7 +192,8 @@ class Session {
                                 const Expr* subsample, TraceNode* tn) const;
 
   // Applies one operator to its already-evaluated inputs.
-  Result<MemArray> EvalOp(const OpNode& node, std::vector<MemArray>* inputs,
+  Result<MemArray> EvalOp(const OpNode& node,
+                          const std::vector<MemArray>& inputs,
                           const ExecContext& ctx) const;
 
   // Evaluates an operator tree bottom-up and flushes each operator's

@@ -8,10 +8,12 @@
 #include "query/aql_printer.h"
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "query/parser.h"
+#include "query/session.h"
 
 namespace scidb {
 namespace {
@@ -69,6 +71,43 @@ TEST(AqlPrinterTest, RoundTripsEveryOperator) {
   ExpectRoundTrip("select Regrid(A, [2, 2], avg(v))");
   ExpectRoundTrip("select Window(A, [3, 3], max(v))");
   ExpectRoundTrip("select Filter(Subsample(A, even(I)), f(v, 2.5) = true)");
+}
+
+TEST(AqlPrinterTest, EveryBindingBuilderRoundTrips) {
+  // The C++ binding and the parser build the same trees (paper §2.4), so
+  // every builder's tree prints to AQL that parses back to the same text.
+  using namespace binding;
+  const OpNodePtr a = Array("A");
+  const OpNodePtr b = Array("B");
+  const ExprPtr pred = Lt(Ref("I"), Lit(int64_t{3}));
+  const std::vector<OpNodePtr> trees = {
+      Subsample(a, pred),
+      Filter(a, Gt(Ref("v"), Lit(int64_t{2}))),
+      Sjoin(a, b, Eq(Ref("x", 0), Ref("y", 1))),
+      Cjoin(a, b, Lt(Ref("x", 0), Ref("y", 1))),
+      Aggregate(a, {"Y"}, "sum", "v"),
+      Aggregate(a, {}, "count", "*"),
+      Apply(a, "w", Mul(Ref("v"), Lit(int64_t{2}))),
+      Project(a, {"v", "w"}),
+      Reshape(a, {"I", "J"}, {DimensionDesc{"K", 0, 9, 10}}),
+      Regrid(a, {2, 2}, "avg", "v"),
+      Window(a, {3, 3}, "max", "v"),
+      Concat(a, b, "I"),
+      CrossProduct(a, b),
+      AddDimension(a, "K"),
+      RemoveDimension(Subsample(a, pred), "J"),
+  };
+  for (const OpNodePtr& tree : trees) {
+    auto printed = OpNodeToAql(*tree);
+    ASSERT_TRUE(printed.ok())
+        << tree->op << ": " << printed.status().ToString();
+    auto stmt = ParseStatement("select " + printed.value(), nullptr);
+    ASSERT_TRUE(stmt.ok()) << printed.value() << ": "
+                           << stmt.status().ToString();
+    auto reprinted = OpNodeToAql(*stmt.value().query);
+    ASSERT_TRUE(reprinted.ok()) << printed.value();
+    EXPECT_EQ(reprinted.value(), printed.value());
+  }
 }
 
 TEST(AqlPrinterTest, NormalizesOnceThenFixed) {

@@ -16,6 +16,20 @@ OpNodePtr ParseQuery(const std::string& text) {
   return s.query;
 }
 
+TEST(OptimizerTest, LeavesMalformedNodesForValidation) {
+  // A Filter with no predicate under another Filter: R3 must not merge
+  // (and index) it; ValidateOpTree rejects such trees, not the optimizer.
+  using namespace binding;
+  auto inner = std::make_shared<OpNode>(*Filter(Array("A"), Ref("p")));
+  inner->exprs.clear();
+  OpNodePtr tree = Filter(inner, Ref("q"));
+  OptimizerStats stats;
+  Result<OpNodePtr> opt = OptimizeOpTree(tree, &stats);
+  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
+  EXPECT_EQ(opt.value(), tree);
+  EXPECT_EQ(stats.total(), 0);
+}
+
 TEST(OptimizerTest, PushesSubsampleBelowFilter) {
   OpNodePtr tree =
       ParseQuery("select Subsample(Filter(A, v > 10), I <= 4)");

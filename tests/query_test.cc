@@ -1,3 +1,5 @@
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "query/lexer.h"
@@ -109,8 +111,8 @@ TEST(ParserTest, QueryOperatorTrees) {
   EXPECT_EQ(n.query->op, "aggregate");
   EXPECT_EQ(n.query->inputs[0]->op, "subsample");
   EXPECT_EQ(n.query->names, (std::vector<std::string>{"Y"}));
-  EXPECT_EQ(n.query->agg.agg, "sum");
-  EXPECT_EQ(n.query->agg.attr, "v");
+  EXPECT_EQ(n.query->aggs[0].agg, "sum");
+  EXPECT_EQ(n.query->aggs[0].attr, "v");
 }
 
 TEST(ParserTest, SjoinQualifiedRefs) {
@@ -315,6 +317,48 @@ TEST_F(SessionTest, SetParallelismStatement) {
   ASSERT_TRUE(session_.set_parallelism(2).ok());
   EXPECT_EQ(session_.parallelism(), 2);
   ASSERT_TRUE(session_.set_parallelism(1).ok());
+}
+
+// A copy of `built` with `edit` applied: trees no AQL text parses to.
+OpNodePtr Edited(const OpNodePtr& built,
+                 const std::function<void(OpNode*)>& edit) {
+  auto node = std::make_shared<OpNode>(*built);
+  edit(node.get());
+  return node;
+}
+
+TEST_F(SessionTest, MalformedTreesAreInvalidNotFatal) {
+  // Each tree fails validation against its operator-table row before the
+  // optimizer or an executor reads the missing argument.
+  using namespace binding;
+  const OpNodePtr a = Array("My_remote");
+  const ExprPtr pred = Gt(Ref("s1"), Lit(int64_t{1}));
+  auto exists = std::make_shared<OpNode>();
+  exists->op = "exists";
+  exists->inputs = {a, a};
+  const std::vector<OpNodePtr> malformed = {
+      Edited(Filter(a, pred), [](OpNode* n) { n->exprs.clear(); }),
+      Edited(Apply(a, "w", pred), [](OpNode* n) { n->names.clear(); }),
+      Edited(Aggregate(a, {"I"}, "sum", "s1"),
+             [](OpNode* n) { n->aggs.clear(); }),
+      Edited(Filter(a, pred), [&](OpNode* n) { n->inputs.push_back(a); }),
+      exists,
+  };
+  for (const OpNodePtr& tree : malformed) {
+    for (bool explain : {false, true}) {
+      Statement stmt;
+      stmt.kind = explain ? Statement::Kind::kExplain : Statement::Kind::kQuery;
+      stmt.explain_analyze = true;
+      stmt.query = tree;
+      auto r = session_.Execute(stmt);
+      EXPECT_TRUE(r.status().IsInvalid())
+          << tree->op << ": " << r.status().ToString();
+    }
+    EXPECT_TRUE(session_.Eval(tree).status().IsInvalid()) << tree->op;
+  }
+  // The well-formed originals still run.
+  EXPECT_TRUE(session_.Eval(Filter(a, pred)).ok());
+  EXPECT_TRUE(session_.Execute("select Exists(My_remote, 1, 1)").ok());
 }
 
 TEST_F(SessionTest, RegisterExternalArray) {
