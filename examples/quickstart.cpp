@@ -21,6 +21,7 @@ static void Run(Session& session, const std::string& stmt) {
   const QueryResult& r = result.value();
   switch (r.kind) {
     case QueryResult::Kind::kNone:
+    case QueryResult::Kind::kExplain:
       std::printf("> %-60s -- %s\n", stmt.c_str(), r.message.c_str());
       break;
     case QueryResult::Kind::kBool:

@@ -1,6 +1,9 @@
 #include "array/mem_array.h"
 
 #include <algorithm>
+#include <string>
+
+#include "common/macros.h"
 
 namespace scidb {
 
@@ -51,6 +54,65 @@ void CopyPart(const Chunk& src, const Box& part, const Coordinates& origin,
       dst->MarkPresent(d + k);
     }
   } while (NextInBox(rows, &c));
+}
+
+// SetCell's checks for a cell of `nvalues` attributes at `c`.
+Status CheckCell(const ArraySchema& schema, const Coordinates& c,
+                 size_t nvalues) {
+  if (c.size() != schema.ndims()) {
+    return Status::Invalid("coordinate arity " + std::to_string(c.size()) +
+                           " != ndims " + std::to_string(schema.ndims()));
+  }
+  if (!schema.ContainsCoords(c)) {
+    return Status::OutOfRange("cell " + CoordsToString(c) +
+                              " outside bounds of array '" + schema.name() +
+                              "'");
+  }
+  if (nvalues != schema.nattrs()) {
+    return Status::Invalid("value arity " + std::to_string(nvalues) +
+                           " != nattrs " + std::to_string(schema.nattrs()));
+  }
+  return Status::OK();
+}
+
+// PutCell's type check: the attributes of `src` fill the output
+// attributes from `first` on, so each must match the one it fills.
+Status CheckSource(const ArraySchema& schema, const Chunk& src,
+                   size_t first) {
+  for (size_t at = 0; at < src.nattrs(); ++at) {
+    const AttributeDesc& want = schema.attr(first + at);
+    if (src.block(at).type() != want.type ||
+        src.block(at).uncertain() != want.uncertain) {
+      std::string msg = "source cell type differs from attribute '";
+      msg += want.name;
+      msg += "'";
+      return Status::Invalid(msg);
+    }
+  }
+  return Status::OK();
+}
+
+// Both PutCell forms: `src2` is null for a single source cell.
+Status PutCellFrom(const Coordinates& c, const Chunk& src, int64_t rank,
+                   const Chunk* src2, int64_t rank2, MemArray* out) {
+  const ArraySchema& schema = out->schema();
+  const size_t n = src.nattrs();
+  RETURN_NOT_OK(
+      CheckCell(schema, c, n + (src2 == nullptr ? 0 : src2->nattrs())));
+  RETURN_NOT_OK(CheckSource(schema, src, 0));
+  if (src2 != nullptr) RETURN_NOT_OK(CheckSource(schema, *src2, n));
+  Chunk* dst = out->GetOrCreateChunk(out->ChunkOriginFor(c));
+  const int64_t d = RankInBox(dst->box(), c);
+  for (size_t at = 0; at < n; ++at) {
+    dst->block(at).CopyCell(src.block(at), rank, d);
+  }
+  if (src2 != nullptr) {
+    for (size_t at = 0; at < src2->nattrs(); ++at) {
+      dst->block(n + at).CopyCell(src2->block(at), rank2, d);
+    }
+  }
+  dst->MarkPresent(d);
+  return Status::OK();
 }
 
 }  // namespace
@@ -104,19 +166,7 @@ const Chunk* MemArray::FindChunk(const Coordinates& origin) const {
 
 Status MemArray::SetCell(const Coordinates& c,
                          const std::vector<Value>& values) {
-  if (c.size() != schema_.ndims()) {
-    return Status::Invalid("coordinate arity " + std::to_string(c.size()) +
-                           " != ndims " + std::to_string(schema_.ndims()));
-  }
-  if (!schema_.ContainsCoords(c)) {
-    return Status::OutOfRange("cell " + CoordsToString(c) +
-                              " outside bounds of array '" + schema_.name() +
-                              "'");
-  }
-  if (values.size() != schema_.nattrs()) {
-    return Status::Invalid("value arity " + std::to_string(values.size()) +
-                           " != nattrs " + std::to_string(schema_.nattrs()));
-  }
+  RETURN_NOT_OK(CheckCell(schema_, c, values.size()));
   GetOrCreateChunk(ChunkOriginFor(c))->SetCell(c, values);
   return Status::OK();
 }
@@ -225,6 +275,16 @@ Status CopyCells(const Chunk& src, const Box& region, MemArray* out) {
       if (d == 0) return Status::OK();
     }
   }
+}
+
+Status PutCell(const Coordinates& c, const Chunk& src, int64_t rank,
+               MemArray* out) {
+  return PutCellFrom(c, src, rank, nullptr, 0, out);
+}
+
+Status PutCell(const Coordinates& c, const Chunk& src, int64_t rank,
+               const Chunk& src2, int64_t rank2, MemArray* out) {
+  return PutCellFrom(c, src, rank, &src2, rank2, out);
 }
 
 }  // namespace scidb

@@ -94,6 +94,19 @@ class MemArray {
 // schema's bounds.
 Status CopyCells(const Chunk& src, const Box& region, MemArray* out);
 
+// The remapping twin of CopyCells: writes cell `c` of `out` from the
+// attributes of cell `rank` of `src` — followed, in the join form, by
+// those of cell `rank2` of `src2` — with typed cell copies: the same
+// result as out->SetCell(c, values) with the values read from those
+// cells, without boxing a Value. Each source attribute must have the type
+// and uncertainty of the output attribute it fills (Invalid otherwise).
+// Fails as SetCell does: Invalid on coordinate or attribute arity,
+// OutOfRange outside the schema's bounds.
+Status PutCell(const Coordinates& c, const Chunk& src, int64_t rank,
+               MemArray* out);
+Status PutCell(const Coordinates& c, const Chunk& src, int64_t rank,
+               const Chunk& src2, int64_t rank2, MemArray* out);
+
 }  // namespace scidb
 
 #endif  // SCIDB_ARRAY_MEM_ARRAY_H_

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/macros.h"
+#include "exec/parallel.h"
 
 namespace scidb {
 
@@ -36,35 +37,26 @@ Result<MemArray> Composite(const std::vector<const MemArray*>& passes,
 
   // For each cell present in any pass, keep the tuple with the minimal
   // criterion. Passes are scanned in order; ties keep the earlier pass
-  // (deterministic).
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
+  // (deterministic). A first sighting is kept even with a NULL criterion,
+  // until a real one arrives.
   for (const MemArray* p : passes) {
-    p->ForEachCell([&](const Coordinates& c, const Chunk& chunk,
-                       int64_t rank) {
-      Value candidate = chunk.block(crit).Get(rank);
-      auto existing = out.GetCell(c);
-      if (existing.has_value()) {
-        const Value& best = (*existing)[crit];
-        // NULL criterion never wins over a real one.
-        if (candidate.is_null()) return true;
-        if (!best.is_null() && !candidate.LessThan(best)) return true;
-      } else if (candidate.is_null()) {
-        // First sighting with NULL criterion: keep it until a real one.
-      }
-      cell.clear();
-      for (size_t a = 0; a < chunk.nattrs(); ++a) {
-        cell.push_back(chunk.block(a).Get(rank));
-      }
-      st = out.SetCell(c, cell);
-      if (!st.ok()) {
-        failed = true;
-        return false;
-      }
-      return true;
-    });
-    if (failed) return st;
+    // Cooking runs outside a query: no cancel flag to poll.
+    RETURN_NOT_OK(WalkCells(
+        ExecContext{}, *p,
+        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+          const Chunk* held = out.FindChunk(out.ChunkOriginFor(c));
+          if (held != nullptr && held->IsPresentAt(c)) {
+            const Value candidate = chunk.block(crit).Get(rank);
+            const Value best =
+                held->block(crit).Get(RankInBox(held->box(), c));
+            // NULL criterion never wins over a real one.
+            if (candidate.is_null()) return Status::OK();
+            if (!best.is_null() && !candidate.LessThan(best)) {
+              return Status::OK();
+            }
+          }
+          return PutCell(c, chunk, rank, &out);
+        }));
   }
   return out;
 }

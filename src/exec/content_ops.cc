@@ -31,11 +31,14 @@ Result<MemArray> Filter(const ExecContext& ctx, const MemArray& a,
 
 // ------------------------------------------------------------- Aggregate
 
-AttributeDesc AggOutputAttr(const std::string& agg) {
+AttributeDesc AggOutputAttr(const std::string& agg, const AttributeDesc& in) {
   if (agg == "count") return {agg, DataType::kInt64, true, false};
   if (agg == "usum" || agg == "uavg") {
     return {agg, DataType::kDouble, true, true};
   }
+  // min/max return one of their inputs: a string stays a string, an
+  // int64 above 2^53 stays exact.
+  if (agg == "min" || agg == "max") return {agg, in.type, true, false};
   return {agg, DataType::kDouble, true, false};
 }
 
@@ -47,7 +50,8 @@ Result<MemArray> Aggregate(const ExecContext& ctx, const MemArray& a,
   ASSIGN_OR_RETURN(
       GroupedAggregate core,
       GroupedAggregate::ByDims(ctx, a.schema(), group_dims, {{agg, attr}}));
-  return core.Run(ctx, a, a.schema().name() + "_agg", {AggOutputAttr(agg)});
+  return core.Run(ctx, a, a.schema().name() + "_agg",
+                  {AggOutputAttr(agg, core.input(0))});
 }
 
 Result<MemArray> AggregateMulti(const ExecContext& ctx, const MemArray& a,
@@ -58,8 +62,9 @@ Result<MemArray> AggregateMulti(const ExecContext& ctx, const MemArray& a,
       GroupedAggregate::ByDims(ctx, a.schema(), group_dims, calls));
   std::vector<AttributeDesc> out_attrs;
   std::set<std::string> used_names;
-  for (const AggCall& call : calls) {
-    AttributeDesc desc = AggOutputAttr(call.agg);
+  for (size_t k = 0; k < calls.size(); ++k) {
+    const AggCall& call = calls[k];
+    AttributeDesc desc = AggOutputAttr(call.agg, core.input(k));
     if (call.attr != "*") desc.name = call.agg + "_" + call.attr;
     while (!used_names.insert(desc.name).second) desc.name += "_2";
     out_attrs.push_back(std::move(desc));
@@ -75,12 +80,7 @@ Result<MemArray> Cjoin(const ExecContext& ctx, const MemArray& a,
   const ArraySchema& sa = a.schema();
   const ArraySchema& sb = b.schema();
 
-  std::vector<DimensionDesc> dims = sa.dims();
-  for (DimensionDesc d : sb.dims()) {
-    while (sa.DimIndex(d.name).ok()) d.name += "_2";
-    dims.push_back(std::move(d));
-  }
-  ArraySchema out_schema(sa.name() + "_cjoin", std::move(dims),
+  ArraySchema out_schema(sa.name() + "_cjoin", MergeDims(sa.dims(), sb.dims()),
                          MergeAttrs(sa.attrs(), sb.attrs()));
   MemArray out(out_schema);
 
@@ -91,48 +91,35 @@ Result<MemArray> Cjoin(const ExecContext& ctx, const MemArray& a,
   ectx.sides.push_back({&sa, &ca_bound, &va});
   ectx.sides.push_back({&sb, &cb_bound, &vb});
 
-  std::vector<Value> nulls(out_schema.nattrs());
-  Status st;
-  bool failed = false;
-  a.ForEachCell([&](const Coordinates& ca, const Chunk& ach, int64_t ar) {
-    va.clear();
-    for (size_t at = 0; at < ach.nattrs(); ++at) {
-      va.push_back(ach.block(at).Get(ar));
-    }
-    ca_bound = ca;
-    b.ForEachCell([&](const Coordinates& cb, const Chunk& bch, int64_t br) {
-      if (ctx.stats != nullptr) ++ctx.stats->cells_visited;
-      vb.clear();
-      for (size_t at = 0; at < bch.nattrs(); ++at) {
-        vb.push_back(bch.block(at).Get(br));
-      }
-      cb_bound = cb;
-      auto ok = pred->Eval(ectx);
-      if (!ok.ok()) {
-        st = ok.status();
-        failed = true;
-        return false;
-      }
-      bool match = ok.value().is_bool() && ok.value().bool_value();
-      Coordinates oc = ca;
-      oc.insert(oc.end(), cb.begin(), cb.end());
-      if (match) {
-        std::vector<Value> cell = va;
-        cell.insert(cell.end(), vb.begin(), vb.end());
-        st = out.SetCell(oc, cell);
-      } else {
-        // Figure 3: non-matching positions hold NULL.
-        st = out.SetCell(oc, nulls);
-      }
-      if (!st.ok()) {
-        failed = true;
-        return false;
-      }
-      return true;
-    });
-    return !failed;
-  });
-  if (failed) return st;
+  const std::vector<Value> nulls(out_schema.nattrs());
+  RETURN_NOT_OK(WalkCells(
+      ctx, a, [&](const Coordinates& ca, const Chunk& ach, int64_t ar) {
+        // The predicate reads boxed rows; the matched tuple is copied typed.
+        va.clear();
+        for (size_t at = 0; at < ach.nattrs(); ++at) {
+          va.push_back(ach.block(at).Get(ar));
+        }
+        ca_bound = ca;
+        return WalkCells(
+            ctx, b,
+            [&](const Coordinates& cb, const Chunk& bch,
+                int64_t br) -> Status {
+              if (ctx.stats != nullptr) ++ctx.stats->cells_visited;
+              vb.clear();
+              for (size_t at = 0; at < bch.nattrs(); ++at) {
+                vb.push_back(bch.block(at).Get(br));
+              }
+              cb_bound = cb;
+              ASSIGN_OR_RETURN(Value match, pred->Eval(ectx));
+              Coordinates oc = ca;
+              oc.insert(oc.end(), cb.begin(), cb.end());
+              if (match.is_bool() && match.bool_value()) {
+                return PutCell(oc, ach, ar, bch, br, &out);
+              }
+              // Figure 3: non-matching positions hold NULL.
+              return out.SetCell(oc, nulls);
+            });
+      }));
   return out;
 }
 
@@ -207,7 +194,8 @@ Result<MemArray> Regrid(const ExecContext& ctx, const MemArray& a,
   ASSIGN_OR_RETURN(
       GroupedAggregate core,
       GroupedAggregate::ByBlocks(ctx, a.schema(), factors, {{agg, attr}}));
-  return core.Run(ctx, a, a.schema().name() + "_regrid", {AggOutputAttr(agg)});
+  return core.Run(ctx, a, a.schema().name() + "_regrid",
+                  {AggOutputAttr(agg, core.input(0))});
 }
 
 }  // namespace scidb

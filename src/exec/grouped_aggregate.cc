@@ -24,9 +24,12 @@ Result<GroupedAggregate> GroupedAggregate::Bind(
     size_t ai = 0;  // "*" = first attribute
     if (call.attr != "*") {
       ASSIGN_OR_RETURN(ai, in.AttrIndex(call.attr));
+    } else if (in.nattrs() == 0) {
+      return Status::Invalid("Aggregate: input has no attributes");
     }
     g.fns_.push_back(fn);
     g.attr_idx_.push_back(ai);
+    g.inputs_.push_back(in.attr(ai));
   }
   return g;
 }

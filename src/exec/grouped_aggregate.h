@@ -46,6 +46,8 @@ class GroupedAggregate {
   Result<MemArray> Finish(std::vector<Groups> parts,
                           const std::string& out_name,
                           std::vector<AttributeDesc> out_attrs) const;
+  // The input attribute of call `k` (the first attribute for "*").
+  const AttributeDesc& input(size_t k) const { return inputs_[k]; }
   // Accumulates each chunk of `in` as its own part, morsel-parallel on
   // ctx.pool at every width, then Finish()es in chunk-map order.
   Result<MemArray> Run(const ExecContext& ctx, const MemArray& in,
@@ -69,6 +71,7 @@ class GroupedAggregate {
 
   std::vector<const AggregateFunction*> fns_;
   std::vector<size_t> attr_idx_;
+  std::vector<AttributeDesc> inputs_;
   std::vector<KeyTerm> terms_;  // empty = grand aggregate
   std::vector<DimensionDesc> out_dims_;
 };

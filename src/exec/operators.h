@@ -40,8 +40,9 @@ struct ExecContext {
   // or width-1 runs the serial path. Non-owning (Session owns it).
   ThreadPool* pool = nullptr;
   // Query-server hooks (DESIGN.md §15), all optional and non-owning.
-  // `cancel` is checked before every morsel (parallel and serial paths):
-  // once set, the operator aborts with Cancelled within one morsel.
+  // `cancel` is checked before every morsel (parallel and serial paths)
+  // and before every input chunk of a serial cell walk (WalkCells): once
+  // set, the operator aborts with Cancelled within one chunk.
   const std::atomic<bool>* cancel = nullptr;
   // Fair-scheduling gate: morsels dispatch in bounded slices so the
   // shared pool time-slices across concurrent queries.
@@ -169,14 +170,17 @@ Result<MemArray> WindowAggregate(const ExecContext& ctx, const MemArray& a,
 
 // ========================= helpers shared by ops =========================
 
-// Merges attribute lists for join outputs, renaming collisions from B by
-// appending "_2".
+// Merge attribute (dimension) lists for join outputs: A's, then B's, each
+// of B's names suffixed with "_2" until no earlier output name equals it.
 std::vector<AttributeDesc> MergeAttrs(const std::vector<AttributeDesc>& a,
                                       const std::vector<AttributeDesc>& b);
+std::vector<DimensionDesc> MergeDims(const std::vector<DimensionDesc>& a,
+                                     const std::vector<DimensionDesc>& b);
 
-// The output attribute produced by aggregate `agg` (count -> int64,
-// usum/uavg -> uncertain double, everything else -> double).
-AttributeDesc AggOutputAttr(const std::string& agg);
+// The output attribute produced by aggregate `agg` over attribute `in`
+// (count -> int64, usum/uavg -> uncertain double, min/max -> in's type,
+// everything else -> double).
+AttributeDesc AggOutputAttr(const std::string& agg, const AttributeDesc& in);
 
 }  // namespace scidb
 

@@ -31,6 +31,8 @@ void FoldStats(const ExecContext& ctx, const std::vector<ExecStats>& slots,
   }
 }
 
+}  // namespace
+
 bool Cancelled(const ExecContext& ctx) {
   return ctx.cancel != nullptr &&
          ctx.cancel->load(std::memory_order_acquire);
@@ -39,8 +41,6 @@ bool Cancelled(const ExecContext& ctx) {
 Status CancelledStatus() {
   return Status::Cancelled("query cancelled");
 }
-
-}  // namespace
 
 Status ForEachChunkParallel(const ExecContext& ctx, const MemArray& in,
                             const ChunkBody& body) {

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "array/mem_array.h"
+#include "common/macros.h"
 #include "common/result.h"
 #include "exec/operators.h"
 
@@ -17,6 +18,28 @@ namespace scidb {
 // own per-morsel slot. Result assembly is always single-threaded and in
 // chunk-map (origin) order, which makes output — including every
 // floating-point merge — independent of the pool width.
+
+// The one cancel check of every operator path: true once ctx.cancel is
+// set. ForEachChunkParallel polls it before each morsel, WalkCells before
+// each input chunk; a cancelled operator returns CancelledStatus().
+[[nodiscard]] bool Cancelled(const ExecContext& ctx);
+Status CancelledStatus();
+
+// The serial cell walk of the remapping operators: calls
+// fn(coords, chunk, rank) -> Status on every present cell of `in` in
+// (chunk, row-major) order, polling Cancelled() before each chunk, and
+// stops at the first error.
+template <typename Fn>
+[[nodiscard]] Status WalkCells(const ExecContext& ctx, const MemArray& in,
+                               Fn&& fn) {
+  for (const auto& [origin, chunk] : in.chunks()) {
+    if (Cancelled(ctx)) return CancelledStatus();
+    for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
+      RETURN_NOT_OK(fn(it.coords(), *chunk, it.rank()));
+    }
+  }
+  return Status::OK();
+}
 
 // Per-chunk body for ForEachChunkParallel. `index` is the chunk's position
 // in the input's sorted chunk map (the serial visitation order); `stats`

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstddef>
 #include <map>
 #include <set>
 
@@ -8,17 +9,34 @@
 
 namespace scidb {
 
-std::vector<AttributeDesc> MergeAttrs(const std::vector<AttributeDesc>& a,
-                                      const std::vector<AttributeDesc>& b) {
-  std::vector<AttributeDesc> out = a;
+namespace {
+
+// `a` then `b`, each name of `b` suffixed with "_2" until it differs from
+// every name already in the output.
+template <typename Named>
+std::vector<Named> MergeNamed(const std::vector<Named>& a,
+                              const std::vector<Named>& b) {
+  std::vector<Named> out = a;
   std::set<std::string> names;
   for (const auto& x : a) names.insert(x.name);
-  for (AttributeDesc x : b) {
+  for (Named x : b) {
     while (names.count(x.name)) x.name += "_2";
     names.insert(x.name);
     out.push_back(std::move(x));
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<AttributeDesc> MergeAttrs(const std::vector<AttributeDesc>& a,
+                                      const std::vector<AttributeDesc>& b) {
+  return MergeNamed(a, b);
+}
+
+std::vector<DimensionDesc> MergeDims(const std::vector<DimensionDesc>& a,
+                                     const std::vector<DimensionDesc>& b) {
+  return MergeNamed(a, b);
 }
 
 // ------------------------------------------------------------- Subsample
@@ -112,7 +130,6 @@ bool Exists(const MemArray& a, const Coordinates& c) { return a.Exists(c); }
 Result<MemArray> Reshape(const ExecContext& ctx, const MemArray& a,
                          const std::vector<std::string>& dim_order,
                          std::vector<DimensionDesc> new_dims) {
-  (void)ctx;
   const ArraySchema& schema = a.schema();
   if (dim_order.size() != schema.ndims()) {
     return Status::Invalid("Reshape: dim_order must list all " +
@@ -151,26 +168,13 @@ Result<MemArray> Reshape(const ExecContext& ctx, const MemArray& a,
 
   MemArray out(out_schema);
   Coordinates pc(perm.size());
-  std::vector<Value> cell;
-  bool failed = false;
-  Status st;
-  a.ForEachCell([&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-    // Linear index under the requested iteration order.
-    for (size_t i = 0; i < perm.size(); ++i) pc[i] = c[perm[i]];
-    int64_t lin = RankInBox(perm_box, pc);
-    Coordinates oc = UnrankInBox(out_box, lin);
-    cell.clear();
-    for (size_t at = 0; at < chunk.nattrs(); ++at) {
-      cell.push_back(chunk.block(at).Get(rank));
-    }
-    st = out.SetCell(oc, cell);
-    if (!st.ok()) {
-      failed = true;
-      return false;
-    }
-    return true;
-  });
-  if (failed) return st;
+  RETURN_NOT_OK(WalkCells(
+      ctx, a, [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+        // Linear index under the requested iteration order.
+        for (size_t i = 0; i < perm.size(); ++i) pc[i] = c[perm[i]];
+        return PutCell(UnrankInBox(out_box, RankInBox(perm_box, pc)), chunk,
+                       rank, &out);
+      }));
   return out;
 }
 
@@ -179,7 +183,6 @@ Result<MemArray> Reshape(const ExecContext& ctx, const MemArray& a,
 Result<MemArray> Sjoin(
     const ExecContext& ctx, const MemArray& a, const MemArray& b,
     const std::vector<std::pair<std::string, std::string>>& dim_pairs) {
-  (void)ctx;
   if (dim_pairs.empty()) {
     return Status::Invalid("Sjoin: need at least one dimension pair");
   }
@@ -199,59 +202,44 @@ Result<MemArray> Sjoin(
   }
 
   // Output: all of A's dims, then B's un-joined dims.
-  std::vector<DimensionDesc> out_dims = sa.dims();
   std::vector<size_t> b_free;
+  std::vector<DimensionDesc> free_dims;
   for (size_t d = 0; d < sb.ndims(); ++d) {
     if (!b_seen.count(d)) {
       b_free.push_back(d);
-      DimensionDesc dd = sb.dim(d);
-      // Rename on collision with any A dim.
-      while (sa.DimIndex(dd.name).ok()) dd.name += "_2";
-      out_dims.push_back(dd);
+      free_dims.push_back(sb.dim(d));
     }
   }
-  ArraySchema out_schema(sa.name() + "_sjoin", std::move(out_dims),
+  ArraySchema out_schema(sa.name() + "_sjoin", MergeDims(sa.dims(), free_dims),
                          MergeAttrs(sa.attrs(), sb.attrs()));
   MemArray out(out_schema);
 
   // Hash B's present cells by their joined-dimension values.
   std::map<Coordinates, std::vector<std::pair<const Chunk*, int64_t>>>
       b_index;
-  b.ForEachCell([&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-    Coordinates key(b_join.size());
-    for (size_t i = 0; i < b_join.size(); ++i) key[i] = c[b_join[i]];
-    b_index[key].push_back({&chunk, rank});
-    return true;
-  });
+  RETURN_NOT_OK(WalkCells(
+      ctx, b, [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+        Coordinates key(b_join.size());
+        for (size_t i = 0; i < b_join.size(); ++i) key[i] = c[b_join[i]];
+        b_index[key].push_back({&chunk, rank});
+        return Status::OK();
+      }));
 
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
-  a.ForEachCell([&](const Coordinates& ca, const Chunk& ach, int64_t arank) {
-    Coordinates key(a_join.size());
-    for (size_t i = 0; i < a_join.size(); ++i) key[i] = ca[a_join[i]];
-    auto it = b_index.find(key);
-    if (it == b_index.end()) return true;
-    for (const auto& [bch, brank] : it->second) {
-      Coordinates cb = UnrankInBox(bch->box(), brank);
-      Coordinates oc = ca;
-      for (size_t f : b_free) oc.push_back(cb[f]);
-      cell.clear();
-      for (size_t at = 0; at < ach.nattrs(); ++at) {
-        cell.push_back(ach.block(at).Get(arank));
-      }
-      for (size_t at = 0; at < bch->nattrs(); ++at) {
-        cell.push_back(bch->block(at).Get(brank));
-      }
-      st = out.SetCell(oc, cell);
-      if (!st.ok()) {
-        failed = true;
-        return false;
-      }
-    }
-    return true;
-  });
-  if (failed) return st;
+  Coordinates key(a_join.size());
+  RETURN_NOT_OK(WalkCells(
+      ctx, a,
+      [&](const Coordinates& ca, const Chunk& ach, int64_t arank) -> Status {
+        for (size_t i = 0; i < a_join.size(); ++i) key[i] = ca[a_join[i]];
+        auto it = b_index.find(key);
+        if (it == b_index.end()) return Status::OK();
+        for (const auto& [bch, brank] : it->second) {
+          Coordinates cb = UnrankInBox(bch->box(), brank);
+          Coordinates oc = ca;
+          for (size_t f : b_free) oc.push_back(cb[f]);
+          RETURN_NOT_OK(PutCell(oc, ach, arank, *bch, brank, &out));
+        }
+        return Status::OK();
+      }));
   return out;
 }
 
@@ -259,7 +247,6 @@ Result<MemArray> Sjoin(
 
 Result<MemArray> AddDimension(const ExecContext& ctx, const MemArray& a,
                               const std::string& name) {
-  (void)ctx;
   if (a.schema().DimIndex(name).ok() || a.schema().AttrIndex(name).ok()) {
     return Status::Invalid("AddDimension: name '" + name +
                            "' already in use");
@@ -269,30 +256,16 @@ Result<MemArray> AddDimension(const ExecContext& ctx, const MemArray& a,
   ArraySchema out_schema(a.schema().name() + "_adddim", std::move(dims),
                          a.schema().attrs());
   MemArray out(out_schema);
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
-  a.ForEachCell([&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-    Coordinates oc = c;
-    oc.push_back(1);
-    cell.clear();
-    for (size_t at = 0; at < chunk.nattrs(); ++at) {
-      cell.push_back(chunk.block(at).Get(rank));
-    }
-    st = out.SetCell(oc, cell);
-    if (!st.ok()) {
-      failed = true;
-      return false;
-    }
-    return true;
-  });
-  if (failed) return st;
+  RETURN_NOT_OK(WalkCells(
+      ctx, a, [&](Coordinates c, const Chunk& chunk, int64_t rank) {
+        c.push_back(1);
+        return PutCell(c, chunk, rank, &out);
+      }));
   return out;
 }
 
 Result<MemArray> RemoveDimension(const ExecContext& ctx, const MemArray& a,
                                  const std::string& name) {
-  (void)ctx;
   ASSIGN_OR_RETURN(size_t di, a.schema().DimIndex(name));
   if (a.schema().ndims() == 1) {
     return Status::Invalid("RemoveDimension: cannot remove the only "
@@ -305,34 +278,16 @@ Result<MemArray> RemoveDimension(const ExecContext& ctx, const MemArray& a,
   ArraySchema out_schema(a.schema().name() + "_rmdim", std::move(dims),
                          a.schema().attrs());
   MemArray out(out_schema);
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
-  a.ForEachCell([&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-    Coordinates oc;
-    oc.reserve(c.size() - 1);
-    for (size_t d = 0; d < c.size(); ++d) {
-      if (d != di) oc.push_back(c[d]);
-    }
-    if (out.Exists(oc)) {
-      st = Status::Invalid(
-          "RemoveDimension: removing '" + name +
-          "' collapses distinct cells onto " + CoordsToString(oc));
-      failed = true;
-      return false;
-    }
-    cell.clear();
-    for (size_t at = 0; at < chunk.nattrs(); ++at) {
-      cell.push_back(chunk.block(at).Get(rank));
-    }
-    st = out.SetCell(oc, cell);
-    if (!st.ok()) {
-      failed = true;
-      return false;
-    }
-    return true;
-  });
-  if (failed) return st;
+  RETURN_NOT_OK(WalkCells(
+      ctx, a, [&](Coordinates c, const Chunk& chunk, int64_t rank) {
+        c.erase(c.begin() + static_cast<std::ptrdiff_t>(di));
+        if (out.Exists(c)) {
+          return Status::Invalid(
+              "RemoveDimension: removing '" + name +
+              "' collapses distinct cells onto " + CoordsToString(c));
+        }
+        return PutCell(c, chunk, rank, &out);
+      }));
   return out;
 }
 
@@ -340,7 +295,6 @@ Result<MemArray> RemoveDimension(const ExecContext& ctx, const MemArray& a,
 
 Result<MemArray> Concat(const ExecContext& ctx, const MemArray& a,
                         const MemArray& b, const std::string& dim) {
-  (void)ctx;
   const ArraySchema& sa = a.schema();
   const ArraySchema& sb = b.schema();
   if (!(sa == sb)) {
@@ -361,29 +315,15 @@ Result<MemArray> Concat(const ExecContext& ctx, const MemArray& a,
   ArraySchema out_schema(sa.name() + "_concat", std::move(dims), sa.attrs());
   MemArray out(out_schema);
 
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
-  auto copy_all = [&](const MemArray& src, int64_t delta) {
-    src.ForEachCell(
-        [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-          Coordinates oc = c;
-          oc[di] += delta;
-          cell.clear();
-          for (size_t at = 0; at < chunk.nattrs(); ++at) {
-            cell.push_back(chunk.block(at).Get(rank));
-          }
-          st = out.SetCell(oc, cell);
-          if (!st.ok()) {
-            failed = true;
-            return false;
-          }
-          return true;
+  auto shifted = [&](const MemArray& src, int64_t delta) {
+    return WalkCells(
+        ctx, src, [&](Coordinates c, const Chunk& chunk, int64_t rank) {
+          c[di] += delta;
+          return PutCell(c, chunk, rank, &out);
         });
   };
-  copy_all(a, 0);
-  if (!failed) copy_all(b, shift);
-  if (failed) return st;
+  RETURN_NOT_OK(shifted(a, 0));
+  RETURN_NOT_OK(shifted(b, shift));
   return out;
 }
 
@@ -391,42 +331,20 @@ Result<MemArray> Concat(const ExecContext& ctx, const MemArray& a,
 
 Result<MemArray> CrossProduct(const ExecContext& ctx, const MemArray& a,
                               const MemArray& b) {
-  (void)ctx;
   const ArraySchema& sa = a.schema();
   const ArraySchema& sb = b.schema();
-  std::vector<DimensionDesc> dims = sa.dims();
-  for (DimensionDesc d : sb.dims()) {
-    while (sa.DimIndex(d.name).ok()) d.name += "_2";
-    dims.push_back(std::move(d));
-  }
-  ArraySchema out_schema(sa.name() + "_cross", std::move(dims),
+  ArraySchema out_schema(sa.name() + "_cross", MergeDims(sa.dims(), sb.dims()),
                          MergeAttrs(sa.attrs(), sb.attrs()));
   MemArray out(out_schema);
-
-  Status st;
-  bool failed = false;
-  std::vector<Value> cell;
-  a.ForEachCell([&](const Coordinates& ca, const Chunk& ach, int64_t ar) {
-    b.ForEachCell([&](const Coordinates& cb, const Chunk& bch, int64_t br) {
-      Coordinates oc = ca;
-      oc.insert(oc.end(), cb.begin(), cb.end());
-      cell.clear();
-      for (size_t at = 0; at < ach.nattrs(); ++at) {
-        cell.push_back(ach.block(at).Get(ar));
-      }
-      for (size_t at = 0; at < bch.nattrs(); ++at) {
-        cell.push_back(bch.block(at).Get(br));
-      }
-      st = out.SetCell(oc, cell);
-      if (!st.ok()) {
-        failed = true;
-        return false;
-      }
-      return true;
-    });
-    return !failed;
-  });
-  if (failed) return st;
+  RETURN_NOT_OK(WalkCells(
+      ctx, a, [&](const Coordinates& ca, const Chunk& ach, int64_t ar) {
+        return WalkCells(
+            ctx, b, [&](const Coordinates& cb, const Chunk& bch, int64_t br) {
+              Coordinates oc = ca;
+              oc.insert(oc.end(), cb.begin(), cb.end());
+              return PutCell(oc, ach, ar, bch, br, &out);
+            });
+      }));
   return out;
 }
 

@@ -22,10 +22,12 @@ Result<MemArray> WindowAggregate(const ExecContext& ctx, const MemArray& a,
   size_t attr_idx = 0;
   if (attr != "*") {
     ASSIGN_OR_RETURN(attr_idx, schema.AttrIndex(attr));
+  } else if (schema.nattrs() == 0) {
+    return Status::Invalid("WindowAggregate: input has no attributes");
   }
 
   ArraySchema out_schema(schema.name() + "_window", schema.dims(),
-                         {AggOutputAttr(agg)});
+                         {AggOutputAttr(agg, schema.attr(attr_idx))});
   MemArray out(out_schema);
 
   // For each present cell, accumulate over the window box. The window is
@@ -57,12 +59,18 @@ Result<MemArray> WindowAggregate(const ExecContext& ctx, const MemArray& a,
               window.high[d] = std::min(window.high[d], schema.dim(d).high);
             }
           }
+          // Only the aggregated attribute is read from each neighbour;
+          // most neighbours share the cell's own chunk.
           auto state = afn->NewState();
           Coordinates probe = window.low;
           do {
-            auto cell = a.GetCell(probe);
-            if (cell.has_value()) {
-              RETURN_NOT_OK(state->Accumulate((*cell)[attr_idx]));
+            const Chunk* nb = chunk.box().Contains(probe)
+                                  ? &chunk
+                                  : a.FindChunk(a.ChunkOriginFor(probe));
+            if (nb == nullptr || !nb->box().Contains(probe)) continue;
+            const int64_t r = RankInBox(nb->box(), probe);
+            if (nb->IsPresent(r)) {
+              RETURN_NOT_OK(state->Accumulate(nb->block(attr_idx).Get(r)));
             }
           } while (NextInBox(window, &probe));
           oc->block(0).Set(it.rank(), state->Finalize());

@@ -790,7 +790,7 @@ Result<MemArray> DistributedArray::ParallelAggregate(
         return Status::OK();
       }));
   return core.Finish(std::move(node_groups), schema_.name() + "_agg",
-                     {AggOutputAttr(agg)});
+                     {AggOutputAttr(agg, core.input(0))});
 }
 
 Result<MemArray> DistributedArray::ParallelSubsample(const ExecContext& ctx,
@@ -893,36 +893,31 @@ Result<int64_t> DistributedArray::ReplicateBoundaries(
   // no node reads back a ghost it just received.
   std::vector<MemArray> ghosts(static_cast<size_t>(num_nodes()),
                                MemArray(schema_));
-  Status st;
   for (int node = 0; node < num_nodes(); ++node) {
     ASSIGN_OR_RETURN(MemArray shard, FetchShard(node, nullptr, {}, -1, {},
                                                 net_opts_.call));
-    std::vector<Value> cell;
-    shard.ForEachCell([&](const Coordinates& c, const Chunk& chunk,
-                          int64_t rank) {
-      for (int64_t b : range->boundaries()) {
-        // Cells within the error bound of boundary b may actually belong
-        // to the other side; replicate there (paper: "redundantly place
-        // an observation in multiple partitions").
-        if (c[dim] >= b - max_position_error &&
-            c[dim] <= b + max_position_error - 1) {
+    for (const auto& [origin, chunk] : shard.chunks()) {
+      for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
+        const Coordinates c = it.coords();
+        for (int64_t b : range->boundaries()) {
+          // Cells within the error bound of boundary b may actually
+          // belong to the other side; replicate there (paper:
+          // "redundantly place an observation in multiple partitions").
+          if (c[dim] < b - max_position_error ||
+              c[dim] > b + max_position_error - 1) {
+            continue;
+          }
           // Destination: the partition on the other side of b.
           Coordinates probe = c;
           probe[dim] = c[dim] < b ? b : b - 1;
           int dest = partitioner_->NodeFor(probe, 0);
           if (dest == node) continue;
-          cell.clear();
-          for (size_t a = 0; a < chunk.nattrs(); ++a) {
-            cell.push_back(chunk.block(a).Get(rank));
-          }
-          st = ghosts[static_cast<size_t>(dest)].SetCell(c, cell);
-          if (!st.ok()) return false;
+          RETURN_NOT_OK(PutCell(c, *chunk, it.rank(),
+                                &ghosts[static_cast<size_t>(dest)]));
           ++replicated;
         }
       }
-      return true;
-    });
-    RETURN_NOT_OK(st);
+    }
   }
   // Replica placement is a write like any other: through the wire.
   for (int dest = 0; dest < num_nodes(); ++dest) {

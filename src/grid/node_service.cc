@@ -71,14 +71,7 @@ Result<std::vector<uint8_t>> GridNodeService::ChunkPut(
   // The first write's epoch sticks, like the coordinator's directory:
   // a replayed or later write never moves the chunk's placement order.
   epoch_.emplace(shard_.ChunkOriginFor(chunk.box().low), req.time);
-  std::vector<Value> cell;
-  for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
-    cell.clear();
-    for (size_t a = 0; a < chunk.nattrs(); ++a) {
-      cell.push_back(chunk.block(a).Get(it.rank()));
-    }
-    RETURN_NOT_OK(shard_.SetCell(it.coords(), cell));
-  }
+  RETURN_NOT_OK(CopyCells(chunk, chunk.box(), &shard_));
   return std::vector<uint8_t>{};  // empty ack
 }
 

@@ -170,5 +170,36 @@ TEST_F(ExecEdgeTest, NegativeAndZeroCoordinatesViaTranslatedSchemas) {
   EXPECT_EQ((*agg.GetCell({1}))[0].double_value(), 0.0);
 }
 
+// B's dimensions are renamed against every name already in the output,
+// not only A's: A[X] x B[X, X_2] must not emit X_2 twice.
+TEST_F(ExecEdgeTest, JoinOutputsHaveDistinctDimensionNames) {
+  const AttributeDesc v{"v", DataType::kDouble, true, false};
+  const AttributeDesc w{"w", DataType::kDouble, true, false};
+  MemArray a(ArraySchema("A", {{"X", 1, 2, 2}}, {v}));
+  MemArray b(ArraySchema("B", {{"X", 1, 2, 2}, {"X_2", 1, 2, 2}}, {w}));
+  MemArray a2(ArraySchema("A", {{"Y", 1, 2, 2}, {"X", 1, 2, 2}}, {v}));
+  MemArray b3(ArraySchema(
+      "B", {{"Y", 1, 2, 2}, {"X", 1, 2, 2}, {"X_2", 1, 2, 2}}, {w}));
+  ASSERT_TRUE(a.SetCell({1}, Value(1.0)).ok());
+  ASSERT_TRUE(b.SetCell({2, 1}, Value(2.0)).ok());
+  ASSERT_TRUE(a2.SetCell({1, 2}, Value(3.0)).ok());
+  ASSERT_TRUE(b3.SetCell({1, 1, 2}, Value(4.0)).ok());
+
+  MemArray cross = CrossProduct(ctx_, a, b).ValueOrDie();
+  MemArray sjoin = Sjoin(ctx_, a2, b3, {{"Y", "Y"}}).ValueOrDie();
+  MemArray cjoin =
+      Cjoin(ctx_, a, b, Lt(Ref("v", 0), Ref("w", 1))).ValueOrDie();
+  for (const MemArray* out : {&cross, &sjoin, &cjoin}) {
+    EXPECT_TRUE(out->schema().Validate().ok()) << out->schema().ToString();
+  }
+  EXPECT_EQ(cross.schema().dim(1).name, "X_2");
+  EXPECT_EQ(cross.schema().dim(2).name, "X_2_2");
+  EXPECT_EQ(sjoin.schema().dim(2).name, "X_2");
+  EXPECT_EQ(sjoin.schema().dim(3).name, "X_2_2");
+  EXPECT_EQ((*cross.GetCell({1, 2, 1}))[1].double_value(), 2.0);
+  EXPECT_EQ((*sjoin.GetCell({1, 2, 1, 2}))[1].double_value(), 4.0);
+  EXPECT_EQ((*cjoin.GetCell({1, 2, 1}))[1].double_value(), 2.0);
+}
+
 }  // namespace
 }  // namespace scidb

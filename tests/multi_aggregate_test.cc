@@ -108,5 +108,49 @@ TEST_F(MultiAggregateTest, AvailableThroughAql) {
   EXPECT_EQ(row[2].int64_value(), 3);
 }
 
+// min/max return one of their inputs, so they keep the input's type: a
+// string stays a string and an int64 above 2^53 stays exact (as a
+// double both were lost: strings read 0, 2^53 + 1 rounded down).
+TEST_F(MultiAggregateTest, MinMaxKeepTheInputType) {
+  ArraySchema s("A", {{"x", 1, 4, 4}},
+                {{"name", DataType::kString, true, false},
+                 {"n", DataType::kInt64, true, false}});
+  MemArray a(s);
+  const int64_t big = 9007199254740993;  // 2^53 + 1
+  ASSERT_TRUE(a.SetCell({1}, {Value(std::string("kappa")), Value(big)}).ok());
+  ASSERT_TRUE(a.SetCell({2}, {Value(std::string("alpha")), Value(int64_t{7})})
+                  .ok());
+  ASSERT_TRUE(a.SetCell({3}, {Value(std::string("omega")), Value(int64_t{-2})})
+                  .ok());
+
+  MemArray lo = Aggregate(ctx_, a, {}, "min", "name").ValueOrDie();
+  EXPECT_EQ(lo.schema().attr(0).type, DataType::kString);
+  EXPECT_EQ((*lo.GetCell({1}))[0].string_value(), "alpha");
+  MemArray hi = Aggregate(ctx_, a, {}, "max", "n").ValueOrDie();
+  EXPECT_EQ((*hi.GetCell({1}))[0].int64_value(), big);
+
+  MemArray both = AggregateMulti(ctx_, a, {}, {{"max", "name"}, {"min", "n"}})
+                      .ValueOrDie();
+  EXPECT_EQ((*both.GetCell({1}))[0].string_value(), "omega");
+  EXPECT_EQ((*both.GetCell({1}))[1].int64_value(), -2);
+
+  MemArray win = WindowAggregate(ctx_, a, {1}, "min", "name").ValueOrDie();
+  EXPECT_EQ((*win.GetCell({1}))[0].string_value(), "alpha");
+  EXPECT_EQ((*win.GetCell({3}))[0].string_value(), "alpha");
+
+  MemArray grid = Regrid(ctx_, a, {2}, "max", "name").ValueOrDie();
+  EXPECT_EQ((*grid.GetCell({1}))[0].string_value(), "kappa");
+  EXPECT_EQ((*grid.GetCell({2}))[0].string_value(), "omega");
+
+  // Other aggregates still output double; a double input is unchanged.
+  EXPECT_EQ(Aggregate(ctx_, a, {}, "avg", "n").ValueOrDie().schema().attr(0)
+                .type,
+            DataType::kDouble);
+  EXPECT_EQ(Aggregate(ctx_, arr_, {}, "max", "a").ValueOrDie().schema()
+                .attr(0)
+                .type,
+            DataType::kDouble);
+}
+
 }  // namespace
 }  // namespace scidb

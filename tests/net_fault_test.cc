@@ -45,7 +45,9 @@ ScheduleResult RunSchedule(uint64_t seed, const FaultProfile& profile,
   for (int i = 0; i < n; ++i) {
     EXPECT_TRUE(fault.Send(0, 1, MakeFrame(static_cast<uint64_t>(i))).ok());
   }
-  if (flush_at_end) EXPECT_TRUE(fault.Flush().ok());
+  if (flush_at_end) {
+    EXPECT_TRUE(fault.Flush().ok());
+  }
   result.dropped = fault.frames_dropped();
   result.duplicated = fault.frames_duplicated();
   result.held = fault.frames_held();

@@ -300,7 +300,8 @@ TEST_F(ParallelDifferentialTest, RegridIsWidthIndependent) {
 }
 
 // A query cancelled before a grouped aggregate starts aborts it with
-// Cancelled at every width, before the first morsel.
+// Cancelled at every width, before the first morsel. The serial
+// remapping operators poll the same flag before each input chunk.
 TEST_F(ParallelDifferentialTest, PreCancelledGroupedAggregatesAbort) {
   MemArray sky = bench::MakeSkyImage(48, 16, 4, 53);
   const std::atomic<bool> cancel{true};
@@ -316,6 +317,22 @@ TEST_F(ParallelDifferentialTest, PreCancelledGroupedAggregatesAbort) {
                     .IsCancelled());
     EXPECT_TRUE(Regrid(ctx, sky, {4, 4}, "avg", "flux").status().IsCancelled());
   }
+
+  MemArray tiny = bench::MakeSkyImage(4, 2, 1, 7);
+  MemArray lifted = AddDimension(CtxWith(nullptr), sky, "K").ValueOrDie();
+  ExecContext ctx = CtxWith(nullptr);
+  ctx.cancel = &cancel;
+  EXPECT_TRUE(Reshape(ctx, sky, {"I", "J"}, {{"L", 1, 48 * 48, 256}})
+                  .status()
+                  .IsCancelled());
+  EXPECT_TRUE(Sjoin(ctx, sky, tiny, {{"I", "I"}}).status().IsCancelled());
+  EXPECT_TRUE(AddDimension(ctx, sky, "K").status().IsCancelled());
+  EXPECT_TRUE(RemoveDimension(ctx, lifted, "K").status().IsCancelled());
+  EXPECT_TRUE(Concat(ctx, sky, sky, "I").status().IsCancelled());
+  EXPECT_TRUE(CrossProduct(ctx, sky, tiny).status().IsCancelled());
+  EXPECT_TRUE(Cjoin(ctx, sky, tiny, Lt(Ref("flux", 0), Ref("flux", 1)))
+                  .status()
+                  .IsCancelled());
 }
 
 // ------------------- deterministic failure (satellite) ------------------
