@@ -74,7 +74,7 @@ void BM_LoadThenQuery(benchmark::State& state) {
     std::string load_dir = files.dir + "/loaded";
     fs::remove_all(load_dir);
     StorageManager sm(load_dir);
-    auto ext = SciDbFile::Open(files.sdb_path).ValueOrDie();
+    auto ext = OpenSciDbFile(files.sdb_path).ValueOrDie();
     MemArray all = ext->ReadAll().ValueOrDie();          // the load stage
     DiskArray* arr = sm.CreateArray(all.schema()).ValueOrDie();
     SCIDB_CHECK(arr->WriteAll(all).ok());
@@ -90,7 +90,7 @@ void BM_InSituQuery(benchmark::State& state) {
   Files& files = SharedFiles();
   Box window({1, 1}, {32, 32});
   for (auto _ : state) {
-    auto ext = SciDbFile::Open(files.sdb_path).ValueOrDie();
+    auto ext = OpenSciDbFile(files.sdb_path).ValueOrDie();
     MemArray region = ext->ReadRegion(window).ValueOrDie();
     benchmark::DoNotOptimize(SumRegion(region));
   }
@@ -106,7 +106,7 @@ void BM_RepeatedQueries(benchmark::State& state) {
   Rng rng(TestSeed(5));
   for (auto _ : state) {
     if (in_situ) {
-      auto ext = SciDbFile::Open(files.sdb_path).ValueOrDie();
+      auto ext = OpenSciDbFile(files.sdb_path).ValueOrDie();
       for (int64_t q = 0; q < queries; ++q) {
         int64_t x = rng.UniformInt(1, kSide - 32);
         int64_t y = rng.UniformInt(1, kSide - 32);
@@ -117,7 +117,7 @@ void BM_RepeatedQueries(benchmark::State& state) {
     } else {
       // Load once (the expensive part), then answer every query from the
       // loaded in-memory array.
-      auto ext = SciDbFile::Open(files.sdb_path).ValueOrDie();
+      auto ext = OpenSciDbFile(files.sdb_path).ValueOrDie();
       MemArray all = ext->ReadAll().ValueOrDie();
       for (int64_t q = 0; q < queries; ++q) {
         int64_t x = rng.UniformInt(1, kSide - 32);

@@ -41,7 +41,8 @@ void BM_VersionSpace(benchmark::State& state) {
     Rng rng(TestSeed(2));
     std::string parent;
     for (int v = 0; v < versions; ++v) {
-      std::string name = "v" + std::to_string(v);
+      std::string name = "v";
+      name += std::to_string(v);
       SCIDB_CHECK(tree.CreateVersion(name, parent).ok());
       std::vector<CellUpdate> patch;
       for (int k = 0; k < kSide * kSide / 100; ++k) {
@@ -69,7 +70,8 @@ void BM_VersionSpace(benchmark::State& state) {
     };
     delta_bytes = 0;
     for (int v = 0; v < versions; ++v) {
-      delta_bytes += serialized_bytes("v" + std::to_string(v));
+      delta_bytes +=
+          serialized_bytes(std::string("v").append(std::to_string(v)));
     }
     base_bytes = serialized_bytes("");
   }
@@ -92,7 +94,8 @@ void BM_VersionChainRead(benchmark::State& state) {
   std::string parent;
   Rng rng(TestSeed(3));
   for (int v = 0; v < depth; ++v) {
-    std::string name = "v" + std::to_string(v);
+    std::string name = "v";
+    name += std::to_string(v);
     SCIDB_CHECK(tree.CreateVersion(name, parent).ok());
     SCIDB_CHECK(tree.Commit(name,
                             {CellUpdate::Set({rng.UniformInt(1, kSide),
@@ -121,7 +124,8 @@ void BM_MaterializedLeafRead(benchmark::State& state) {
   std::string parent;
   Rng rng(TestSeed(3));
   for (int v = 0; v < depth; ++v) {
-    std::string name = "v" + std::to_string(v);
+    std::string name = "v";
+    name += std::to_string(v);
     SCIDB_CHECK(tree.CreateVersion(name, parent).ok());
     SCIDB_CHECK(tree.Commit(name,
                             {CellUpdate::Set({rng.UniformInt(1, kSide),

@@ -40,6 +40,9 @@ enum class StatusCode {
   kFailedPrecondition,
 };
 
+// The last code: decoders reject any ordinal above it.
+inline constexpr StatusCode kMaxStatusCode = StatusCode::kFailedPrecondition;
+
 // Returns a stable human-readable name ("InvalidArgument", ...).
 const char* StatusCodeName(StatusCode code);
 

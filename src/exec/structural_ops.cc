@@ -170,6 +170,11 @@ Result<MemArray> Reshape(const ExecContext& ctx, const MemArray& a,
   Coordinates pc(perm.size());
   RETURN_NOT_OK(WalkCells(
       ctx, a, [&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
+        // Out of bounds, a cell's linear index would wrap onto another's.
+        if (!in_box.Contains(c)) {
+          return Status::OutOfRange("Reshape: cell " + CoordsToString(c) +
+                                    " lies outside " + in_box.ToString());
+        }
         // Linear index under the requested iteration order.
         for (size_t i = 0; i < perm.size(); ++i) pc[i] = c[perm[i]];
         return PutCell(UnrankInBox(out_box, RankInBox(perm_box, pc)), chunk,

@@ -2,16 +2,13 @@
 
 #include <fstream>
 
-#include "array/schema_serde.h"
 #include "common/byte_io.h"
 #include "common/macros.h"
-#include "storage/chunk_serde.h"
 
 namespace scidb {
 
 namespace {
 
-constexpr uint32_t kSdbMagic = 0x53444246;  // "SDBF"
 constexpr uint32_t kH5Magic = 0x53483546;   // "SH5F"
 constexpr uint32_t kNcMagic = 0x534E4346;   // "SNCF"
 
@@ -51,115 +48,6 @@ Result<MemArray> ReadDense(const ArraySchema& schema,
 }
 
 }  // namespace
-
-// --------------------------------------------------------------- .sdb
-
-Status WriteSciDbFile(const std::string& path, const MemArray& array,
-                      CodecType codec) {
-  // Serialize all chunks first so directory offsets are known.
-  struct Entry {
-    Box box;
-    std::vector<uint8_t> payload;
-  };
-  std::vector<Entry> entries;
-  for (const auto& [origin, chunk] : array.chunks()) {
-    if (chunk->present_count() == 0) continue;
-    entries.push_back({chunk->box(), Compress(codec, SerializeChunk(*chunk))});
-  }
-
-  ByteWriter header;
-  header.PutU32(kSdbMagic);
-  EncodeSchema(array.schema(), &header);
-  header.PutVarint(entries.size());
-  // Directory sizes depend on offsets which depend on header size; write
-  // the directory with placeholder-free two-pass sizing: first compute
-  // directory bytes with offsets = 0 widths... simpler: use fixed-width
-  // offsets.
-  // Compute payload base = header bytes + directory bytes (fixed-width).
-  size_t dir_bytes = 0;
-  for (const auto& e : entries) {
-    dir_bytes += 8;  // ndims as u64? use varint-free fixed encoding below
-    dir_bytes += e.box.ndims() * 16;
-    dir_bytes += 16;  // offset + size
-  }
-  uint64_t base = header.size() + dir_bytes;
-  uint64_t off = base;
-  ByteWriter dir;
-  for (const auto& e : entries) {
-    dir.PutU64(e.box.ndims());
-    for (size_t d = 0; d < e.box.ndims(); ++d) {
-      dir.PutI64(e.box.low[d]);
-      dir.PutI64(e.box.high[d]);
-    }
-    dir.PutU64(off);
-    dir.PutU64(e.payload.size());
-    off += e.payload.size();
-  }
-
-  std::vector<uint8_t> bytes = header.Release();
-  const auto& dbytes = dir.data();
-  bytes.insert(bytes.end(), dbytes.begin(), dbytes.end());
-  for (const auto& e : entries) {
-    bytes.insert(bytes.end(), e.payload.begin(), e.payload.end());
-  }
-  return WriteFile(path, bytes);
-}
-
-Result<std::unique_ptr<SciDbFile>> SciDbFile::Open(const std::string& path) {
-  auto file = std::unique_ptr<SciDbFile>(new SciDbFile());
-  file->path_ = path;
-  // Only the header + directory are read at open; payloads stay on disk.
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + path);
-  std::vector<uint8_t> head(64 * 1024);
-  f.read(reinterpret_cast<char*>(head.data()),
-         static_cast<std::streamsize>(head.size()));
-  head.resize(static_cast<size_t>(f.gcount()));
-
-  ByteReader r(head);
-  ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kSdbMagic) {
-    return Status::Corruption(path + " is not a SciDB file");
-  }
-  ASSIGN_OR_RETURN(file->schema_, DecodeSchema(&r));
-  ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    DirEntry e;
-    ASSIGN_OR_RETURN(uint64_t ndims, r.GetU64());
-    e.box.low.resize(ndims);
-    e.box.high.resize(ndims);
-    for (uint64_t d = 0; d < ndims; ++d) {
-      ASSIGN_OR_RETURN(e.box.low[d], r.GetI64());
-      ASSIGN_OR_RETURN(e.box.high[d], r.GetI64());
-    }
-    ASSIGN_OR_RETURN(e.offset, r.GetU64());
-    ASSIGN_OR_RETURN(e.size, r.GetU64());
-    file->directory_.push_back(std::move(e));
-  }
-  return file;
-}
-
-Result<MemArray> SciDbFile::ReadBox(const Box& region,
-                                    ThreadPool* pool) const {
-  (void)pool;  // one sequential pass over the file
-  MemArray out(schema_);
-  std::ifstream f(path_, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + path_);
-  for (const DirEntry& e : directory_) {
-    if (!e.box.Intersects(region)) continue;
-    std::vector<uint8_t> payload(e.size);
-    f.seekg(static_cast<std::streamoff>(e.offset));
-    f.read(reinterpret_cast<char*>(payload.data()),
-           static_cast<std::streamsize>(e.size));
-    if (!f) return Status::IOError("short read from " + path_);
-    bytes_read_ += static_cast<int64_t>(e.size);
-    ASSIGN_OR_RETURN(std::vector<uint8_t> raw, Decompress(payload));
-    ASSIGN_OR_RETURN(Chunk chunk, DeserializeChunk(raw, schema_.attrs()));
-    if (!chunk.box().Intersects(region)) continue;
-    RETURN_NOT_OK(CopyCells(chunk, chunk.box().Intersect(region), &out));
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------- .sh5
 

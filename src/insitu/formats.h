@@ -10,6 +10,7 @@
 #include "array/mem_array.h"
 #include "common/result.h"
 #include "storage/codec.h"
+#include "storage/storage_manager.h"
 
 namespace scidb {
 
@@ -25,42 +26,26 @@ namespace scidb {
 // a load step, reading only the region a query needs — is the paper's
 // point, not wire compatibility.
 //
-// Each adaptor is an ArraySource (array/array_source.h): ReadRegion
-// touches only the needed part of the file, and bytes_read() counts the
-// file payload read so far (EXP-SITU accounting).
+// Each reader is an ArraySource (array/array_source.h): ReadRegion
+// touches only the needed part of the file, and the adaptors'
+// bytes_read() counts the file payload read so far (EXP-SITU
+// accounting).
 
 // ---------------- SciDB self-describing format (.sdb) ----------------
-// Layout: magic | schema | chunk directory (box, offset, size) | chunk
-// payloads (SerializeChunk + codec). The directory makes region reads
-// touch only intersecting chunks.
+// A single-file DiskArray (storage/storage_manager.h): the bucket
+// payloads, the manifest, a fixed trailer. Reads go through the bucket
+// R-tree, decode on the caller's pool, and count in the DiskArray's
+// stats() and the scidb.storage.* metrics.
 
-Status WriteSciDbFile(const std::string& path, const MemArray& array,
-                      CodecType codec = CodecType::kLz);
+inline Status WriteSciDbFile(const std::string& path, const MemArray& array,
+                             CodecType codec = CodecType::kLz) {
+  return DiskArray::WriteSingleFile(path, array, codec);
+}
 
-class SciDbFile : public ArraySource {
- public:
-  static Result<std::unique_ptr<SciDbFile>> Open(const std::string& path);
-
-  const ArraySchema& schema() const override { return schema_; }
-  int64_t bytes_read() const { return bytes_read_; }
-  size_t chunk_count() const { return directory_.size(); }
-
- protected:
-  Result<MemArray> ReadBox(const Box& box, ThreadPool* pool) const override;
-
- private:
-  struct DirEntry {
-    Box box;
-    uint64_t offset;
-    uint64_t size;
-  };
-  SciDbFile() = default;
-
-  std::string path_;
-  ArraySchema schema_;
-  std::vector<DirEntry> directory_;
-  mutable int64_t bytes_read_ = 0;
-};
+inline Result<std::unique_ptr<DiskArray>> OpenSciDbFile(
+    const std::string& path) {
+  return DiskArray::OpenSingleFile(path);
+}
 
 // ----------------- H5-like hierarchical format (.sh5) -----------------
 // A file holds named datasets, each an n-dimensional dense double array

@@ -434,8 +434,7 @@ Result<QueryDoneResponse> QueryDoneResponse::Decode(
   QueryDoneResponse resp;
   ASSIGN_OR_RETURN(resp.done, GetFlagByte(&r, "done"));
   ASSIGN_OR_RETURN(resp.status_code, r.GetU8());
-  if (resp.status_code >
-      static_cast<uint8_t>(StatusCode::kFailedPrecondition)) {
+  if (resp.status_code > static_cast<uint8_t>(kMaxStatusCode)) {
     return Status::Corruption("status code out of range: " +
                               std::to_string(resp.status_code));
   }

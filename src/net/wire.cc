@@ -8,13 +8,6 @@
 namespace scidb {
 namespace net {
 
-namespace {
-
-constexpr uint8_t kMaxStatusCode =
-    static_cast<uint8_t>(StatusCode::kFailedPrecondition);
-
-}  // namespace
-
 void EncodeStatus(const Status& s, ByteWriter* w) {
   w->PutU8(static_cast<uint8_t>(s.code()));
   w->PutString(s.message());
@@ -22,7 +15,7 @@ void EncodeStatus(const Status& s, ByteWriter* w) {
 
 Status DecodeStatus(ByteReader* r, Status* out) {
   ASSIGN_OR_RETURN(uint8_t code, r->GetU8());
-  if (code > kMaxStatusCode) {
+  if (code > static_cast<uint8_t>(kMaxStatusCode)) {
     return Status::Corruption("status code out of range: " +
                               std::to_string(code));
   }

@@ -10,32 +10,21 @@
 namespace scidb {
 namespace server {
 
-QueryClient::QueryClient(net::Transport* transport, int node, int server_node)
-    : QueryClient(transport, node, server_node, Options{}) {}
+namespace {
 
-QueryClient::QueryClient(net::Transport* transport, int node, int server_node,
-                         Options opts)
+// Pause between kQueryDone polls while the query runs.
+constexpr auto kPollInterval = std::chrono::microseconds(200);
+
+}  // namespace
+
+QueryClient::QueryClient(net::Transport* transport, int node, int server_node)
     : transport_(transport),
       node_(node),
       server_node_(server_node),
-      opts_(std::move(opts)),
       rpc_(transport, node) {}
 
 Status QueryClient::Bind() {
   return net::BindNode(transport_, node_, nullptr, &rpc_);
-}
-
-void QueryClient::SleepNs(uint64_t ns) {
-  if (opts_.sleep) {
-    opts_.sleep(ns);
-    return;
-  }
-  // Real wait without a raw sleep call: a private condvar nobody
-  // signals, timed. Mirrors RpcClient::SleepNs.
-  Mutex mu;
-  CondVar cv;
-  MutexLock lk(mu);
-  cv.wait_for(mu, std::chrono::nanoseconds(ns));
 }
 
 Result<uint64_t> QueryClient::Submit(const std::string& statement) {
@@ -45,7 +34,7 @@ Result<uint64_t> QueryClient::Submit(const std::string& statement) {
   req.statement = statement;
   ASSIGN_OR_RETURN(std::vector<uint8_t> ack,
                    rpc_.Call(server_node_, net::MessageType::kQuery,
-                             req.EncodePayload(), opts_.call));
+                             req.EncodePayload()));
   (void)ack;  // empty
   return qid;
 }
@@ -54,8 +43,7 @@ Status QueryClient::Cancel(uint64_t qid) {
   net::CancelRequest req;
   req.client_qid = qid;
   Result<std::vector<uint8_t>> ack = rpc_.Call(
-      server_node_, net::MessageType::kCancel, req.EncodePayload(),
-      opts_.call);
+      server_node_, net::MessageType::kCancel, req.EncodePayload());
   return ack.ok() ? Status::OK() : ack.status();
 }
 
@@ -64,7 +52,7 @@ Result<net::QueryDoneResponse> QueryClient::Poll(uint64_t qid) {
   req.client_qid = qid;
   ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
                    rpc_.Call(server_node_, net::MessageType::kQueryDone,
-                             req.EncodePayload(), opts_.call));
+                             req.EncodePayload()));
   return net::QueryDoneResponse::Decode(raw);
 }
 
@@ -75,7 +63,12 @@ Result<QueryClient::Outcome> QueryClient::Await(uint64_t qid) {
   for (;;) {
     ASSIGN_OR_RETURN(done, Poll(qid));
     if (done.done != 0) break;
-    SleepNs(opts_.poll_interval_ns);
+    // Wait without a raw sleep call: a private condvar nobody signals,
+    // timed. Mirrors RpcClient::SleepNs.
+    Mutex mu;
+    CondVar cv;
+    MutexLock lk(mu);
+    cv.wait_for(mu, kPollInterval);
   }
 
   Outcome out;
@@ -98,7 +91,7 @@ Result<QueryClient::Outcome> QueryClient::Await(uint64_t qid) {
       creq.seq = seq;
       ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
                        rpc_.Call(server_node_, net::MessageType::kResultChunk,
-                                 creq.EncodePayload(), opts_.call));
+                                 creq.EncodePayload()));
       ASSIGN_OR_RETURN(net::ResultChunkResponse resp,
                        net::ResultChunkResponse::Decode(raw));
       if (resp.ready == 0) {

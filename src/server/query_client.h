@@ -30,15 +30,6 @@ namespace server {
 // bound to its own transport node.
 class QueryClient {
  public:
-  struct Options {
-    // Per-RPC behavior (deadlines, retries, backoff).
-    net::CallOptions call;
-    // Injectable sleep for the Done-poll loop; null = real wait.
-    net::SleepFn sleep;
-    // Pause between kQueryDone polls while the query runs.
-    uint64_t poll_interval_ns = 200'000;  // 200us
-  };
-
   // The terminal result of one statement.
   struct Outcome {
     Status status;  // the query's own status (Busy/Cancelled are typed)
@@ -53,8 +44,6 @@ class QueryClient {
   // `node` is this client's transport address; `server_node` the
   // query server's. Call Bind() once before the first Submit.
   QueryClient(net::Transport* transport, int node, int server_node);
-  QueryClient(net::Transport* transport, int node, int server_node,
-              Options opts);
 
   Status Bind();
 
@@ -80,12 +69,9 @@ class QueryClient {
   Result<Outcome> Execute(const std::string& statement);
 
  private:
-  void SleepNs(uint64_t ns);
-
   net::Transport* const transport_;
   const int node_;
   const int server_node_;
-  const Options opts_;
   net::RpcClient rpc_;
   uint64_t next_qid_ = 1;  // monotone: the server's watermark relies on it
 };

@@ -22,6 +22,8 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr uint32_t kManifestMagic = 0x53434D46;  // "SCMF"
+constexpr uint32_t kSingleFileMagic = 0x53444246;  // "SDBF"
+constexpr uint64_t kTrailerBytes = 12;  // u64 manifest offset + u32 magic
 
 // Process-wide storage metrics (naming per DESIGN.md §7), registered once.
 struct StorageMetrics {
@@ -46,13 +48,36 @@ struct StorageMetrics {
   }
 };
 
+// `size` bytes at `offset` of the open file `f` (named `path`).
+Result<std::vector<uint8_t>> ReadRange(std::ifstream& f,
+                                       const std::string& path,
+                                       uint64_t offset, uint64_t size) {
+  std::vector<uint8_t> bytes(size);
+  f.seekg(static_cast<std::streamoff>(offset));
+  f.read(reinterpret_cast<char*>(bytes.data()),
+         static_cast<std::streamsize>(size));
+  if (!f) return Status::IOError("short read from " + path);
+  return bytes;
+}
+
+// Writes `bytes` to `path`, opened with `mode` (append or truncate).
+Status WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes,
+                  std::ios::openmode mode) {
+  std::ofstream f(path, std::ios::binary | mode);
+  if (!f) return Status::IOError("cannot open " + path);
+  f.write(reinterpret_cast<const char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  if (!f) return Status::IOError("short write to " + path);
+  return Status::OK();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- DiskArray
 
 DiskArray::~DiskArray() {
   // Persist the manifest on teardown; never for a shell object that failed
-  // to open (no schema), which must not leave a stray manifest behind.
+  // to open (no schema), which must not overwrite or leave a manifest.
   // Destructors have no error channel, so a failed flush is reported to
   // stderr instead of silently discarded; callers needing a hard
   // guarantee call Flush() themselves and check the Status.
@@ -67,17 +92,24 @@ DiskArray::~DiskArray() {
 
 Status DiskArray::AppendPayload(const std::vector<uint8_t>& payload,
                                 uint64_t* offset) {
-  std::ofstream f(data_path_, std::ios::binary | std::ios::app);
-  if (!f) return Status::IOError("cannot open " + data_path_);
+  RETURN_NOT_OK(WriteBytes(data_path_, payload, std::ios::app));
   *offset = data_end_;
-  f.write(reinterpret_cast<const char*>(payload.data()),
-          static_cast<std::streamsize>(payload.size()));
-  if (!f) return Status::IOError("short write to " + data_path_);
   data_end_ += payload.size();
   return Status::OK();
 }
 
+Status DiskArray::CheckWritable() const {
+  if (!read_only()) return Status::OK();
+  return Status::FailedPrecondition("array '" + schema_.name() +
+                                    "' was opened read-only");
+}
+
 Status DiskArray::WriteBucket(const Chunk& chunk) {
+  RETURN_NOT_OK(CheckWritable());
+  return AppendBucket(chunk);
+}
+
+Status DiskArray::AppendBucket(const Chunk& chunk) {
   if (chunk.present_count() == 0) return Status::OK();  // nothing to store
   std::vector<uint8_t> raw = SerializeChunk(chunk);
   std::vector<uint8_t> payload = Compress(codec_, raw);
@@ -133,11 +165,8 @@ Result<std::shared_ptr<const Chunk>> DiskArray::ReadBucket(
   uint64_t t0 = SteadyNowNs();
   std::ifstream f(data_path_, std::ios::binary);
   if (!f) return Status::IOError("cannot open " + data_path_);
-  f.seekg(static_cast<std::streamoff>(meta.offset));
-  std::vector<uint8_t> payload(meta.size);
-  f.read(reinterpret_cast<char*>(payload.data()),
-         static_cast<std::streamsize>(meta.size));
-  if (!f) return Status::IOError("short read from " + data_path_);
+  ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                   ReadRange(f, data_path_, meta.offset, meta.size));
   {
     MutexLock lk(stats_mu_);
     ++stats_.buckets_read;
@@ -210,6 +239,7 @@ Result<std::optional<std::vector<Value>>> DiskArray::ReadCell(
 }
 
 Result<int> DiskArray::MergeSmallBuckets(int64_t small_bytes) {
+  RETURN_NOT_OK(CheckWritable());
   // Plan: group small buckets into pairs that are box-adjacent along one
   // dimension and identical along the others ("combine buckets into
   // larger ones", §2.8).
@@ -327,33 +357,85 @@ Status DiskArray::CompactDataFile() {
   return Status::OK();
 }
 
-Status DiskArray::Flush() {
-  ByteWriter w;
-  w.PutU32(kManifestMagic);
-  EncodeSchema(schema_, &w);
-  w.PutU8(static_cast<uint8_t>(codec_));
-  w.PutU64(next_id_);
-  w.PutU64(data_end_);
-  w.PutVarint(buckets_.size());
+void DiskArray::EncodeManifest(ByteWriter* w) const {
+  w->PutU32(kManifestMagic);
+  EncodeSchema(schema_, w);
+  w->PutU8(static_cast<uint8_t>(codec_));
+  w->PutU64(next_id_);
+  w->PutU64(data_end_);
+  w->PutVarint(buckets_.size());
   for (const auto& [id, meta] : buckets_) {
-    w.PutU64(meta.id);
-    w.PutVarint(meta.box.ndims());
+    w->PutU64(meta.id);
+    w->PutVarint(meta.box.ndims());
     for (size_t d = 0; d < meta.box.ndims(); ++d) {
-      w.PutSignedVarint(meta.box.low[d]);
-      w.PutSignedVarint(meta.box.high[d]);
+      w->PutSignedVarint(meta.box.low[d]);
+      w->PutSignedVarint(meta.box.high[d]);
     }
-    w.PutU64(meta.offset);
-    w.PutU64(meta.size);
-    w.PutSignedVarint(meta.cells);
+    w->PutU64(meta.offset);
+    w->PutU64(meta.size);
+    w->PutSignedVarint(meta.cells);
   }
-  std::string tmp = manifest_path_ + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return Status::IOError("cannot open " + tmp);
-    f.write(reinterpret_cast<const char*>(w.data().data()),
-            static_cast<std::streamsize>(w.size()));
-    if (!f) return Status::IOError("short manifest write");
+}
+
+Status DiskArray::DecodeManifest(const std::vector<uint8_t>& bytes,
+                                 uint64_t payload_end) {
+  ByteReader r(bytes);
+  ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
+  if (magic != kManifestMagic) return Status::Corruption("bad manifest");
+  // schema_ is set last: a half-loaded array has none, so its destructor
+  // leaves the manifest on disk as it was.
+  ASSIGN_OR_RETURN(ArraySchema schema, DecodeSchema(&r));
+  ASSIGN_OR_RETURN(uint8_t codec, r.GetU8());
+  if (codec > static_cast<uint8_t>(CodecType::kLz)) {
+    return Status::Corruption("manifest: unknown codec " +
+                              std::to_string(codec));
   }
+  codec_ = static_cast<CodecType>(codec);
+  ASSIGN_OR_RETURN(next_id_, r.GetU64());
+  ASSIGN_OR_RETURN(data_end_, r.GetU64());
+  if (data_end_ > payload_end) {
+    return Status::Corruption("manifest: payloads end past the data");
+  }
+  ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  for (uint64_t i = 0; i < n; ++i) {
+    BucketMeta meta;
+    auto bad = [&](const char* why) {
+      return Status::Corruption("manifest: bucket " + std::to_string(meta.id) +
+                                why);
+    };
+    ASSIGN_OR_RETURN(meta.id, r.GetU64());
+    if (meta.id >= next_id_ || buckets_.count(meta.id) != 0) {
+      return bad(" has a bad id");
+    }
+    ASSIGN_OR_RETURN(uint64_t ndims, r.GetVarint());
+    if (ndims != schema.ndims()) return bad(" has the wrong arity");
+    meta.box.low.resize(ndims);
+    meta.box.high.resize(ndims);
+    for (uint64_t d = 0; d < ndims; ++d) {
+      ASSIGN_OR_RETURN(meta.box.low[d], r.GetSignedVarint());
+      ASSIGN_OR_RETURN(meta.box.high[d], r.GetSignedVarint());
+      if (meta.box.low[d] > meta.box.high[d]) return bad(" has an empty box");
+    }
+    ASSIGN_OR_RETURN(meta.offset, r.GetU64());
+    ASSIGN_OR_RETURN(meta.size, r.GetU64());
+    if (meta.size > data_end_ || meta.offset > data_end_ - meta.size) {
+      return bad(" lies past the payloads");
+    }
+    ASSIGN_OR_RETURN(meta.cells, r.GetSignedVarint());
+    rtree_.Insert(meta.box, meta.id);
+    buckets_.emplace(meta.id, std::move(meta));
+  }
+  if (r.remaining() != 0) return Status::Corruption("manifest: trailing bytes");
+  schema_ = std::move(schema);
+  return Status::OK();
+}
+
+Status DiskArray::Flush() {
+  if (read_only()) return Status::OK();
+  ByteWriter w;
+  EncodeManifest(&w);
+  const std::string tmp = manifest_path_ + ".tmp";
+  RETURN_NOT_OK(WriteBytes(tmp, w.data(), std::ios::trunc));
   std::error_code ec;
   fs::rename(tmp, manifest_path_, ec);
   if (ec) return Status::IOError("manifest rename failed: " + ec.message());
@@ -365,32 +447,55 @@ Status DiskArray::LoadManifest() {
   if (!f) return Status::IOError("cannot open " + manifest_path_);
   std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(f)),
                              std::istreambuf_iterator<char>());
-  ByteReader r(bytes);
-  ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kManifestMagic) return Status::Corruption("bad manifest");
-  ASSIGN_OR_RETURN(schema_, DecodeSchema(&r));
-  ASSIGN_OR_RETURN(uint8_t codec, r.GetU8());
-  codec_ = static_cast<CodecType>(codec);
-  ASSIGN_OR_RETURN(next_id_, r.GetU64());
-  ASSIGN_OR_RETURN(data_end_, r.GetU64());
-  ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    BucketMeta meta;
-    ASSIGN_OR_RETURN(meta.id, r.GetU64());
-    ASSIGN_OR_RETURN(uint64_t ndims, r.GetVarint());
-    meta.box.low.resize(ndims);
-    meta.box.high.resize(ndims);
-    for (uint64_t d = 0; d < ndims; ++d) {
-      ASSIGN_OR_RETURN(meta.box.low[d], r.GetSignedVarint());
-      ASSIGN_OR_RETURN(meta.box.high[d], r.GetSignedVarint());
-    }
-    ASSIGN_OR_RETURN(meta.offset, r.GetU64());
-    ASSIGN_OR_RETURN(meta.size, r.GetU64());
-    ASSIGN_OR_RETURN(meta.cells, r.GetSignedVarint());
-    rtree_.Insert(meta.box, meta.id);
-    buckets_.emplace(meta.id, std::move(meta));
+  std::error_code ec;
+  const uint64_t data_size = fs::file_size(data_path_, ec);
+  if (ec) return Status::IOError("cannot stat " + data_path_);
+  return DecodeManifest(bytes, data_size);
+}
+
+Status DiskArray::WriteSingleFile(const std::string& path,
+                                  const MemArray& array, CodecType codec) {
+  DiskArray out;  // no manifest file: payloads and manifest share `path`
+  out.schema_ = array.schema();
+  out.data_path_ = path;
+  out.codec_ = codec;
+  RETURN_NOT_OK(WriteBytes(path, {}, std::ios::trunc));
+  for (const auto& [origin, chunk] : array.chunks()) {
+    RETURN_NOT_OK(out.AppendBucket(*chunk));
   }
-  return Status::OK();
+  ByteWriter w;
+  out.EncodeManifest(&w);
+  w.PutU64(out.data_end_);
+  w.PutU32(kSingleFileMagic);
+  return WriteBytes(path, w.data(), std::ios::app);
+}
+
+Result<std::unique_ptr<DiskArray>> DiskArray::OpenSingleFile(
+    const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  const std::streamoff end = f ? static_cast<std::streamoff>(f.tellg()) : -1;
+  if (end < 0) return Status::IOError("cannot open " + path);
+  const uint64_t file_size = static_cast<uint64_t>(end);
+  const Status foreign = Status::Corruption(path + " is not a SciDB file");
+  if (file_size < kTrailerBytes) return foreign;
+  ASSIGN_OR_RETURN(std::vector<uint8_t> trailer,
+                   ReadRange(f, path, file_size - kTrailerBytes,
+                             kTrailerBytes));
+  ByteReader r(trailer);
+  ASSIGN_OR_RETURN(uint64_t manifest_offset, r.GetU64());
+  ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
+  if (magic != kSingleFileMagic ||
+      manifest_offset > file_size - kTrailerBytes) {
+    return foreign;
+  }
+  ASSIGN_OR_RETURN(
+      std::vector<uint8_t> manifest,
+      ReadRange(f, path, manifest_offset,
+                file_size - kTrailerBytes - manifest_offset));
+  auto arr = std::unique_ptr<DiskArray>(new DiskArray());
+  arr->data_path_ = path;
+  RETURN_NOT_OK(arr->DecodeManifest(manifest, manifest_offset));
+  return arr;
 }
 
 // -------------------------------------------------------- StorageManager
@@ -416,16 +521,17 @@ Result<DiskArray*> StorageManager::CreateArray(const ArraySchema& schema,
     return Status::AlreadyExists("array '" + schema.name() +
                                  "' already open");
   }
-  auto arr = std::unique_ptr<DiskArray>(new DiskArray());
-  arr->schema_ = schema;
-  arr->dir_ = dir_;
-  arr->data_path_ = dir_ + "/" + schema.name() + ".data";
-  arr->manifest_path_ = dir_ + "/" + schema.name() + ".manifest";
-  arr->codec_ = codec;
-  if (fs::exists(arr->manifest_path_)) {
+  // Checked before the DiskArray exists: its destructor would flush an
+  // empty manifest over the one on disk.
+  if (fs::exists(dir_ + "/" + schema.name() + ".manifest")) {
     return Status::AlreadyExists("array '" + schema.name() +
                                  "' exists on disk; use OpenArray");
   }
+  auto arr = std::unique_ptr<DiskArray>(new DiskArray());
+  arr->schema_ = schema;
+  arr->data_path_ = dir_ + "/" + schema.name() + ".data";
+  arr->manifest_path_ = dir_ + "/" + schema.name() + ".manifest";
+  arr->codec_ = codec;
   // Truncate any stale data file.
   std::ofstream(arr->data_path_, std::ios::binary | std::ios::trunc);
   DiskArray* ptr = arr.get();
@@ -440,7 +546,6 @@ Result<DiskArray*> StorageManager::OpenArray(const std::string& name) {
     return Status::NotFound("no array '" + name + "' in " + dir_);
   }
   auto arr = std::unique_ptr<DiskArray>(new DiskArray());
-  arr->dir_ = dir_;
   arr->data_path_ = dir_ + "/" + name + ".data";
   arr->manifest_path_ = dir_ + "/" + name + ".manifest";
   RETURN_NOT_OK(arr->LoadManifest());

@@ -19,6 +19,8 @@
 
 namespace scidb {
 
+class ByteWriter;
+
 // Storage statistics for EXP-CHUNK and the loader/merger benchmarks.
 struct StorageStats {
   int64_t buckets_written = 0;
@@ -33,6 +35,11 @@ struct StorageStats {
 // buckets (paper §2.8). Buckets are appended to `<name>.data`; the bucket
 // table and schema live in `<name>.manifest`, rewritten on Flush(). An
 // R-tree indexes bucket boxes for region reads and merge planning.
+//
+// The same layout packs into one self-describing file (the `.sdb` in-situ
+// format, paper §2.9): the bucket payloads, then the manifest bytes, then
+// a fixed trailer (u64 manifest offset, u32 magic). An array opened from
+// such a file is read-only: its manifest cannot be rewritten in place.
 //
 // As an ArraySource, ReadRegion fetches only the buckets the R-tree finds
 // in the box. With a pool, bucket read+decompress+decode runs
@@ -57,6 +64,14 @@ class DiskArray : public ArraySource {
   CodecType codec() const { return codec_; }
   void set_codec(CodecType c) { codec_ = c; }
 
+  // Writes `array`'s chunks to `path` as a single-file array.
+  static Status WriteSingleFile(const std::string& path,
+                                const MemArray& array,
+                                CodecType codec = CodecType::kLz);
+  // Opens a file WriteSingleFile wrote; its buckets stay on disk.
+  static Result<std::unique_ptr<DiskArray>> OpenSingleFile(
+      const std::string& path);
+
   // Appends one bucket holding `chunk`'s cells.
   Status WriteBucket(const Chunk& chunk);
 
@@ -76,6 +91,7 @@ class DiskArray : public ArraySource {
 
   // Rewrites the manifest (schema + bucket table). Called by the storage
   // manager on close; callers needing crash-consistency call it directly.
+  // A read-only array has nothing to persist.
   Status Flush();
 
   // Total size on disk (data file bytes in live buckets).
@@ -101,10 +117,18 @@ class DiskArray : public ArraySource {
     int64_t cells = 0;
   };
 
+  bool read_only() const { return manifest_path_.empty(); }
+  Status CheckWritable() const;
   Result<std::shared_ptr<const Chunk>> ReadBucket(const BucketMeta& meta)
       const;
   Status AppendPayload(const std::vector<uint8_t>& payload,
                        uint64_t* offset);
+  Status AppendBucket(const Chunk& chunk);
+  void EncodeManifest(ByteWriter* w) const;
+  // Loads the manifest in `bytes`, checking every bucket against the
+  // schema and against the `payload_end` bytes of payload on disk.
+  Status DecodeManifest(const std::vector<uint8_t>& bytes,
+                        uint64_t payload_end);
   Status LoadManifest();
   Status CompactDataFile();
 
@@ -112,8 +136,8 @@ class DiskArray : public ArraySource {
   // one thread at a time, and bucket metadata is never mutated while
   // reads are in flight, so none of this is under stats_mu_.
   ArraySchema schema_;      // NOLINT(lock-coverage): single-writer
-  std::string dir_;         // NOLINT(lock-coverage): single-writer
   std::string data_path_;   // NOLINT(lock-coverage): single-writer
+  // Empty for a single-file array, which makes it read-only.
   std::string manifest_path_;         // NOLINT(lock-coverage): single-writer
   CodecType codec_ = CodecType::kLz;  // NOLINT(lock-coverage): single-writer
   uint64_t next_id_ = 1;              // NOLINT(lock-coverage): single-writer

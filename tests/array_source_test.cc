@@ -60,7 +60,8 @@ MemArray RandomCells(const ArraySchema& schema, int64_t jmax, int keep_pct,
       const double x = static_cast<double>(rng->UniformInt(-1000, 1000)) / 8;
       std::vector<Value> cell = {
           maybe(Value(rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40))),
-          maybe(Value("s" + std::to_string(rng->Uniform(50)))),
+          maybe(Value(
+              std::string("s").append(std::to_string(rng->Uniform(50))))),
           maybe(Value(Uncertain(x, rng->Uniform(3) == 0 ? 0.5 : 0.125))),
           maybe(Value(x * 3))};
       EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
@@ -251,7 +252,7 @@ struct SdbKind {
       MemArray cells = RandomCells(schema, unbounded ? 23 : 17, 60, &rng);
       const std::string path = dir + "/" + schema.name() + ".sdb";
       EXPECT_TRUE(WriteSciDbFile(path, cells).ok());
-      std::shared_ptr<SciDbFile> file = SciDbFile::Open(path).ValueOrDie();
+      std::shared_ptr<DiskArray> file = OpenSciDbFile(path).ValueOrDie();
       out.push_back({schema.name(), file, file.get(), std::move(cells)});
     }
     return out;

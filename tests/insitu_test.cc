@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "insitu/formats.h"
 
 namespace scidb {
@@ -37,9 +38,9 @@ TEST(SciDbFileTest, RoundTrip) {
   MemArray a = SampleArray();
   ASSERT_TRUE(WriteSciDbFile(path, a).ok());
 
-  auto file = SciDbFile::Open(path).ValueOrDie();
+  auto file = OpenSciDbFile(path).ValueOrDie();
   EXPECT_EQ(file->schema().name(), "sample");
-  EXPECT_EQ(file->chunk_count(), 16u);
+  EXPECT_EQ(file->bucket_count(), 16u);
   MemArray back = file->ReadAll().ValueOrDie();
   EXPECT_EQ(back.CellCount(), a.CellCount());
   EXPECT_EQ((*back.GetCell({7, 9}))[0].double_value(), 7009.0);
@@ -50,15 +51,15 @@ TEST(SciDbFileTest, RegionReadTouchesOnlyNeededChunks) {
   std::string path = TempPath("region.sdb");
   MemArray a = SampleArray(64, 8);
   ASSERT_TRUE(WriteSciDbFile(path, a).ok());
-  auto file = SciDbFile::Open(path).ValueOrDie();
+  auto file = OpenSciDbFile(path).ValueOrDie();
 
   MemArray corner = file->ReadRegion(Box({1, 1}, {8, 8})).ValueOrDie();
   EXPECT_EQ(corner.CellCount(), 64);
-  int64_t corner_bytes = file->bytes_read();
+  int64_t corner_bytes = file->stats().bytes_read;
 
   MemArray all = file->ReadAll().ValueOrDie();
   EXPECT_EQ(all.CellCount(), 64 * 64);
-  int64_t total_bytes = file->bytes_read() - corner_bytes;
+  int64_t total_bytes = file->stats().bytes_read - corner_bytes;
   // One of 64 chunks: the corner read costs a small fraction.
   EXPECT_LT(corner_bytes, total_bytes / 16);
   fs::remove(path);
@@ -70,8 +71,8 @@ TEST(SciDbFileTest, RejectsForeignFile) {
     std::ofstream f(path, std::ios::binary);
     f << "this is not a scidb file at all";
   }
-  EXPECT_FALSE(SciDbFile::Open(path).ok());
-  EXPECT_TRUE(SciDbFile::Open(TempPath("missing.sdb")).status().IsIOError());
+  EXPECT_FALSE(OpenSciDbFile(path).ok());
+  EXPECT_TRUE(OpenSciDbFile(TempPath("missing.sdb")).status().IsIOError());
   fs::remove(path);
 }
 
@@ -89,7 +90,7 @@ TEST(SciDbFileTest, SchemaRoundTripsExactly) {
           .ok());
   ASSERT_TRUE(WriteSciDbFile(path, a).ok());
 
-  auto file = SciDbFile::Open(path).ValueOrDie();
+  auto file = OpenSciDbFile(path).ValueOrDie();
   EXPECT_FALSE(file->schema().attr(0).nullable);
   EXPECT_TRUE(file->schema() == s);
   MemArray back = file->ReadAll().ValueOrDie();
@@ -111,7 +112,7 @@ TEST(SciDbFileTest, CorruptTypeByteFailsOpen) {
     bytes.assign(std::istreambuf_iterator<char>(in),
                  std::istreambuf_iterator<char>());
   }
-  // The attribute's type byte follows its name in the header.
+  // The attribute's type byte follows its name in the manifest.
   const std::string name = "zqattr";
   auto at = std::search(bytes.begin(), bytes.end(), name.begin(), name.end());
   ASSERT_NE(at, bytes.end());
@@ -120,7 +121,40 @@ TEST(SciDbFileTest, CorruptTypeByteFailsOpen) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_TRUE(SciDbFile::Open(path).status().IsCorruption());
+  EXPECT_TRUE(OpenSciDbFile(path).status().IsCorruption());
+  fs::remove(path);
+}
+
+// 1024 x 1024 in 16 x 16 chunks, one cell in each: 4096 buckets, a
+// directory well past 64 KiB, opened whole and read at every width.
+TEST(SciDbFileTest, OpensDirectoryOfFourThousandBuckets) {
+  std::string path = TempPath("wide.sdb");
+  ArraySchema s("wide", {{"I", 1, 1024, 16}, {"J", 1, 1024, 16}},
+                {{"v", DataType::kInt64, false, false}});
+  MemArray a(s);
+  for (int64_t ci = 0; ci < 64; ++ci) {
+    for (int64_t cj = 0; cj < 64; ++cj) {
+      const int64_t i = ci * 16 + 1 + (ci + cj) % 16;
+      const int64_t j = cj * 16 + 1 + (ci * 3 + cj) % 16;
+      ASSERT_TRUE(a.SetCell({i, j}, Value(i * 10000 + j)).ok());
+    }
+  }
+  ASSERT_TRUE(WriteSciDbFile(path, a).ok());
+  Result<std::unique_ptr<DiskArray>> file = OpenSciDbFile(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(file.value()->bucket_count(), 4096u);
+  for (int width : {1, 4}) {
+    ThreadPool pool(width);
+    MemArray back = file.value()->ReadAll(&pool).ValueOrDie();
+    ASSERT_EQ(back.CellCount(), 4096);
+    a.ForEachCell([&](const Coordinates& c, const Chunk&, int64_t) {
+      auto cell = back.GetCell(c);
+      EXPECT_TRUE(cell.has_value() &&
+                  (*cell)[0].int64_value() == c[0] * 10000 + c[1])
+          << CoordsToString(c);
+      return true;
+    });
+  }
   fs::remove(path);
 }
 

@@ -715,8 +715,8 @@ TEST_F(ScalarVsBatchTest, WorkloadShapes) {
 // source; with ExecContext::enable_chunk_pruning off it reads the whole
 // extent. Both sides, and the session's own leaf pushdown, must agree
 // bit for bit at widths 1, 2 and 4 for stored arrays (overlapping
-// rewrites over merged buckets that cross grid chunks), server snapshots
-// and catalog arrays, bounded or unbounded.
+// rewrites over merged buckets that cross grid chunks), server snapshots,
+// catalog arrays and .sdb files, bounded or unbounded.
 
 // 18 x 17 cells in 4 x 5 chunks of int64, string, uncertain double and
 // double; J is unbounded when `open`, with cells up to J = 23.
@@ -741,7 +741,8 @@ MemArray PushdownCells(const ArraySchema& schema, int keep_pct, Rng* rng) {
       const double x = static_cast<double>(rng->UniformInt(-1000, 1000)) / 8;
       std::vector<Value> cell = {
           maybe(Value(rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40))),
-          maybe(Value("s" + std::to_string(rng->Uniform(50)))),
+          maybe(Value(
+              std::string("s").append(std::to_string(rng->Uniform(50))))),
           maybe(Value(Uncertain(x, rng->Uniform(3) == 0 ? 0.5 : 0.125))),
           maybe(Value(x * 3))};
       EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
@@ -771,7 +772,8 @@ class PushdownDifferentialTest : public ParallelDifferentialTest {
     std::filesystem::remove_all(dir_);
   }
 
-  // The stored, snapshot and catalog sources over one seeded array.
+  // The stored, snapshot, catalog and single-file (.sdb) sources over
+  // one seeded array.
   std::vector<PushdownSource> Sources(bool open) {
     const std::string tag = open ? "_open" : "";
     std::vector<PushdownSource> out;
@@ -826,6 +828,19 @@ class PushdownDifferentialTest : public ParallelDifferentialTest {
     out.push_back({mem->schema().name(), std::make_shared<MemArraySource>(mem),
                    [mem](Session* s) {
                      ASSERT_TRUE(s->RegisterArray(mem).ok());
+                   }});
+
+    const ArraySchema sdb_schema = PushdownSchema("sdb" + tag, open);
+    const std::string path = dir_ + "/" + sdb_schema.name() + ".sdb";
+    EXPECT_TRUE(DiskArray::WriteSingleFile(
+                    path, PushdownCells(sdb_schema, 60, &rng))
+                    .ok());
+    std::shared_ptr<const ArraySource> sdb =
+        DiskArray::OpenSingleFile(path).ValueOrDie();
+    out.push_back({sdb_schema.name(), sdb, [sdb](Session* s) {
+                     s->set_array_resolver([sdb](const std::string&) {
+                       return Result<std::shared_ptr<const ArraySource>>(sdb);
+                     });
                    }});
     return out;
   }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <limits>
 
+#include "array/schema_serde.h"
+#include "common/byte_io.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "storage/background_merger.h"
@@ -335,6 +339,26 @@ TEST(StorageManagerTest, CreateOpenDropSemantics) {
   fs::remove_all(dir);
 }
 
+// A failed CreateArray over an array on disk must leave that array as it
+// was, not flush an empty manifest over it.
+TEST(StorageManagerTest, CreateOverArrayOnDiskKeepsIt) {
+  std::string dir = TempDir("create_over");
+  {
+    StorageManager sm(dir);
+    DiskArray* arr = sm.CreateArray(SmallSchema("kept")).ValueOrDie();
+    MemArray mem(SmallSchema("kept"));
+    ASSERT_TRUE(mem.SetCell({5, 5}, Value(55.0)).ok());
+    ASSERT_TRUE(arr->WriteAll(mem).ok());
+  }
+  StorageManager sm(dir);
+  EXPECT_TRUE(
+      sm.CreateArray(SmallSchema("kept")).status().IsAlreadyExists());
+  DiskArray* arr = sm.OpenArray("kept").ValueOrDie();
+  EXPECT_EQ(arr->bucket_count(), 1u);
+  EXPECT_TRUE(arr->ReadCell({5, 5}).ValueOrDie().has_value());
+  fs::remove_all(dir);
+}
+
 TEST(StorageManagerTest, CodecsProduceSameDataDifferentSizes) {
   std::string dir = TempDir("codec");
   StorageManager sm(dir);
@@ -521,7 +545,8 @@ MemArray MixedStoredCells(const ArraySchema& schema, Rng* rng, int keep_pct) {
           cell.push_back(maybe(Value(
               rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40))));
         } else if (attr.type == DataType::kString) {
-          cell.push_back(maybe(Value("s" + std::to_string(rng->Uniform(50)))));
+          cell.push_back(maybe(Value(
+              std::string("s").append(std::to_string(rng->Uniform(50))))));
         } else if (attr.uncertain) {
           cell.push_back(
               maybe(Value(Uncertain(x, rng->Uniform(3) == 0 ? 0.5 : 0.125))));
@@ -618,6 +643,201 @@ TEST(StoredScanTest, MergedBucketsCrossingGridChunks) {
       ExpectReadsMatch(*arr, schema, {&cells}, schema.name());
     }
   }
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------------------ manifest
+//
+// One manifest encoding serves `<name>.manifest` and the single-file
+// (`.sdb`) array: magic "SCMF" | schema | codec u8 | next id u64 | payload
+// end u64 | varint bucket count | per bucket: id u64, varint arity, zigzag
+// (low, high) per dimension, offset u64, size u64, zigzag cell count. A
+// single file is payloads | manifest | manifest offset u64 | magic "SDBF".
+
+struct BucketFields {
+  uint64_t id = 1;
+  Box box;
+  uint64_t offset = 0;
+  uint64_t size = 0;
+  int64_t cells = 0;
+};
+
+std::vector<uint8_t> ManifestBytes(const ArraySchema& schema, uint8_t codec,
+                                   uint64_t next_id, uint64_t data_end,
+                                   const std::vector<BucketFields>& buckets) {
+  ByteWriter w;
+  w.PutU32(0x53434D46);
+  EncodeSchema(schema, &w);
+  w.PutU8(codec);
+  w.PutU64(next_id);
+  w.PutU64(data_end);
+  w.PutVarint(buckets.size());
+  for (const BucketFields& b : buckets) {
+    w.PutU64(b.id);
+    w.PutVarint(b.box.ndims());
+    for (size_t d = 0; d < b.box.ndims(); ++d) {
+      w.PutSignedVarint(b.box.low[d]);
+      w.PutSignedVarint(b.box.high[d]);
+    }
+    w.PutU64(b.offset);
+    w.PutU64(b.size);
+    w.PutSignedVarint(b.cells);
+  }
+  return w.Release();
+}
+
+// A single file's bytes after its `payload` bytes of payloads.
+std::vector<uint8_t> SingleFileTail(const std::vector<uint8_t>& manifest,
+                                    uint64_t payload) {
+  ByteWriter w;
+  w.PutBytes(manifest.data(), manifest.size());
+  w.PutU64(payload);
+  w.PutU32(0x53444246);
+  return w.Release();
+}
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(f),
+                              std::istreambuf_iterator<char>());
+}
+
+void PutFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(b.data()),
+          static_cast<std::streamsize>(b.size()));
+}
+
+// 8 cells of one 1-D chunk: one bucket.
+ArraySchema LineSchema() {
+  return ArraySchema("line", {{"I", 1, 8, 8}},
+                     {{"v", DataType::kDouble, true, false}});
+}
+
+MemArray LineCells() {
+  MemArray a(LineSchema());
+  for (int64_t i = 1; i <= 8; ++i) {
+    SCIDB_CHECK(a.SetCell({i}, Value(static_cast<double>(i))).ok());
+  }
+  return a;
+}
+
+// Well-formed manifests for LineCells() stored as one bucket of
+// `payload` bytes at offset 0, each with one field out of range.
+std::vector<std::pair<std::string, std::vector<uint8_t>>> CorruptManifests(
+    uint64_t payload) {
+  const auto lz = static_cast<uint8_t>(CodecType::kLz);
+  const BucketFields good{1, Box({1}, {8}), 0, payload, 8};
+  BucketFields two_dims = good;
+  two_dims.box = Box({1, 1}, {8, 8});
+  BucketFields past_end = good;
+  past_end.size = uint64_t{1} << 62;
+  BucketFields wraps = good;
+  wraps.offset = std::numeric_limits<uint64_t>::max() - 1;
+  BucketFields empty_box = good;
+  empty_box.box = Box({5}, {4});
+  const ArraySchema s = LineSchema();
+  return {{"codec", ManifestBytes(s, 0x7F, 2, payload, {good})},
+          {"arity", ManifestBytes(s, lz, 2, payload, {two_dims})},
+          {"size past the payloads", ManifestBytes(s, lz, 2, payload,
+                                                   {past_end})},
+          {"offset + size wraps", ManifestBytes(s, lz, 2, payload, {wraps})},
+          {"payload end past the data",
+           ManifestBytes(s, lz, 2, payload + 1, {good})},
+          {"low > high", ManifestBytes(s, lz, 2, payload, {empty_box})},
+          {"duplicate id", ManifestBytes(s, lz, 2, payload, {good, good})}};
+}
+
+// The manifest Flush writes is the documented encoding, byte for byte.
+TEST(ManifestTest, FlushWritesTheDocumentedBytes) {
+  std::string dir = TempDir("manifest_bytes");
+  uint64_t payload = 0;
+  {
+    StorageManager sm(dir);
+    DiskArray* arr = sm.CreateArray(LineSchema()).ValueOrDie();
+    ASSERT_TRUE(arr->WriteAll(LineCells()).ok());
+    payload = static_cast<uint64_t>(arr->LiveBytes());
+  }
+  EXPECT_EQ(FileBytes(dir + "/line.manifest"),
+            ManifestBytes(LineSchema(), static_cast<uint8_t>(CodecType::kLz),
+                          2, payload,
+                          {{1, Box({1}, {8}), 0, payload, 8}}));
+  fs::remove_all(dir);
+}
+
+// A stored array whose manifest has a field out of range fails to open
+// with Corruption, before any bucket is read, and keeps its manifest.
+TEST(ManifestTest, CorruptStoredManifestFailsOpen) {
+  std::string dir = TempDir("manifest_corrupt");
+  uint64_t payload = 0;
+  {
+    StorageManager sm(dir);
+    DiskArray* arr = sm.CreateArray(LineSchema()).ValueOrDie();
+    ASSERT_TRUE(arr->WriteAll(LineCells()).ok());
+    payload = static_cast<uint64_t>(arr->LiveBytes());
+  }
+  const std::string path = dir + "/line.manifest";
+  for (const auto& [what, bytes] : CorruptManifests(payload)) {
+    SCOPED_TRACE(what);
+    PutFileBytes(path, bytes);
+    {
+      StorageManager sm(dir);
+      Result<DiskArray*> opened = sm.OpenArray("line");
+      EXPECT_TRUE(opened.status().IsCorruption())
+          << opened.status().ToString();
+    }
+    EXPECT_EQ(FileBytes(path), bytes);
+  }
+  fs::remove_all(dir);
+}
+
+// The same manifests inside a single-file array.
+TEST(ManifestTest, CorruptSingleFileManifestFailsOpen) {
+  std::string dir = TempDir("sdb_corrupt");
+  const std::string path = dir + "/line.sdb";
+  ASSERT_TRUE(DiskArray::WriteSingleFile(path, LineCells()).ok());
+  const uint64_t payload = static_cast<uint64_t>(
+      DiskArray::OpenSingleFile(path).ValueOrDie()->LiveBytes());
+  std::vector<uint8_t> payloads = FileBytes(path);
+  payloads.resize(payload);
+  for (const auto& [what, manifest] : CorruptManifests(payload)) {
+    SCOPED_TRACE(what);
+    std::vector<uint8_t> bytes = payloads;
+    const std::vector<uint8_t> tail = SingleFileTail(manifest, payload);
+    bytes.insert(bytes.end(), tail.begin(), tail.end());
+    PutFileBytes(path, bytes);
+    Result<std::unique_ptr<DiskArray>> opened = DiskArray::OpenSingleFile(path);
+    EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+  }
+  fs::remove_all(dir);
+}
+
+// The single file is payloads | manifest | trailer, and an array opened
+// from it refuses writes and leaves the file as it was.
+TEST(ManifestTest, SingleFileIsPayloadsManifestTrailer) {
+  std::string dir = TempDir("sdb_layout");
+  const std::string path = dir + "/line.sdb";
+  ASSERT_TRUE(DiskArray::WriteSingleFile(path, LineCells()).ok());
+  const std::vector<uint8_t> bytes = FileBytes(path);
+  std::unique_ptr<DiskArray> arr = DiskArray::OpenSingleFile(path).ValueOrDie();
+  const uint64_t payload = static_cast<uint64_t>(arr->LiveBytes());
+  const std::vector<uint8_t> tail = SingleFileTail(
+      ManifestBytes(LineSchema(), static_cast<uint8_t>(CodecType::kLz), 2,
+                    payload, {{1, Box({1}, {8}), 0, payload, 8}}),
+      payload);
+  ASSERT_EQ(bytes.size(), payload + tail.size());
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin() + static_cast<long>(payload),
+                                 bytes.end()),
+            tail);
+
+  EXPECT_EQ(arr->ReadAll().ValueOrDie().CellCount(), 8);
+  EXPECT_EQ(arr->WriteAll(LineCells()).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(arr->MergeSmallBuckets(1 << 20).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(arr->Flush().ok());
+  arr.reset();
+  EXPECT_EQ(FileBytes(path), bytes);
   fs::remove_all(dir);
 }
 

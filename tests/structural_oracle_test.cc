@@ -60,6 +60,9 @@ Result<MemArray> RefReshape(const MemArray& a,
   }
   MemArray out(out_schema);
   RETURN_NOT_OK(RefMove(a, &out, [&](const Coordinates& c) {
+    if (!in_box.Contains(c)) {
+      return Result<Coordinates>(Status::OutOfRange("outside the bounds"));
+    }
     Coordinates pc;
     for (size_t d : perm) pc.push_back(c[d]);
     return Result<Coordinates>(UnrankInBox(out_box, RankInBox(perm_box, pc)));
@@ -216,7 +219,9 @@ MemArray Fill(const ArraySchema& schema, uint64_t seed, double density,
     Value f = rng.Uniform(5) == 0 ? Value::Null() : Value(rng.NextGaussian());
     SCIDB_CHECK(a.SetCell(c, {Value(rng.UniformInt(-(int64_t{1} << 60),
                                                    int64_t{1} << 60)),
-                              f, Value("s" + std::to_string(rng.Next())),
+                              f,
+                              Value(std::string("s").append(
+                                  std::to_string(rng.Next()))),
                               Value(Uncertain(rng.NextGaussian(),
                                               rng.NextDouble()))})
                     .ok());
@@ -331,13 +336,20 @@ TEST_F(StructuralOracleTest, Reshape) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ExpectSame(got, RefReshape(grid_, order, got.value().schema()));
   }
-  // A cell below the declared bounds maps below the output's (one above
-  // them would wrap around into it).
-  MemArray wide = Narrowed(grid_, 0, 2, 10);
-  Result<MemArray> bad = Reshape(ctx_, wide, {"I", "J"}, {{"L", 0, 62, 8}});
-  EXPECT_TRUE(bad.status().IsOutOfRange()) << bad.status().ToString();
-  ExpectSame(bad, RefReshape(wide, {"I", "J"},
-                             Mixed("G_reshape", {{"L", 0, 62, 8}})));
+  // A cell below or above the declared bounds fails, naming the cell; one
+  // above them must not wrap around onto an in-bounds output cell.
+  for (const auto& [low, high] :
+       std::vector<std::pair<int64_t, int64_t>>{{2, 10}, {1, 9}}) {
+    MemArray wide = Narrowed(grid_, 0, low, high);
+    Result<MemArray> bad =
+        Reshape(ctx_, wide, {"I", "J"}, {{"L", 0, 62, 8}});
+    EXPECT_TRUE(bad.status().IsOutOfRange()) << bad.status().ToString();
+    const std::string cell = low == 2 ? "[1," : "[10,";
+    EXPECT_NE(bad.status().message().find(cell), std::string::npos)
+        << bad.status().ToString();
+    ExpectSame(bad, RefReshape(wide, {"I", "J"},
+                               Mixed("G_reshape", {{"L", 0, 62, 8}})));
+  }
 }
 
 TEST_F(StructuralOracleTest, AddAndRemoveDimension) {
