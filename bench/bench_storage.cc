@@ -1,12 +1,16 @@
 // EXP-CHUNK (§2.8): storage-manager benchmarks — chunk-size sweep for
-// write/scan paths, codec comparison on science-like payloads, the
-// background-merge ablation (fragmented vs merged reads), and the R-tree
-// chunk-pruning ablation for Subsample (DESIGN.md §5).
+// write/scan paths, codec comparison on science-like payloads, the decode
+// layer split into codec and serde rates, the background-merge ablation
+// (fragmented vs merged reads), and the R-tree chunk-pruning ablation for
+// Subsample (DESIGN.md §5).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "exec/operators.h"
+#include "storage/chunk_serde.h"
+#include "storage/codec.h"
 #include "storage/storage_manager.h"
 #include "workloads.h"
 
@@ -118,6 +122,87 @@ void BM_DiskRead_Codec(benchmark::State& state) {
 }
 BENCHMARK(BM_DiskRead_Codec)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+// ---- the decode layer, split: codec MB/s and serde MB/s ----
+
+// The bench sky image quantized to 1/64, so the codecs see the repetition
+// real instrument counts have; one attribute per DeserializeChunk case.
+// Kind 0 double, 1 int64, 2 uncertain double (varying stderr), 3 string.
+std::vector<AttributeDesc> DecodeBenchAttrs(int kind) {
+  const char* names[] = {"double", "int64", "uncertain", "string"};
+  const DataType types[] = {DataType::kDouble, DataType::kInt64,
+                            DataType::kDouble, DataType::kString};
+  return {{names[kind], types[kind], true, kind == 2}};
+}
+
+std::vector<Chunk> DecodeBenchChunks(int kind) {
+  const std::vector<AttributeDesc> attrs = DecodeBenchAttrs(kind);
+  MemArray sky = bench::MakeSkyImage(256, 64, 10, 42);
+  std::vector<Chunk> out;
+  for (const auto& [origin, src] : sky.chunks()) {
+    Chunk c(src->box(), attrs);
+    for (Chunk::CellIterator it(*src); it.valid(); it.Next()) {
+      const double v = std::round(src->block(0).GetDouble(it.rank()) * 64) / 64;
+      Value x;
+      switch (kind) {
+        case 0:
+          x = Value(v);
+          break;
+        case 1:
+          x = Value(static_cast<int64_t>(std::llround(v * 64)));
+          break;
+        case 2:
+          x = Value(Uncertain(v, std::round(std::sqrt(std::fabs(v)) * 8) / 64));
+          break;
+        default:
+          x = Value(std::to_string(std::llround(v)));
+          break;
+      }
+      c.SetCell(it.coords(), {x});
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+void BM_Decompress_Codec(benchmark::State& state) {
+  const CodecType codec = static_cast<CodecType>(state.range(0));
+  std::vector<std::vector<uint8_t>> payloads;
+  int64_t raw_bytes = 0;
+  for (const Chunk& c : DecodeBenchChunks(0)) {
+    std::vector<uint8_t> raw = SerializeChunk(c);
+    raw_bytes += static_cast<int64_t>(raw.size());
+    payloads.push_back(Compress(codec, raw));
+  }
+  for (auto _ : state) {
+    for (const auto& p : payloads) {
+      benchmark::DoNotOptimize(Decompress(p).ValueOrDie().data());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * raw_bytes);
+  state.SetLabel(CodecTypeName(codec));
+}
+BENCHMARK(BM_Decompress_Codec)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_DeserializeChunk_Type(benchmark::State& state) {
+  const int kind = static_cast<int>(state.range(0));
+  const std::vector<AttributeDesc> attrs = DecodeBenchAttrs(kind);
+  std::vector<std::vector<uint8_t>> raws;
+  int64_t raw_bytes = 0;
+  for (const Chunk& c : DecodeBenchChunks(kind)) {
+    raws.push_back(SerializeChunk(c));
+    raw_bytes += static_cast<int64_t>(raws.back().size());
+  }
+  for (auto _ : state) {
+    for (const auto& raw : raws) {
+      benchmark::DoNotOptimize(
+          DeserializeChunk(raw, attrs).ValueOrDie().present_count());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * raw_bytes);
+  state.SetLabel(attrs[0].name);
+}
+BENCHMARK(BM_DeserializeChunk_Type)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 // ---- background merge ablation ----
 

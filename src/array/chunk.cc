@@ -187,6 +187,30 @@ void AttributeBlock::SetStderr(int64_t i, double s) {
   stderrs_[static_cast<size_t>(i)] = s;
 }
 
+void AttributeBlock::AssignStderrs(std::vector<double> per_cell) {
+  SCIDB_DCHECK(per_cell.size() == nulls_.size());
+  stderr_is_const_ = true;
+  stderr_seen_ = false;
+  const_stderr_ = 0.0;
+  stderrs_.clear();
+  for (size_t i = 0; i < per_cell.size(); ++i) {
+    if (nulls_[i]) continue;
+    if (!stderr_seen_) {
+      const_stderr_ = per_cell[i];
+      stderr_seen_ = true;
+    } else if (!(per_cell[i] == const_stderr_)) {
+      // A second error bar: keep the whole column. Null cells read the
+      // first one, as MaterializeStderr() would leave them.
+      for (size_t k = 0; k < per_cell.size(); ++k) {
+        if (nulls_[k]) per_cell[k] = const_stderr_;
+      }
+      stderrs_ = std::move(per_cell);
+      stderr_is_const_ = false;
+      return;
+    }
+  }
+}
+
 double AttributeBlock::GetStderr(int64_t i) const {
   if (stderr_is_const_) return const_stderr_;
   return stderrs_[static_cast<size_t>(i)];
@@ -220,6 +244,18 @@ void Chunk::MarkPresent(int64_t rank) {
     p = 1;
     ++present_count_;
   }
+}
+
+void Chunk::AssignPresence(const uint8_t* flags) {
+  // Locals, not members, in the loop: a byte store may alias a member.
+  uint8_t* present = present_.data();
+  const size_t cells = present_.size();
+  int64_t count = 0;
+  for (size_t i = 0; i < cells; ++i) {
+    present[i] = flags[i] != 0;
+    count += present[i];
+  }
+  present_count_ = count;
 }
 
 void Chunk::MarkAbsent(int64_t rank) {

@@ -48,11 +48,34 @@ class AttributeBlock {
 
   // Direct access to the dense payload for vectorized loops. Entries of
   // null cells are unspecified; read nulls() first.
-  std::vector<double>* mutable_doubles() { return &f64_; }
   const std::vector<double>& doubles() const { return f64_; }
   const std::vector<int64_t>& int64s() const { return i64_; }
   const std::vector<float>& floats() const { return f32_; }
+  const std::vector<uint8_t>& bools() const { return bools_; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }
+
+  // Writable raw columns, for a codec that fills a whole block at once
+  // (the chunk serde): the null flags (1 == null) and the value column of
+  // type(), with bools as 0/1 bytes and an uncertain attribute's means in
+  // its value column. The other value pointers are null. The writer
+  // clears each value cell's null flag itself. Strings and nested arrays
+  // have no raw column; they go through Set().
+  struct Columns {
+    uint8_t* nulls;
+    uint8_t* bools;
+    int64_t* i64;
+    float* f32;
+    double* f64;
+  };
+  Columns mutable_columns() {
+    return {nulls_.data(), bools_.data(), i64_.data(), f32_.data(),
+            f64_.data()};
+  }
+
+  // Sets the error bar of every non-null cell from `per_cell` (one entry
+  // per cell) and collapses the column to a constant when they all
+  // agree: the state a run of SetStderr calls in rank order leaves.
+  void AssignStderrs(std::vector<double> per_cell);
 
   // Cell `i` := cell `src_i` of `src` (same type and uncertainty); the
   // same result as Set(i, src.Get(src_i)), without boxing a Value.
@@ -119,6 +142,12 @@ class Chunk {
   }
   void MarkPresent(int64_t rank);
   void MarkAbsent(int64_t rank);
+
+  // The presence flags, one byte per cell (1 == present).
+  const std::vector<uint8_t>& presence() const { return present_; }
+  // Sets every cell's presence from `flags`, one byte per cell (nonzero
+  // == present), and recounts present_count().
+  void AssignPresence(const uint8_t* flags);
 
   // Cell-level convenience API (operators use rank + block fast paths).
   void SetCell(const Coordinates& c, const std::vector<Value>& values);

@@ -12,6 +12,49 @@
 
 namespace scidb {
 
+// ZigZag maps small signed values to small unsigned ones (0, -1, 1, -2,
+// ... -> 0, 1, 2, 3, ...) so they varint-code short.
+inline uint64_t ZigZagEncode(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+inline int64_t ZigZagDecode(uint64_t u) {
+  return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+}
+
+// Parses one LEB128 varint at *p, reading nothing at or past `end`, and
+// advances *p past it. A varint is at most ten bytes and the tenth may
+// carry only bit 63. On failure returns false with *p == end for a
+// truncated varint, or *p before `end` for one that overflows 64 bits.
+inline bool ParseVarint(const uint8_t** p, const uint8_t* end,
+                        uint64_t* v) {
+  const uint8_t* q = *p;
+  if (q < end && *q < 0x80) {  // the common one- and two-byte cases
+    *v = *q;
+    *p = q + 1;
+    return true;
+  }
+  if (end - q >= 2 && q[1] < 0x80) {
+    *v = (q[0] & 0x7Fu) | static_cast<uint64_t>(q[1]) << 7;
+    *p = q + 2;
+    return true;
+  }
+  uint64_t x = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (q == end) break;
+    const uint8_t b = *q;
+    if (shift == 63 && b > 1) break;
+    ++q;
+    x |= static_cast<uint64_t>(b & 0x7F) << shift;
+    if (b < 0x80) {
+      *v = x;
+      *p = q;
+      return true;
+    }
+  }
+  *p = q;
+  return false;
+}
+
 // Append-only little-endian byte sink used by the chunk codecs, the
 // self-describing on-disk format and the external-format writers.
 class ByteWriter {
@@ -23,9 +66,14 @@ class ByteWriter {
     // false positive when inlined into fresh-buffer writers. The n == 0
     // guard keeps memcpy away from null `data` (UB even for 0 bytes).
     if (n == 0) return;
+    std::memcpy(Extend(n), data, n);
+  }
+  // `n` fresh bytes at the end, for a caller that fills a whole column in
+  // place; valid until the next write.
+  uint8_t* Extend(size_t n) {
     const size_t old = buf_.size();
     buf_.resize(old + n);
-    std::memcpy(buf_.data() + old, data, n);
+    return buf_.data() + old;
   }
   void PutU32(uint32_t v) { PutFixed(v); }
   void PutU64(uint64_t v) { PutFixed(v); }
@@ -42,10 +90,7 @@ class ByteWriter {
     buf_.push_back(static_cast<uint8_t>(v));
   }
   // ZigZag-encoded signed varint.
-  void PutSignedVarint(int64_t v) {
-    PutVarint((static_cast<uint64_t>(v) << 1) ^
-              static_cast<uint64_t>(v >> 63));
-  }
+  void PutSignedVarint(int64_t v) { PutVarint(ZigZagEncode(v)); }
   void PutString(const std::string& s) {
     PutVarint(s.size());
     PutBytes(s.data(), s.size());
@@ -88,23 +133,19 @@ class ByteReader {
   Result<float> GetFloat() { return GetFixed<float>("float"); }
 
   Result<uint64_t> GetVarint() {
+    const uint8_t* p = cursor();
+    const uint8_t* end = data_ + size_;
     uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (remaining() < 1) return Truncated("varint");
-      uint8_t b = data_[pos_++];
-      if (shift >= 63 && (b & 0x7E) != 0) {
-        return Status::Corruption("varint overflow");
-      }
-      v |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
+    if (!ParseVarint(&p, end, &v)) {
+      return p == end ? Truncated("varint")
+                      : Status::Corruption("varint overflow");
     }
+    pos_ = static_cast<size_t>(p - data_);
     return v;
   }
   Result<int64_t> GetSignedVarint() {
     ASSIGN_OR_RETURN(uint64_t u, GetVarint());
-    return static_cast<int64_t>((u >> 1) ^ (~(u & 1) + 1));
+    return ZigZagDecode(u);
   }
   Result<std::string> GetString() {
     ASSIGN_OR_RETURN(uint64_t n, GetVarint());
@@ -125,6 +166,16 @@ class ByteReader {
     }
     return Status::OK();
   }
+  // The next `n` bytes, read in place; valid while the buffer lives.
+  Result<const uint8_t*> GetSpan(size_t n) {
+    if (remaining() < n) return Truncated("bytes");
+    const uint8_t* p = cursor();
+    pos_ += n;
+    return p;
+  }
+  // The unread bytes in place, for a caller that parses a run of values
+  // itself and then Skip()s the bytes it used.
+  const uint8_t* cursor() const { return data_ + pos_; }
   Status Skip(size_t n) {
     if (remaining() < n) return Truncated("skip");
     pos_ += n;

@@ -1,5 +1,6 @@
 #include "storage/codec.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/byte_io.h"
@@ -20,6 +21,42 @@ const char* CodecTypeName(CodecType t) {
 }
 
 namespace {
+
+// The output of one decode. It grows by doubling from twice the encoded
+// size, so only output the stream really produces is allocated, and never
+// past the caller's cap: Extend refuses a write that would pass the cap
+// before it allocates anything.
+class DecodeBuffer {
+ public:
+  DecodeBuffer(size_t cap, size_t encoded_bytes) : cap_(cap) {
+    buf_.resize(std::min(cap_, 2 * encoded_bytes));
+  }
+
+  size_t size() const { return pos_; }
+
+  // Points *dst at room for `n` more bytes at the end of the output,
+  // valid until the next call; false when that would pass the cap.
+  bool Extend(uint64_t n, uint8_t** dst) {
+    if (n > cap_ - pos_) return false;
+    const size_t want = pos_ + static_cast<size_t>(n);
+    if (want > buf_.size()) {
+      buf_.resize(std::min(cap_, std::max(want, 2 * buf_.size())));
+    }
+    *dst = buf_.data() + pos_;
+    pos_ = want;
+    return true;
+  }
+
+  std::vector<uint8_t> Release() {
+    buf_.resize(pos_);
+    return std::move(buf_);
+  }
+
+ private:
+  const size_t cap_;
+  size_t pos_ = 0;
+  std::vector<uint8_t> buf_;
+};
 
 // ---- byte RLE: runs of >= 4 identical bytes are encoded as
 // <0xFF, count(varint), byte>; literal stretches as <len(varint), bytes>.
@@ -58,19 +95,30 @@ void RleEncode(const std::vector<uint8_t>& in, ByteWriter* w) {
   }
 }
 
-Status RleDecode(ByteReader* r, std::vector<uint8_t>* out) {
-  while (r->remaining() > 0) {
-    ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
+Status RleDecode(const uint8_t* p, const uint8_t* end, DecodeBuffer* out) {
+  while (p < end) {
+    const uint8_t tag = *p++;
     if (tag == 0xFF) {
-      ASSIGN_OR_RETURN(uint64_t count, r->GetVarint());
-      ASSIGN_OR_RETURN(uint8_t b, r->GetU8());
-      if (count > (1ull << 32)) return Status::Corruption("rle run too long");
-      out->insert(out->end(), static_cast<size_t>(count), b);
+      uint64_t count = 0;
+      if (!ParseVarint(&p, end, &count) || p == end) {
+        return Status::Corruption("truncated rle run");
+      }
+      uint8_t* dst = nullptr;
+      if (!out->Extend(count, &dst)) {
+        return Status::Corruption("rle run exceeds the cap");
+      }
+      const uint8_t b = *p++;
+      if (count > 0) std::memset(dst, b, static_cast<size_t>(count));
     } else {
-      size_t len = tag;
-      size_t off = out->size();
-      out->resize(off + len);
-      RETURN_NOT_OK(r->GetBytes(out->data() + off, len));
+      if (tag > static_cast<size_t>(end - p)) {
+        return Status::Corruption("truncated rle literal");
+      }
+      uint8_t* dst = nullptr;
+      if (!out->Extend(tag, &dst)) {
+        return Status::Corruption("rle literal exceeds the cap");
+      }
+      if (tag > 0) std::memcpy(dst, p, tag);
+      p += tag;
     }
   }
   return Status::OK();
@@ -139,27 +187,53 @@ void LzEncode(const std::vector<uint8_t>& in, ByteWriter* w) {
   flush_literals(n);
 }
 
-Status LzDecode(ByteReader* r, std::vector<uint8_t>* out) {
-  while (r->remaining() > 0) {
-    ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
-    if (tag == 0x00) {
-      ASSIGN_OR_RETURN(uint64_t len, r->GetVarint());
-      size_t off = out->size();
-      out->resize(off + static_cast<size_t>(len));
-      RETURN_NOT_OK(r->GetBytes(out->data() + off, static_cast<size_t>(len)));
-    } else if (tag == 0x01) {
-      ASSIGN_OR_RETURN(uint64_t dist, r->GetVarint());
-      ASSIGN_OR_RETURN(uint64_t len, r->GetVarint());
-      if (dist == 0 || dist > out->size()) {
-        return Status::Corruption("lz match distance out of range");
-      }
-      size_t src = out->size() - static_cast<size_t>(dist);
-      // Byte-at-a-time: matches may overlap their own output.
-      for (uint64_t k = 0; k < len; ++k) {
-        out->push_back((*out)[src + static_cast<size_t>(k)]);
-      }
-    } else {
+Status LzDecode(const uint8_t* p, const uint8_t* end, DecodeBuffer* out) {
+  while (p < end) {
+    const uint8_t tag = *p++;
+    if (tag != 0x00 && tag != 0x01) {
       return Status::Corruption("unknown lz token");
+    }
+    uint64_t a = 0;  // a literal's length, or a match's distance
+    if (!ParseVarint(&p, end, &a)) return Status::Corruption("bad lz varint");
+    if (tag == 0x00) {
+      // A literal is checked against the input it copies from, so its
+      // length cannot ask for more output than the input holds.
+      if (a > static_cast<uint64_t>(end - p)) {
+        return Status::Corruption("lz literal longer than its input");
+      }
+      uint8_t* dst = nullptr;
+      if (!out->Extend(a, &dst)) {
+        return Status::Corruption("lz literal exceeds the cap");
+      }
+      if (a > 0) std::memcpy(dst, p, static_cast<size_t>(a));
+      p += a;
+      continue;
+    }
+    uint64_t len = 0;
+    if (!ParseVarint(&p, end, &len)) {
+      return Status::Corruption("bad lz varint");
+    }
+    if (a == 0 || a > out->size()) {
+      return Status::Corruption("lz match distance out of range");
+    }
+    uint8_t* dst = nullptr;
+    if (!out->Extend(len, &dst)) {
+      return Status::Corruption("lz match exceeds the cap");
+    }
+    const uint8_t* src = dst - a;
+    const size_t n = static_cast<size_t>(len);
+    if (a >= len) {
+      std::memcpy(dst, src, n);
+    } else {
+      // The match overlaps its own output, so it repeats its first `a`
+      // bytes. Copy in blocks that end where their source begins,
+      // doubling the block each time: dst[k + i] == src[i] holds
+      // because every block starts at a multiple of `a`.
+      for (size_t k = 0; k < n;) {
+        const size_t step = std::min(n - k, k + static_cast<size_t>(a));
+        std::memcpy(dst + k, src, step);
+        k += step;
+      }
     }
   }
   return Status::OK();
@@ -185,22 +259,30 @@ std::vector<uint8_t> Compress(CodecType codec,
   return w.Release();
 }
 
-Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input) {
-  ByteReader r(input);
-  ASSIGN_OR_RETURN(uint8_t tag, r.GetU8());
-  std::vector<uint8_t> out;
+Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input,
+                                        size_t max_output) {
+  if (input.empty()) return Status::Corruption("empty codec payload");
+  const uint8_t tag = input[0];
+  const uint8_t* p = input.data() + 1;
+  const uint8_t* end = input.data() + input.size();
+  const size_t body = input.size() - 1;
   switch (static_cast<CodecType>(tag)) {
     case CodecType::kNone: {
-      out.resize(r.remaining());
-      RETURN_NOT_OK(r.GetBytes(out.data(), out.size()));
-      return out;
+      if (body > max_output) {
+        return Status::Corruption("payload exceeds the cap");
+      }
+      return std::vector<uint8_t>(p, end);
     }
-    case CodecType::kRle:
-      RETURN_NOT_OK(RleDecode(&r, &out));
-      return out;
-    case CodecType::kLz:
-      RETURN_NOT_OK(LzDecode(&r, &out));
-      return out;
+    case CodecType::kRle: {
+      DecodeBuffer out(max_output, body);
+      RETURN_NOT_OK(RleDecode(p, end, &out));
+      return out.Release();
+    }
+    case CodecType::kLz: {
+      DecodeBuffer out(max_output, body);
+      RETURN_NOT_OK(LzDecode(p, end, &out));
+      return out.Release();
+    }
   }
   return Status::Corruption("unknown codec tag " + std::to_string(tag));
 }

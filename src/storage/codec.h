@@ -1,6 +1,7 @@
 #ifndef SCIDB_STORAGE_CODEC_H_
 #define SCIDB_STORAGE_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -26,7 +27,17 @@ const char* CodecTypeName(CodecType t);
 std::vector<uint8_t> Compress(CodecType codec,
                               const std::vector<uint8_t>& input);
 
-Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input);
+// The largest output Decompress produces for a caller that names no
+// bound of its own (1 GiB): a stored payload whose box does not bound its
+// size (strings, nested arrays) may decode to at most this much.
+inline constexpr size_t kMaxDecodedBytes = size_t{1} << 30;
+
+// Decodes a Compress() output. Input that is not one returns Corruption,
+// and so does a stream that would decode to more than `max_output` bytes:
+// a match or run is checked against that cap, and a literal against the
+// input left, before the output grows.
+Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input,
+                                        size_t max_output = kMaxDecodedBytes);
 
 }  // namespace scidb
 

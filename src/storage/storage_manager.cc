@@ -177,7 +177,9 @@ Result<std::shared_ptr<const Chunk>> DiskArray::ReadBucket(
   m.bytes_read->Inc(static_cast<int64_t>(meta.size));
   m.bucket_read_latency_us->Record(
       static_cast<int64_t>((SteadyNowNs() - t0) / 1000));
-  ASSIGN_OR_RETURN(std::vector<uint8_t> raw, Decompress(payload));
+  ASSIGN_OR_RETURN(
+      std::vector<uint8_t> raw,
+      Decompress(payload, MaxSerializedChunkBytes(meta.box, schema_.attrs())));
   ASSIGN_OR_RETURN(Chunk chunk, DeserializeChunk(raw, schema_.attrs()));
   auto shared = std::make_shared<const Chunk>(std::move(chunk));
   if (cache_ != nullptr) cache_->Put(meta.id, shared);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -100,6 +102,163 @@ TEST_P(SeededTest, CodecsRoundTripRandomPayloads) {
       auto decoded = Decompress(Compress(c, payload));
       ASSERT_TRUE(decoded.ok());
       EXPECT_EQ(decoded.value(), payload) << CodecTypeName(c);
+    }
+  }
+}
+
+// ---- every value codec round-trips bit-exactly through every codec ----
+
+// A value for attribute `a` of ChunkPayloadRoundTrips: odd bit patterns
+// (NaN payloads, -0.0, infinities, full-range int64s) turn up often.
+Value RandomValue(Rng* rng, const AttributeDesc& a, size_t index) {
+  auto any_double = [&]() {
+    switch (rng->Uniform(6)) {
+      case 0:
+        return std::bit_cast<double>(rng->Next());
+      case 1:
+        return -0.0;
+      case 2:
+        return std::numeric_limits<double>::infinity();
+      default:
+        return std::round(rng->NextDouble() * 4096) / 64;
+    }
+  };
+  switch (a.type) {
+    case DataType::kBool:
+      return Value(rng->Uniform(2) == 1);
+    case DataType::kInt64:
+      if (a.uncertain) {  // an uncertain int64 holds an integral mean
+        const double mean = static_cast<double>(rng->UniformInt(-1000, 1000));
+        return Value(Uncertain(mean, rng->NextDouble()));
+      }
+      return Value(rng->Uniform(3) == 0 ? static_cast<int64_t>(rng->Next())
+                                        : rng->UniformInt(-300, 300));
+    case DataType::kFloat: {
+      const double f = static_cast<float>(any_double());
+      return a.uncertain ? Value(Uncertain(f, 0.125)) : Value(f);
+    }
+    case DataType::kDouble:
+      if (!a.uncertain) return Value(any_double());
+      // Attribute 6 keeps one error bar; 7 varies it, NaN included.
+      if (index == 6) return Value(Uncertain(any_double(), 0.5));
+      return Value(Uncertain(any_double(), rng->Uniform(8) == 0
+                                               ? std::nan("")
+                                               : rng->NextDouble()));
+    case DataType::kString: {
+      std::string str(rng->Uniform(12), '\0');
+      for (char& c : str) c = static_cast<char>(rng->Next());
+      return Value(std::move(str));
+    }
+    case DataType::kArray: {
+      auto na = std::make_shared<NestedArray>();
+      na->shape = {rng->UniformInt(0, 3)};
+      if (rng->Uniform(2) == 0) na->shape.push_back(rng->UniformInt(1, 2));
+      for (int64_t k = 0; k < na->cell_count(); ++k) {
+        na->values.emplace_back(any_double());
+      }
+      return Value(std::move(na));
+    }
+  }
+  return Value::Null();
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+void ExpectSameChunk(const Chunk& want, const Chunk& got) {
+  ASSERT_EQ(got.box(), want.box());
+  ASSERT_EQ(got.present_count(), want.present_count());
+  for (size_t a = 0; a < want.nattrs(); ++a) {
+    const AttributeBlock& w = want.block(a);
+    const AttributeBlock& g = got.block(a);
+    EXPECT_EQ(g.has_constant_stderr(), w.has_constant_stderr()) << a;
+    for (int64_t r = 0; r < want.cell_capacity(); ++r) {
+      ASSERT_EQ(got.IsPresent(r), want.IsPresent(r)) << r;
+      if (!want.IsPresent(r)) continue;
+      ASSERT_EQ(g.IsNull(r), w.IsNull(r)) << a << " @" << r;
+      if (w.IsNull(r)) continue;
+      const size_t i = static_cast<size_t>(r);
+      switch (w.type()) {
+        case DataType::kBool:
+          EXPECT_EQ(g.bools()[i], w.bools()[i]) << a << " @" << r;
+          break;
+        case DataType::kInt64:
+          EXPECT_EQ(g.int64s()[i], w.int64s()[i]) << a << " @" << r;
+          break;
+        case DataType::kFloat:
+          EXPECT_EQ(std::bit_cast<uint32_t>(g.floats()[i]),
+                    std::bit_cast<uint32_t>(w.floats()[i]))
+              << a << " @" << r;
+          break;
+        case DataType::kDouble:
+          EXPECT_TRUE(SameBits(g.doubles()[i], w.doubles()[i]))
+              << a << " @" << r;
+          break;
+        case DataType::kString:
+          EXPECT_EQ(g.Get(r).string_value(), w.Get(r).string_value())
+              << a << " @" << r;
+          break;
+        case DataType::kArray: {
+          const NestedArray& wa = *w.Get(r).array_value();
+          const NestedArray& ga = *g.Get(r).array_value();
+          EXPECT_EQ(ga.shape, wa.shape) << a << " @" << r;
+          ASSERT_EQ(ga.values.size(), wa.values.size());
+          for (size_t k = 0; k < wa.values.size(); ++k) {
+            EXPECT_TRUE(SameBits(ga.values[k].double_value(),
+                                 wa.values[k].double_value()));
+          }
+          break;
+        }
+      }
+      if (w.uncertain()) {
+        EXPECT_TRUE(SameBits(g.GetStderr(r), w.GetStderr(r)))
+            << a << " @" << r;
+      }
+    }
+  }
+}
+
+TEST_P(SeededTest, ChunkPayloadRoundTripsEveryTypeAndCodec) {
+  Rng rng(TestSeed(GetParam()));
+  const std::vector<AttributeDesc> attrs = {
+      {"b", DataType::kBool, true, false},
+      {"i", DataType::kInt64, true, false},
+      {"f", DataType::kFloat, true, false},
+      {"d", DataType::kDouble, true, false},
+      {"s", DataType::kString, true, false},
+      {"a", DataType::kArray, true, false},
+      {"uc", DataType::kDouble, true, true},  // constant stderr
+      {"uv", DataType::kDouble, true, true},  // varying stderr
+      {"ui", DataType::kInt64, true, true},
+      {"uf", DataType::kFloat, true, true},
+      {"none", DataType::kDouble, true, false}};  // every cell NULL
+  for (int trial = 0; trial < 16; ++trial) {
+    const Box box({-3, 5},
+                  {-3 + rng.UniformInt(0, 11), 5 + rng.UniformInt(0, 11)});
+    Chunk chunk(box, attrs);
+    // Trial 0 has no present cell; trial 1 is dense without NULLs.
+    const double density =
+        trial == 0 ? 0.0 : trial == 1 ? 1.0 : rng.NextDouble();
+    const double null_rate = trial == 1 ? 0.0 : rng.NextDouble() * 0.5;
+    for (int64_t r = 0; r < chunk.cell_capacity(); ++r) {
+      if (rng.NextDouble() >= density) continue;
+      std::vector<Value> cell;
+      for (size_t a = 0; a < attrs.size(); ++a) {
+        const bool null = a + 1 == attrs.size() || rng.NextDouble() < null_rate;
+        cell.push_back(null ? Value::Null() : RandomValue(&rng, attrs[a], a));
+      }
+      chunk.SetCell(UnrankInBox(box, r), cell);
+    }
+    const std::vector<uint8_t> raw = SerializeChunk(chunk);
+    for (CodecType c : {CodecType::kNone, CodecType::kRle, CodecType::kLz}) {
+      auto decoded = Decompress(Compress(c, raw));
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      ASSERT_EQ(decoded.value(), raw) << CodecTypeName(c);
+      auto back = DeserializeChunk(decoded.value(), attrs);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      ExpectSameChunk(chunk, back.value());
+      EXPECT_EQ(SerializeChunk(back.value()), raw) << CodecTypeName(c);
     }
   }
 }

@@ -86,6 +86,68 @@ TEST(CodecCompressionTest, DecompressRejectsGarbage) {
   EXPECT_FALSE(Decompress(truncated_lz).ok());
 }
 
+// Tiny hostile payloads that ask for a huge output must be refused
+// before the output grows: each once made the decoder allocate gigabytes.
+TEST(CodecCompressionTest, HugeLzLiteralIsCorruption) {
+  // A literal token claiming 2^55 bytes, followed by none of them.
+  const std::vector<uint8_t> in = {2,    0,    0x80, 0x80, 0x80,
+                                   0x80, 0x80, 0x80, 0x80, 0x40};
+  EXPECT_TRUE(Decompress(in).status().IsCorruption());
+  EXPECT_TRUE(Decompress(in, 1 << 20).status().IsCorruption());
+}
+
+TEST(CodecCompressionTest, HugeLzMatchIsCorruption) {
+  // One literal byte, then a match of 2^31 bytes at distance 1.
+  const std::vector<uint8_t> in = {2,    0,    1,    'A',  1,   1,
+                                   0x80, 0x80, 0x80, 0x80, 0x08};
+  EXPECT_TRUE(Decompress(in).status().IsCorruption());
+  EXPECT_TRUE(Decompress(in, 1 << 20).status().IsCorruption());
+}
+
+TEST(CodecCompressionTest, HugeRleRunIsCorruption) {
+  // One run of 2^32 copies of 0x55.
+  const std::vector<uint8_t> in = {1, 0xFF, 0x80, 0x80, 0x80, 0x80, 0x10,
+                                   0x55};
+  EXPECT_TRUE(Decompress(in).status().IsCorruption());
+  EXPECT_TRUE(Decompress(in, 1 << 20).status().IsCorruption());
+}
+
+TEST(CodecCompressionTest, DecompressHonorsTheCap) {
+  const std::vector<uint8_t> in(1000, 7);
+  for (CodecType c : {CodecType::kNone, CodecType::kRle, CodecType::kLz}) {
+    const std::vector<uint8_t> packed = Compress(c, in);
+    auto exact = Decompress(packed, in.size());
+    ASSERT_TRUE(exact.ok()) << CodecTypeName(c);
+    EXPECT_EQ(exact.value(), in);
+    EXPECT_TRUE(Decompress(packed, in.size() - 1).status().IsCorruption())
+        << CodecTypeName(c);
+  }
+}
+
+// A stored bucket decodes under the bound its box and attributes give.
+TEST(CodecCompressionTest, SerializedChunkFitsItsBound) {
+  const std::vector<AttributeDesc> attrs = {
+      {"n", DataType::kInt64, true, false},
+      {"u", DataType::kDouble, true, true}};
+  const Box box({-5, 0}, {4, 9});
+  Chunk chunk(box, attrs);
+  Rng rng(TestSeed(9));
+  for (int64_t i = -5; i <= 4; ++i) {
+    for (int64_t j = 0; j <= 9; ++j) {
+      // Full-range int64s make most deltas ten-byte varints.
+      chunk.SetCell({i, j}, {Value(static_cast<int64_t>(rng.Next())),
+                             Value(Uncertain(1.0, rng.NextDouble()))});
+    }
+  }
+  const std::vector<uint8_t> raw = SerializeChunk(chunk);
+  const size_t bound = MaxSerializedChunkBytes(box, attrs);
+  EXPECT_LE(raw.size(), bound);
+  EXPECT_LT(bound, kMaxDecodedBytes);
+  EXPECT_TRUE(Decompress(Compress(CodecType::kLz, raw), bound).ok());
+  EXPECT_EQ(MaxSerializedChunkBytes(box, {{"s", DataType::kString}}),
+            kMaxDecodedBytes);
+}
+
 // ------------------------------------------------------------- serde
 
 TEST(ChunkSerdeTest, RoundTripDense) {
