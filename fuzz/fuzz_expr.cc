@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -46,10 +47,19 @@ class Bytes {
   std::abort();
 }
 
-// Finite values only, small integers: no overflow, no NaN payloads.
+// Finite doubles only: no NaN payloads.
 const double kDoubles[] = {0.0, -0.0, 1.0, -2.5, 3.25, 0.1, 1e10, -7.0};
 
-Value IntFrom(uint8_t b) { return Value(static_cast<int64_t>(b % 16) - 8); }
+// Small integers (-1 among them) and the int64 extremes, whose sums
+// overflow and whose quotient and remainder by -1 trap unless computed
+// with the shared wrapping rules.
+Value IntFrom(uint8_t b) {
+  switch (b % 32) {
+    case 30: return Value(std::numeric_limits<int64_t>::min());
+    case 31: return Value(std::numeric_limits<int64_t>::max());
+    default: return Value(static_cast<int64_t>(b % 16) - 8);
+  }
+}
 
 // Up to 6 x 6 cells in chunks of 1 to 4, with int64, double, float,
 // bool, string and uncertain double attributes.

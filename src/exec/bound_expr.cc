@@ -1,5 +1,6 @@
 #include "exec/bound_expr.h"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 
@@ -21,6 +22,7 @@ struct BoundExpr::Node {
 namespace {
 
 using Node = BoundExpr::Node;
+using Sides = std::vector<const ArraySchema*>;
 
 // One expression result per cell rank of a chunk. A column kernel fills
 // `nulls` and the buffer matching `type` (kInt64: i64, kDouble: f64,
@@ -87,8 +89,36 @@ std::optional<DataType> AttrType(const AttributeDesc& a) {
   return std::nullopt;
 }
 
+// Binds `ref` to its slot in the side-by-side layout, searching the
+// sides as EvalContext::Resolve does: in order (only the hinted one when
+// the reference is qualified), dimension before attribute. nullopt when
+// it resolves nowhere or to an attribute the kernels do not read.
+std::optional<DataType> BindRef(const RefExpr& ref, const Sides& sides,
+                                Node* n) {
+  size_t dims = 0;
+  size_t attrs = 0;
+  for (size_t s = 0; s < sides.size(); ++s) {
+    const ArraySchema& schema = *sides[s];
+    if (ref.side() < 0 || static_cast<size_t>(ref.side()) == s) {
+      if (auto d = schema.FindDim(ref.name())) {
+        n->kind = Node::Kind::kDim;
+        n->index = dims + *d;
+        return DataType::kInt64;
+      }
+      if (auto a = schema.FindAttr(ref.name())) {
+        n->kind = Node::Kind::kAttr;
+        n->index = attrs + *a;
+        return AttrType(schema.attr(*a));
+      }
+    }
+    dims += schema.ndims();
+    attrs += schema.nattrs();
+  }
+  return std::nullopt;
+}
+
 // The typed tree for `e`, or nullopt when any node is untyped.
-std::optional<Node> BindNode(const Expr& e, const ArraySchema& schema) {
+std::optional<Node> BindNode(const Expr& e, const Sides& sides) {
   Node n;
   std::optional<DataType> type;
   switch (e.kind()) {
@@ -96,25 +126,13 @@ std::optional<Node> BindNode(const Expr& e, const ArraySchema& schema) {
       n.literal = static_cast<const LiteralExpr&>(e).value();
       type = LiteralType(n.literal);
       break;
-    case Expr::Kind::kRef: {
-      const auto& ref = static_cast<const RefExpr&>(e);
-      // The one operand is side 0; any other side never resolves.
-      if (ref.side() > 0) return std::nullopt;
-      if (auto d = schema.FindDim(ref.name())) {
-        n.kind = Node::Kind::kDim;
-        n.index = *d;
-        type = DataType::kInt64;
-      } else if (auto a = schema.FindAttr(ref.name())) {
-        n.kind = Node::Kind::kAttr;
-        n.index = *a;
-        type = AttrType(schema.attr(*a));
-      }
+    case Expr::Kind::kRef:
+      type = BindRef(static_cast<const RefExpr&>(e), sides, &n);
       break;
-    }
     case Expr::Kind::kBinary: {
       const auto& b = static_cast<const BinaryExpr&>(e);
-      auto l = BindNode(*b.lhs(), schema);
-      auto r = BindNode(*b.rhs(), schema);
+      auto l = BindNode(*b.lhs(), sides);
+      auto r = BindNode(*b.rhs(), sides);
       if (!l || !r) return std::nullopt;
       n.kind = Node::Kind::kBinary;
       n.op = b.op();
@@ -124,7 +142,7 @@ std::optional<Node> BindNode(const Expr& e, const ArraySchema& schema) {
       break;
     }
     case Expr::Kind::kNot: {
-      auto c = BindNode(*static_cast<const NotExpr&>(e).operand(), schema);
+      auto c = BindNode(*static_cast<const NotExpr&>(e).operand(), sides);
       if (!c || c->type != DataType::kBool) return std::nullopt;
       n.kind = Node::Kind::kNot;
       type = DataType::kBool;
@@ -169,38 +187,25 @@ void NullWhereZero(const std::vector<T>& divisor,
   }
 }
 
-// Wrapping int64 arithmetic: identical to Expr::Eval wherever that
-// path is defined, and free of overflow and INT64_MIN / -1 traps on the
-// NULL and absent cells the kernels also visit.
-int64_t Wrap(uint64_t v) { return static_cast<int64_t>(v); }
+// The shared int64 rules over whole columns. They never trap, which
+// matters here: the kernels also visit NULL and absent cells.
+template <BinaryOp op>
+void IntMap(const std::vector<int64_t>& a, const std::vector<int64_t>& b,
+            CellColumn* out) {
+  Map2(a, b, &out->i64,
+       [](int64_t x, int64_t y) { return Int64Arith(op, x, y); });
+}
 
 void IntArith(BinaryOp op, const std::vector<int64_t>& a,
               const std::vector<int64_t>& b, CellColumn* out) {
-  using U = uint64_t;
-  auto map = [&](auto f) { Map2(a, b, &out->i64, f); };
   switch (op) {
-    case BinaryOp::kAdd:
-      map([](int64_t x, int64_t y) { return Wrap(U(x) + U(y)); });
-      break;
-    case BinaryOp::kSub:
-      map([](int64_t x, int64_t y) { return Wrap(U(x) - U(y)); });
-      break;
-    case BinaryOp::kMul:
-      map([](int64_t x, int64_t y) { return Wrap(U(x) * U(y)); });
-      break;
-    case BinaryOp::kDiv:
-      map([](int64_t x, int64_t y) {
-        return y == 0 ? 0 : y == -1 ? Wrap(U(0) - U(x)) : x / y;
-      });
-      NullWhereZero(b, &out->nulls);
-      break;
-    default:  // kMod
-      map([](int64_t x, int64_t y) -> int64_t {
-        return y == 0 || y == -1 ? 0 : x % y;
-      });
-      NullWhereZero(b, &out->nulls);
-      break;
+    case BinaryOp::kAdd: return IntMap<BinaryOp::kAdd>(a, b, out);
+    case BinaryOp::kSub: return IntMap<BinaryOp::kSub>(a, b, out);
+    case BinaryOp::kMul: return IntMap<BinaryOp::kMul>(a, b, out);
+    case BinaryOp::kDiv: IntMap<BinaryOp::kDiv>(a, b, out); break;
+    default: IntMap<BinaryOp::kMod>(a, b, out); break;
   }
+  NullWhereZero(b, &out->nulls);  // kDiv and kMod
 }
 
 void DoubleArith(BinaryOp op, const std::vector<double>& a,
@@ -340,27 +345,45 @@ void EvalColumn(const Node& n, const Chunk& chunk, CellColumn* out) {
   }
 }
 
-// An untyped tree: Expr::Eval over every present cell of `chunk`, in
-// rank order, through one EvalContext for the whole chunk.
-Status EvalCells(const Expr& e, const ArraySchema& schema,
+// An untyped tree: Expr::Eval over every present cell of `chunk` inside
+// `within`, in rank order, through one EvalContext for the whole chunk;
+// each cell's coordinates and attributes are split into its sides. Only
+// the attributes the tree names are boxed; the others stay NULL, unread.
+Status EvalCells(const Expr& e, const Sides& sides,
                  const FunctionRegistry* functions, const Chunk& chunk,
-                 CellColumn* out) {
+                 const Box& within, CellColumn* out) {
   EvalContext ectx;
   ectx.functions = functions;
-  Coordinates coords;
-  std::vector<Value> attrs;
-  ectx.sides.push_back({&schema, &coords, &attrs});
+  std::vector<Coordinates> coords(sides.size());
+  std::vector<std::vector<Value>> attrs(sides.size());
+  std::vector<std::string> names;
+  e.CollectRefs(&names);
+  std::vector<uint8_t> named;  // per attribute of `chunk`
+  for (size_t s = 0; s < sides.size(); ++s) {
+    coords[s].resize(sides[s]->ndims());
+    attrs[s].resize(sides[s]->nattrs());
+    ectx.sides.push_back({sides[s], &coords[s], &attrs[s]});
+    for (const AttributeDesc& a : sides[s]->attrs()) {
+      named.push_back(std::count(names.begin(), names.end(), a.name) > 0);
+    }
+  }
   out->type.reset();
   out->values.assign(static_cast<size_t>(chunk.cell_capacity()), Value());
-  for (Chunk::CellIterator it(chunk); it.valid(); it.Next()) {
-    coords = it.coords();
-    attrs.clear();
-    for (size_t at = 0; at < chunk.nattrs(); ++at) {
-      attrs.push_back(chunk.block(at).Get(it.rank()));
+  Coordinates c = within.low;
+  do {
+    const int64_t rank = RankInBox(chunk.box(), c);
+    if (!chunk.IsPresent(rank)) continue;
+    size_t d = 0;
+    size_t at = 0;
+    for (size_t s = 0; s < sides.size(); ++s) {
+      for (int64_t& x : coords[s]) x = c[d++];
+      for (Value& v : attrs[s]) {
+        if (named[at]) v = chunk.block(at).Get(rank);
+        ++at;
+      }
     }
-    ASSIGN_OR_RETURN(out->values[static_cast<size_t>(it.rank())],
-                     e.Eval(ectx));
-  }
+    ASSIGN_OR_RETURN(out->values[static_cast<size_t>(rank)], e.Eval(ectx));
+  } while (NextInBox(within, &c));
   return Status::OK();
 }
 
@@ -406,34 +429,56 @@ void CellColumn::StoreInto(int64_t rank, AttributeBlock* out) const {
   out->Set(rank, Get(rank));
 }
 
+// The expression's value at the ranks of `in` that BoundExpr::Keep
+// describes: column kernels for a typed tree `root`, else EvalCells.
+Status Evaluate(const Node* root, const Expr& e, const Sides& sides,
+                const FunctionRegistry* functions, const Chunk& in,
+                const Box& within, CellColumn* out) {
+  if (root == nullptr) return EvalCells(e, sides, functions, in, within, out);
+  EvalColumn(*root, in, out);
+  return Status::OK();
+}
+
 }  // namespace
 
-BoundExpr BoundExpr::Bind(ExprPtr e, const ArraySchema& schema,
+BoundExpr BoundExpr::Bind(ExprPtr e, std::vector<const ArraySchema*> sides,
                           const FunctionRegistry* functions) {
-  std::shared_ptr<const Node> root;
-  if (auto n = BindNode(*e, schema)) {
-    root = std::make_shared<const Node>(std::move(*n));
+  BoundExpr b;
+  if (auto n = BindNode(*e, sides)) {
+    b.root_ = std::make_shared<const Node>(std::move(*n));
   }
-  return BoundExpr(std::move(e), &schema, functions, std::move(root));
+  b.expr_ = std::move(e);
+  b.sides_ = std::move(sides);
+  b.functions_ = functions;
+  return b;
+}
+
+Result<std::vector<uint8_t>> BoundExpr::Keep(const Chunk& in,
+                                             const Box& within) const {
+  CellColumn col;
+  RETURN_NOT_OK(Evaluate(root_.get(), *expr_, sides_, functions_, in, within,
+                         &col));
+  std::vector<uint8_t> keep(static_cast<size_t>(in.cell_capacity()));
+  for (size_t i = 0; i < keep.size(); ++i) {
+    const auto rank = static_cast<int64_t>(i);
+    keep[i] = in.IsPresent(rank) && col.IsTrue(rank);
+  }
+  return keep;
 }
 
 Result<std::shared_ptr<Chunk>> BoundExpr::MapChunk(
     CellMap kind, const Chunk& in,
     const std::vector<AttributeDesc>& out_attrs) const {
-  CellColumn col;
-  if (root_ != nullptr) {
-    EvalColumn(*root_, in, &col);
-  } else {
-    RETURN_NOT_OK(EvalCells(*expr_, *schema_, functions_, in, &col));
-  }
   const int64_t cap = in.cell_capacity();
   const bool filter = kind == CellMap::kFilter;
-  std::vector<uint8_t> keep(static_cast<size_t>(cap), 1);
+  CellColumn col;
+  std::vector<uint8_t> keep;
   if (filter) {
-    for (int64_t rank = 0; rank < cap; ++rank) {
-      keep[static_cast<size_t>(rank)] =
-          in.IsPresent(rank) && col.IsTrue(rank);
-    }
+    ASSIGN_OR_RETURN(keep, Keep(in, in.box()));
+  } else {
+    RETURN_NOT_OK(Evaluate(root_.get(), *expr_, sides_, functions_, in,
+                           in.box(), &col));
+    keep.assign(static_cast<size_t>(cap), 1);
   }
 
   auto oc = std::make_shared<Chunk>(in.box(), out_attrs);

@@ -11,22 +11,35 @@ namespace scidb {
 
 // ---------------------------------------------------------------- Filter
 
+namespace {
+
+// The body Filter and Cjoin share: `in` holds the operands `sides` side by
+// side, and its cells where `pred` is not true keep their place but turn
+// NULL (paper: failing cells "will contain NULL" — present, null-valued).
+Result<MemArray> FilterSides(const ExecContext& ctx, const MemArray& in,
+                             const ExprPtr& pred,
+                             std::vector<const ArraySchema*> sides,
+                             std::string name) {
+  MemArray out(in.schema());
+  out.mutable_schema()->set_name(std::move(name));
+  const BoundExpr bound =
+      BoundExpr::Bind(pred, std::move(sides), ctx.functions);
+  RETURN_NOT_OK(ParallelChunkMap(
+      ctx, in, &out,
+      [&](const Coordinates&, const Chunk& chunk, ExecStats* stats) {
+        stats->cells_visited += chunk.present_count();
+        return bound.MapChunk(CellMap::kFilter, chunk, in.schema().attrs());
+      }));
+  return out;
+}
+
+}  // namespace
+
 Result<MemArray> Filter(const ExecContext& ctx, const MemArray& a,
                         const ExprPtr& pred) {
   if (pred == nullptr) return Status::Invalid("Filter: null predicate");
-  const ArraySchema& schema = a.schema();
-  MemArray out(schema);
-  out.mutable_schema()->set_name(schema.name() + "_filter");
-
-  // Paper: cells failing P "will contain NULL" — present, null-valued.
-  const BoundExpr bound = BoundExpr::Bind(pred, schema, ctx.functions);
-  RETURN_NOT_OK(ParallelChunkMap(
-      ctx, a, &out,
-      [&](const Coordinates&, const Chunk& chunk, ExecStats* stats) {
-        stats->cells_visited += chunk.present_count();
-        return bound.MapChunk(CellMap::kFilter, chunk, schema.attrs());
-      }));
-  return out;
+  return FilterSides(ctx, a, pred, {&a.schema()},
+                     a.schema().name() + "_filter");
 }
 
 // ------------------------------------------------------------- Aggregate
@@ -74,53 +87,14 @@ Result<MemArray> AggregateMulti(const ExecContext& ctx, const MemArray& a,
 
 // ----------------------------------------------------------------- Cjoin
 
+// Figure 3: every pair of cells, NULL wherever P is not true — Filter over
+// CrossProduct, with P bound to (A, B).
 Result<MemArray> Cjoin(const ExecContext& ctx, const MemArray& a,
                        const MemArray& b, const ExprPtr& pred) {
   if (pred == nullptr) return Status::Invalid("Cjoin: null predicate");
-  const ArraySchema& sa = a.schema();
-  const ArraySchema& sb = b.schema();
-
-  ArraySchema out_schema(sa.name() + "_cjoin", MergeDims(sa.dims(), sb.dims()),
-                         MergeAttrs(sa.attrs(), sb.attrs()));
-  MemArray out(out_schema);
-
-  EvalContext ectx;
-  ectx.functions = ctx.functions;
-  Coordinates ca_bound, cb_bound;
-  std::vector<Value> va, vb;
-  ectx.sides.push_back({&sa, &ca_bound, &va});
-  ectx.sides.push_back({&sb, &cb_bound, &vb});
-
-  const std::vector<Value> nulls(out_schema.nattrs());
-  RETURN_NOT_OK(WalkCells(
-      ctx, a, [&](const Coordinates& ca, const Chunk& ach, int64_t ar) {
-        // The predicate reads boxed rows; the matched tuple is copied typed.
-        va.clear();
-        for (size_t at = 0; at < ach.nattrs(); ++at) {
-          va.push_back(ach.block(at).Get(ar));
-        }
-        ca_bound = ca;
-        return WalkCells(
-            ctx, b,
-            [&](const Coordinates& cb, const Chunk& bch,
-                int64_t br) -> Status {
-              if (ctx.stats != nullptr) ++ctx.stats->cells_visited;
-              vb.clear();
-              for (size_t at = 0; at < bch.nattrs(); ++at) {
-                vb.push_back(bch.block(at).Get(br));
-              }
-              cb_bound = cb;
-              ASSIGN_OR_RETURN(Value match, pred->Eval(ectx));
-              Coordinates oc = ca;
-              oc.insert(oc.end(), cb.begin(), cb.end());
-              if (match.is_bool() && match.bool_value()) {
-                return PutCell(oc, ach, ar, bch, br, &out);
-              }
-              // Figure 3: non-matching positions hold NULL.
-              return out.SetCell(oc, nulls);
-            });
-      }));
-  return out;
+  ASSIGN_OR_RETURN(MemArray cross, CrossProduct(ctx, a, b));
+  return FilterSides(ctx, cross, pred, {&a.schema(), &b.schema()},
+                     a.schema().name() + "_cjoin");
 }
 
 // ----------------------------------------------------------------- Apply
@@ -140,7 +114,7 @@ Result<MemArray> Apply(const ExecContext& ctx, const MemArray& a,
   MemArray out(out_schema);
 
   const std::vector<AttributeDesc>& out_attrs = out.schema().attrs();
-  const BoundExpr bound = BoundExpr::Bind(e, schema, ctx.functions);
+  const BoundExpr bound = BoundExpr::Bind(e, {&schema}, ctx.functions);
   RETURN_NOT_OK(ParallelChunkMap(
       ctx, a, &out,
       [&](const Coordinates&, const Chunk& chunk, ExecStats* stats) {

@@ -80,20 +80,11 @@ Result<Value> EvalArith(BinaryOp op, const Value& l, const Value& r) {
     }
   }
   if (l.is_int64() && r.is_int64()) {
-    int64_t a = l.int64_value();
-    int64_t b = r.int64_value();
-    switch (op) {
-      case BinaryOp::kAdd: return Value(a + b);
-      case BinaryOp::kSub: return Value(a - b);
-      case BinaryOp::kMul: return Value(a * b);
-      case BinaryOp::kDiv:
-        if (b == 0) return Value::Null();
-        return Value(a / b);
-      case BinaryOp::kMod:
-        if (b == 0) return Value::Null();
-        return Value(a % b);
-      default: break;
+    const int64_t b = r.int64_value();
+    if ((op == BinaryOp::kDiv || op == BinaryOp::kMod) && b == 0) {
+      return Value::Null();
     }
+    return Value(Int64Arith(op, l.int64_value(), b));
   }
   ASSIGN_OR_RETURN(double a, l.AsDouble());
   ASSIGN_OR_RETURN(double b, r.AsDouble());

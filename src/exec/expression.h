@@ -1,6 +1,7 @@
 #ifndef SCIDB_EXEC_EXPRESSION_H_
 #define SCIDB_EXEC_EXPRESSION_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,6 +40,24 @@ enum class BinaryOp {
 };
 
 const char* BinaryOpName(BinaryOp op);
+
+// The int64 arithmetic of both evaluators, Expr::Eval and the column
+// kernels of bound_expr.cc: + - * wrap modulo 2^64, x / -1 is the wrapped
+// negation and x % -1 is 0, so no operand pair traps. `op` is arithmetic;
+// a zero divisor yields 0 here, and each evaluator turns it into NULL.
+inline int64_t Int64Arith(BinaryOp op, int64_t x, int64_t y) {
+  using U = uint64_t;
+  switch (op) {
+    case BinaryOp::kAdd: return static_cast<int64_t>(U(x) + U(y));
+    case BinaryOp::kSub: return static_cast<int64_t>(U(x) - U(y));
+    case BinaryOp::kMul: return static_cast<int64_t>(U(x) * U(y));
+    case BinaryOp::kDiv:
+      if (y == -1) return static_cast<int64_t>(U(0) - U(x));
+      return y == 0 ? 0 : x / y;
+    default:  // kMod
+      return y == 0 || y == -1 ? 0 : x % y;
+  }
+}
 
 // Immutable expression tree over dimensions, attributes, literals, UDF
 // calls, arithmetic and comparisons. Uncertain operands propagate error

@@ -170,13 +170,6 @@ Result<MemArray> WindowAggregate(const ExecContext& ctx, const MemArray& a,
 
 // ========================= helpers shared by ops =========================
 
-// Merge attribute (dimension) lists for join outputs: A's, then B's, each
-// of B's names suffixed with "_2" until no earlier output name equals it.
-std::vector<AttributeDesc> MergeAttrs(const std::vector<AttributeDesc>& a,
-                                      const std::vector<AttributeDesc>& b);
-std::vector<DimensionDesc> MergeDims(const std::vector<DimensionDesc>& a,
-                                     const std::vector<DimensionDesc>& b);
-
 // The output attribute produced by aggregate `agg` over attribute `in`
 // (count -> int64, usum/uavg -> uncertain double, min/max -> in's type,
 // everything else -> double).

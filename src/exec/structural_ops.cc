@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/macros.h"
+#include "exec/bound_expr.h"
 #include "exec/operators.h"
 #include "exec/parallel.h"
 
@@ -11,8 +12,9 @@ namespace scidb {
 
 namespace {
 
-// `a` then `b`, each name of `b` suffixed with "_2" until it differs from
-// every name already in the output.
+// The attribute (dimension) list of a join's output: `a` then `b`, each
+// name of `b` suffixed with "_2" until it differs from every name already
+// in the output.
 template <typename Named>
 std::vector<Named> MergeNamed(const std::vector<Named>& a,
                               const std::vector<Named>& b) {
@@ -27,17 +29,21 @@ std::vector<Named> MergeNamed(const std::vector<Named>& a,
   return out;
 }
 
+// The sub-box of `domain` that ExtractDimBounds finds `pred` implies;
+// empty() when no cell can match. `exact` as for ExtractDimBounds.
+Box ImpliedBox(const Expr& pred, const ArraySchema& schema,
+               const Box& domain, bool* exact = nullptr) {
+  std::vector<DimBounds> bounds =
+      ExtractDimBounds(pred, schema, domain, exact);
+  Box box = domain;
+  for (size_t d = 0; d < bounds.size(); ++d) {
+    box.low[d] = bounds[d].low;
+    box.high[d] = bounds[d].high;
+  }
+  return box;
+}
+
 }  // namespace
-
-std::vector<AttributeDesc> MergeAttrs(const std::vector<AttributeDesc>& a,
-                                      const std::vector<AttributeDesc>& b) {
-  return MergeNamed(a, b);
-}
-
-std::vector<DimensionDesc> MergeDims(const std::vector<DimensionDesc>& a,
-                                     const std::vector<DimensionDesc>& b) {
-  return MergeNamed(a, b);
-}
 
 // ------------------------------------------------------------- Subsample
 
@@ -54,6 +60,7 @@ Result<MemArray> Subsample(const ExecContext& ctx, const MemArray& a,
   MemArray out(schema);
   out.mutable_schema()->set_name(schema.name() + "_subsample");
 
+  const BoundExpr bound = BoundExpr::Bind(pred, {&schema}, ctx.functions);
   RETURN_NOT_OK(ParallelChunkMap(
       ctx, a, &out,
       [&](const Coordinates&, const Chunk& chunk,
@@ -61,39 +68,29 @@ Result<MemArray> Subsample(const ExecContext& ctx, const MemArray& a,
         bool exact = false;
         Box want = chunk.box();
         if (ctx.enable_chunk_pruning) {
-          std::vector<DimBounds> bounds =
-              ExtractDimBounds(*pred, schema, chunk.box(), &exact);
-          for (size_t d = 0; d < bounds.size(); ++d) {
-            if (bounds[d].empty()) {
-              ++stats->chunks_pruned;
-              return std::shared_ptr<Chunk>();
-            }
-            want.low[d] = bounds[d].low;
-            want.high[d] = bounds[d].high;
+          want = ImpliedBox(*pred, schema, chunk.box(), &exact);
+          if (want.empty()) {
+            ++stats->chunks_pruned;
+            return std::shared_ptr<Chunk>();
           }
         }
         ++stats->chunks_scanned;
-
-        EvalContext ectx;
-        ectx.functions = ctx.functions;
-        Coordinates coords;
-        ectx.sides.push_back({&schema, &coords, nullptr});
+        // When the bounds fully capture the predicate, skip per-cell
+        // evaluation (data-agnostic fast path — the "opportunity for
+        // optimization" of §2.2.1); otherwise evaluate it on the present
+        // cells of the implied sub-box only.
+        std::vector<uint8_t> keep;
+        if (!exact) {
+          ASSIGN_OR_RETURN(keep, bound.Keep(chunk, want));
+        }
 
         std::shared_ptr<Chunk> oc;  // created lazily on the first keeper
-        // Iterate only the implied sub-box of the chunk; when the bounds
-        // fully capture the predicate, skip per-cell re-evaluation
-        // (data-agnostic fast path — the "opportunity for optimization"
-        // of §2.2.1).
         Coordinates c = want.low;
         do {
-          int64_t rank = RankInBox(chunk.box(), c);
+          const int64_t rank = RankInBox(chunk.box(), c);
           if (!chunk.IsPresent(rank)) continue;
           ++stats->cells_visited;
-          if (!exact) {
-            coords = c;
-            ASSIGN_OR_RETURN(Value keep, pred->Eval(ectx));
-            if (!keep.is_bool() || !keep.bool_value()) continue;
-          }
+          if (!exact && !keep[static_cast<size_t>(rank)]) continue;
           if (oc == nullptr) {
             oc = std::make_shared<Chunk>(chunk.box(), schema.attrs());
           }
@@ -109,18 +106,11 @@ Result<MemArray> Subsample(const ExecContext& ctx, const MemArray& a,
 
 Box SubsampleBox(const ExecContext& ctx, const ArraySource& source,
                  const Expr& pred) {
-  Box box = source.Extent();
   if (!ctx.enable_chunk_pruning ||
       !IsPerDimensionConjunction(pred, source.schema())) {
-    return box;
+    return source.Extent();
   }
-  std::vector<DimBounds> bounds =
-      ExtractDimBounds(pred, source.schema(), box);
-  for (size_t d = 0; d < bounds.size(); ++d) {
-    box.low[d] = bounds[d].low;
-    box.high[d] = bounds[d].high;
-  }
-  return box;
+  return ImpliedBox(pred, source.schema(), source.Extent());
 }
 
 bool Exists(const MemArray& a, const Coordinates& c) { return a.Exists(c); }
@@ -215,8 +205,9 @@ Result<MemArray> Sjoin(
       free_dims.push_back(sb.dim(d));
     }
   }
-  ArraySchema out_schema(sa.name() + "_sjoin", MergeDims(sa.dims(), free_dims),
-                         MergeAttrs(sa.attrs(), sb.attrs()));
+  ArraySchema out_schema(sa.name() + "_sjoin",
+                         MergeNamed(sa.dims(), free_dims),
+                         MergeNamed(sa.attrs(), sb.attrs()));
   MemArray out(out_schema);
 
   // Hash B's present cells by their joined-dimension values.
@@ -338,8 +329,9 @@ Result<MemArray> CrossProduct(const ExecContext& ctx, const MemArray& a,
                               const MemArray& b) {
   const ArraySchema& sa = a.schema();
   const ArraySchema& sb = b.schema();
-  ArraySchema out_schema(sa.name() + "_cross", MergeDims(sa.dims(), sb.dims()),
-                         MergeAttrs(sa.attrs(), sb.attrs()));
+  ArraySchema out_schema(sa.name() + "_cross",
+                         MergeNamed(sa.dims(), sb.dims()),
+                         MergeNamed(sa.attrs(), sb.attrs()));
   MemArray out(out_schema);
   RETURN_NOT_OK(WalkCells(
       ctx, a, [&](const Coordinates& ca, const Chunk& ach, int64_t ar) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "exec/expression.h"
 #include "exec/operators.h"
 
@@ -461,6 +463,57 @@ TEST_F(ExecTest, ExpressionArithmeticAndNulls) {
   // NULL propagates through arithmetic and comparisons.
   EXPECT_TRUE(Add(Lit(Value()), Lit(1.0))->Eval(ectx).ValueOrDie().is_null());
   EXPECT_TRUE(Eq(Lit(Value()), Lit(1.0))->Eval(ectx).ValueOrDie().is_null());
+}
+
+// Both evaluators share one set of int64 rules: + - * wrap, x / -1 is
+// the wrapped negation and x % -1 is 0. INT64_MIN / -1 and % -1 used to
+// trap (SIGFPE) in Expr::Eval, through Filter, Apply and Cjoin alike.
+TEST_F(ExecTest, Int64ArithmeticWrapsInBothEvaluators) {
+  const int64_t kMin = std::numeric_limits<int64_t>::min();
+  const int64_t kMax = std::numeric_limits<int64_t>::max();
+  EvalContext ectx;
+  auto eval = [&](const ExprPtr& e) {
+    return e->Eval(ectx).ValueOrDie().int64_value();
+  };
+  EXPECT_EQ(eval(Div(Lit(kMin), Lit(int64_t{-1}))), kMin);
+  EXPECT_EQ(eval(Mod(Lit(kMin), Lit(int64_t{-1}))), 0);
+  EXPECT_EQ(eval(Add(Lit(kMax), Lit(int64_t{1}))), kMin);
+  EXPECT_EQ(eval(Sub(Lit(kMin), Lit(int64_t{1}))), kMax);
+  EXPECT_EQ(eval(Mul(Lit(kMax), Lit(int64_t{2}))), -2);
+  EXPECT_EQ(eval(Div(Lit(int64_t{7}), Lit(int64_t{-1}))), -7);
+
+  MemArray a(ArraySchema("A", {{"x", 1, 2, 2}},
+                         {{"v", DataType::kInt64, true, false},
+                          {"s", DataType::kString, true, false}}));
+  ASSERT_TRUE(a.SetCell({1}, {Value(kMin), Value(std::string("x"))}).ok());
+  ASSERT_TRUE(a.SetCell({2}, {Value(int64_t{-5}), Value(std::string("y"))})
+                  .ok());
+  // Each predicate runs as typed kernels, then (and'ed with a string
+  // comparison) through the untyped fallback.
+  const ExprPtr is_x = Eq(Ref("s"), Lit(Value(std::string("x"))));
+  const ExprPtr negative =
+      Lt(Div(Ref("v"), Lit(int64_t{-1})), Lit(int64_t{0}));
+  for (const ExprPtr& pred : {negative, And(negative, is_x)}) {
+    MemArray f = Filter(ctx_, a, pred).ValueOrDie();
+    EXPECT_EQ((*f.GetCell({1}))[0].int64_value(), kMin) << pred->ToString();
+    EXPECT_TRUE((*f.GetCell({2}))[0].is_null()) << pred->ToString();
+  }
+  MemArray m = Apply(ctx_, a, "m", DataType::kInt64,
+                     Mod(Ref("v"), Lit(int64_t{-1})))
+                   .ValueOrDie();
+  EXPECT_EQ((*m.GetCell({1}))[2].int64_value(), 0);
+
+  MemArray b(ArraySchema("B", {{"y", 1, 1, 1}},
+                         {{"w", DataType::kInt64, true, false}}));
+  ASSERT_TRUE(b.SetCell({1}, Value(int64_t{-1})).ok());
+  const ExprPtr joined =
+      Lt(Div(Ref("v", 0), Ref("w", 1)), Lit(int64_t{0}));
+  for (const ExprPtr& pred : {joined, And(joined, is_x)}) {
+    MemArray cj = Cjoin(ctx_, a, b, pred).ValueOrDie();
+    EXPECT_EQ((*cj.GetCell({1, 1}))[0].int64_value(), kMin)
+        << pred->ToString();
+    EXPECT_TRUE((*cj.GetCell({2, 1}))[0].is_null()) << pred->ToString();
+  }
 }
 
 TEST_F(ExecTest, ExpressionThreeValuedLogic) {

@@ -230,6 +230,77 @@ TEST_F(ParallelDifferentialTest, Subsample) {
   }
 }
 
+// Cjoin is Filter over CrossProduct, so it runs chunk-parallel; a
+// non-exact Subsample (a UDF) asks its bound predicate which present
+// cells of the pruned sub-box to keep. Both must be width-independent
+// with pruning on and off.
+TEST_F(ParallelDifferentialTest, CjoinAndUdfSubsample) {
+  MemArray sky = bench::MakeSkyImage(24, 8, 3, 59);
+  MemArray tiny = bench::MakeSkyImage(6, 4, 1, 61);
+  const ExprPtr typed = Lt(Ref("flux", 0), Ref("flux", 1));
+  const ExprPtr untyped = And(typed, Call("even", {Ref("J", 1)}));
+  const ExprPtr even = Call("even", {Ref("I")});
+  const ExprPtr even_boxed = And(Ge(Ref("I"), Lit(int64_t{10})), even);
+  for (bool pruning : {true, false}) {
+    const std::string tag = pruning ? "/pruned" : "/unpruned";
+    auto with = [pruning](ExecContext ctx) {
+      ctx.enable_chunk_pruning = pruning;
+      return ctx;
+    };
+    for (const ExprPtr& pred : {typed, untyped}) {
+      RunDifferential("Cjoin" + tag + "/" + pred->ToString(),
+                      [&](const ExecContext& ctx) {
+                        return Cjoin(with(ctx), sky, tiny, pred);
+                      });
+    }
+    for (auto& [name, a] : Inputs2D()) {
+      for (const ExprPtr& pred : {even, even_boxed}) {
+        RunDifferential("Subsample" + tag + "/" + pred->ToString() + "/" +
+                            name,
+                        [&](const ExecContext& ctx) {
+                          return Subsample(with(ctx), a, pred);
+                        });
+      }
+    }
+  }
+}
+
+// The fallback evaluates exactly the cells of the pruned sub-box: a UDF
+// that fails only outside it succeeds with pruning on, and fails with the
+// same Status at every width with pruning off.
+TEST_F(ParallelDifferentialTest, SubsampleUdfFailingOutsidePrunedBox) {
+  ASSERT_TRUE(fns_
+                  .Register(UserFunction(
+                      "even_upto_20",
+                      FunctionSignature{{DataType::kInt64},
+                                        {DataType::kBool}},
+                      [](const std::vector<Value>& args)
+                          -> Result<std::vector<Value>> {
+                        const int64_t i = args[0].int64_value();
+                        if (i > 20) {
+                          return Status::Invalid("even_upto_20: too big");
+                        }
+                        return std::vector<Value>{Value(i % 2 == 0)};
+                      }))
+                  .ok());
+  MemArray sky = bench::MakeSkyImage(48, 16, 4, 67);
+  // The UDF comes first, so no short circuit protects the cells above 20.
+  const ExprPtr pred = And(Call("even_upto_20", {Ref("I")}),
+                           Le(Ref("I"), Lit(int64_t{20})));
+  for (bool pruning : {true, false}) {
+    ExecContext serial = CtxWith(nullptr);
+    serial.enable_chunk_pruning = pruning;
+    Result<MemArray> r = Subsample(serial, sky, pred);
+    EXPECT_EQ(r.ok(), pruning) << r.status().ToString();
+    RunDifferential(pruning ? "UdfOutsideBox/pruned" : "UdfOutsideBox/unpruned",
+                    [&](const ExecContext& c) {
+                      ExecContext ctx = c;
+                      ctx.enable_chunk_pruning = pruning;
+                      return Subsample(ctx, sky, pred);
+                    });
+  }
+}
+
 TEST_F(ParallelDifferentialTest, WindowAggregate) {
   // Windows cross chunk boundaries: cross-chunk reads must be identical.
   MemArray sky = bench::MakeSkyImage(32, 8, 4, 19);

@@ -289,6 +289,40 @@ TEST(TextualPass, MigratedRulesFireOnLibraryCode) {
   EXPECT_EQ(diags[1].check, "no-naked-new");
 }
 
+TEST(TextualPass, OneEvaluatorFlagsEvalContextOutsideItsHomes) {
+  Analysis a;
+  a.files.push_back(MakeFile("src/exec/structural_ops.cc",
+                             "// EvalContext in a comment is fine.\n"
+                             "void F() { EvalContext ectx; }\n"));
+  a.files.push_back(MakeFile("src/query/session.cc",
+                             "struct S { scidb::EvalContext* c; };\n"));
+  std::vector<Diagnostic> diags;
+  RunTextualPass(a, &diags);
+  ASSERT_EQ(diags.size(), 2u);
+  EXPECT_EQ(diags[0].check, "one-evaluator");
+  EXPECT_EQ(diags[0].path, "src/exec/structural_ops.cc");
+  EXPECT_EQ(diags[0].line, 2);
+  EXPECT_EQ(diags[1].check, "one-evaluator");
+}
+
+TEST(TextualPass, OneEvaluatorAllowsTheReferenceAndBoundExpr) {
+  Analysis a;
+  for (const char* path :
+       {"src/exec/expression.h", "src/exec/expression.cc",
+        "src/exec/bound_expr.cc", "tests/exec_test.cc",
+        "bench/bench_expr.cc"}) {
+    a.files.push_back(MakeFile(path, "void F() { EvalContext ectx; }\n"));
+  }
+  a.files.push_back(
+      MakeFile("src/exec/eval_context_user.cc",
+               "const char* k = \"EvalContext\";  // EvalContext\n"));
+  std::vector<Diagnostic> diags;
+  RunTextualPass(a, &diags);
+  for (const Diagnostic& d : diags) {
+    EXPECT_NE(d.check, "one-evaluator") << d.path << ": " << d.message;
+  }
+}
+
 TEST(Suppression, ScopedNolintSilencesOnlyTheNamedCheck) {
   Analysis a;
   a.files.push_back(
@@ -747,7 +781,8 @@ TEST(CheckRegistry, EveryEmittableCheckHasMetadata) {
       "status-flow",  "lock-order",    "blocking-under-lock",
       "no-throw",     "no-naked-new",  "status-ladder",
       "include-guard", "metrics-state", "no-raw-thread",
-      "no-raw-socket", "net-test-clock", "atomic-order"};
+      "no-raw-socket", "net-test-clock", "atomic-order",
+      "one-evaluator"};
   EXPECT_EQ(AllChecks().size(), sizeof(expected) / sizeof(expected[0]));
   for (const char* id : expected) {
     const CheckInfo* c = FindCheck(id);

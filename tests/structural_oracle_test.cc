@@ -405,6 +405,67 @@ TEST_F(StructuralOracleTest, CrossProductAndCjoin) {
   }
 }
 
+// Cjoin binds its predicate to (A, B) laid side by side, resolving names
+// as Expr::Eval does: side 0 before side 1 (unless qualified), dimension
+// before attribute. A has attribute x where B has dimension x, and both
+// have val. Inputs span several chunks; each predicate runs typed and,
+// and'ed with a string test, through the untyped fallback.
+TEST_F(StructuralOracleTest, CjoinResolvesNamesAcrossSides) {
+  MemArray a(ArraySchema("A", {{"I", 1, 5, 2}, {"J", 1, 3, 2}},
+                         {{"x", DataType::kInt64, true, false},
+                          {"val", DataType::kDouble, true, false},
+                          {"s", DataType::kString, true, false}}));
+  MemArray b(ArraySchema("B", {{"x", 1, 4, 2}, {"K", -1, 1, 2}},
+                         {{"val", DataType::kDouble, true, false}}));
+  Rng rng(15);
+  for (MemArray* m : {&a, &b}) {
+    Box box = m->schema().Bounds().ValueOrDie();
+    Coordinates c = box.low;
+    do {
+      if (rng.NextDouble() >= 0.7) continue;
+      std::vector<Value> row;
+      if (m == &a) row.emplace_back(rng.UniformInt(0, 5));
+      row.push_back(rng.Uniform(5) == 0 ? Value::Null()
+                                        : Value(rng.NextGaussian()));
+      if (m == &a) {
+        row.emplace_back(std::string(1, "pq"[rng.Uniform(2)]));
+      }
+      ASSERT_TRUE(m->SetCell(c, row).ok());
+    } while (NextInBox(box, &c));
+  }
+  const ExprPtr untyped = Eq(Ref("s"), Lit(Value(std::string("p"))));
+
+  // Unqualified x is A's attribute, B.x is B's dimension; unqualified val
+  // is A's.
+  for (const ExprPtr& typed : {Lt(Ref("x"), Ref("x", 1)),
+                               Gt(Ref("val"), Lit(0.0)),
+                               Lt(Ref("val"), Ref("val", 1))}) {
+    for (const ExprPtr& pred : {typed, And(typed, untyped)}) {
+      SCOPED_TRACE(pred->ToString());
+      Result<MemArray> got = Cjoin(ctx_, a, b, pred);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSame(got, RefJoin(ctx_, a, b, pred, got.value().schema()));
+    }
+  }
+
+  // A missing side or an unknown name fails NotFound once a cell is
+  // evaluated, and not at all over an empty input.
+  const MemArray empty(a.schema());
+  const ArraySchema joined = CrossProduct(ctx_, a, b).ValueOrDie().schema();
+  for (const ExprPtr& missing : {Gt(Ref("val", 2), Lit(0.0)),
+                                 Gt(Ref("nope"), Lit(0.0))}) {
+    for (const ExprPtr& pred : {missing, And(untyped, missing)}) {
+      SCOPED_TRACE(pred->ToString());
+      Result<MemArray> got = Cjoin(ctx_, a, b, pred);
+      EXPECT_TRUE(got.status().IsNotFound()) << got.status().ToString();
+      ExpectSame(got, RefJoin(ctx_, a, b, pred, joined));
+      Result<MemArray> none = Cjoin(ctx_, empty, b, pred);
+      ASSERT_TRUE(none.ok()) << none.status().ToString();
+      EXPECT_EQ(none.value().CellCount(), 0);
+    }
+  }
+}
+
 TEST_F(StructuralOracleTest, Composite) {
   MemArray p1 = Fill(grid_.schema(), 21, 0.5);
   MemArray p2 = Fill(grid_.schema(), 22, 0.5, {1, 1});

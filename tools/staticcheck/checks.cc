@@ -170,6 +170,20 @@ const std::vector<CheckInfo>& AllChecks() {
        "memory_order_relaxed needs a same-line `// relaxed-ok: <why>`.",
        "`x.load(std::memory_order_relaxed)` fails unless the line ends "
        "with `// relaxed-ok: counter is monotonic, no ordering needed`."},
+      {"one-evaluator",
+       "EvalContext appears in src/ only in exec/expression and "
+       "exec/bound_expr.cc",
+       "Every operator evaluates an expression through BoundExpr: bound "
+       "once against its operands laid side by side, run as column "
+       "kernels when the tree is numeric and through Expr::Eval cell by "
+       "cell otherwise. A hand-rolled EvalContext loop in an operator is "
+       "a second evaluator, with its own name lookup, error order and "
+       "boxing, that the differential suites do not pin. Expr::Eval and "
+       "its context stay as the reference the fuzz harness and the "
+       "oracle tests compare against.",
+       "`EvalContext ectx; ... pred->Eval(ectx)` in src/exec/"
+       "structural_ops.cc fails; `BoundExpr::Bind(pred, {&schema}, fns)"
+       ".Keep(chunk, box)` passes."},
   };
   return kChecks;
 }

@@ -190,6 +190,26 @@ void CheckNetTestClock(const SourceFile& f, std::vector<Diagnostic>* out) {
   }
 }
 
+void CheckOneEvaluator(const SourceFile& f, std::vector<Diagnostic>* out) {
+  // Operators evaluate expressions through BoundExpr. Only the reference
+  // evaluator (Expr::Eval) and BoundExpr's untyped fallback build the
+  // per-cell name-lookup context; anything else is a second evaluator.
+  if (!IsLibrarySource(f.path) || f.path == "src/exec/expression.h" ||
+      f.path == "src/exec/expression.cc" ||
+      f.path == "src/exec/bound_expr.cc") {
+    return;
+  }
+  static const std::regex re(R"(\bEvalContext\b)");
+  for (size_t i = 0; i < f.code_lines.size(); ++i) {
+    if (std::regex_search(f.code_lines[i], re)) {
+      Emit(out, f, static_cast<int>(i + 1), "one-evaluator",
+           "EvalContext outside exec/expression and exec/bound_expr.cc; "
+           "bind the expression with BoundExpr::Bind and evaluate it "
+           "through Keep or MapChunk");
+    }
+  }
+}
+
 void CheckIncludeGuard(const SourceFile& f, std::vector<Diagnostic>* out) {
   if (f.path.size() < 2 ||
       f.path.compare(f.path.size() - 2, 2, ".h") != 0) {
@@ -276,6 +296,7 @@ void RunTextualPass(const Analysis& a, std::vector<Diagnostic>* out) {
       CheckRawThread(f, out);
       CheckRawSocket(f, out);
       CheckAtomicOrder(f, out);
+      CheckOneEvaluator(f, out);
       CheckIncludeGuard(f, out);
     }
     if (IsNetTest(f.path)) {
