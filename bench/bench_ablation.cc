@@ -83,7 +83,7 @@ void BM_ReplicationWidth(benchmark::State& state) {
 BENCHMARK(BM_ReplicationWidth)->Arg(0)->Arg(2)->Arg(8)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 
-// ---- window radius cost (naive sliding window is O(cells * window)) ----
+// ---- window radius cost (the halo kernel folds O(cells * window)) ----
 
 void BM_WindowRadius(benchmark::State& state) {
   const int64_t radius = state.range(0);

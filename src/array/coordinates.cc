@@ -30,6 +30,19 @@ int64_t RankInBox(const Box& box, const Coordinates& c) {
   return rank;
 }
 
+uint64_t CellsWithin(const Box& box, uint64_t limit) {
+  uint64_t capacity = 1;
+  for (size_t d = 0; d < box.ndims(); ++d) {
+    const uint64_t extent = static_cast<uint64_t>(box.high[d]) -
+                            static_cast<uint64_t>(box.low[d]) + 1;
+    if (extent == 0 || extent > limit || capacity > limit / extent) {
+      return 0;
+    }
+    capacity *= extent;
+  }
+  return capacity;
+}
+
 Coordinates UnrankInBox(const Box& box, int64_t rank) {
   Coordinates c(box.ndims());
   for (size_t i = box.ndims(); i-- > 0;) {

@@ -69,6 +69,8 @@ struct Box {
     }
   }
 
+  // Unchecked: a box wider than int64 cells overflows. CellsWithin
+  // below is the checked count.
   int64_t CellCount() const {
     int64_t n = 1;
     for (size_t d = 0; d < low.size(); ++d) n *= (high[d] - low[d] + 1);
@@ -91,6 +93,13 @@ struct Box {
 // Row-major linearization of `c` within `box`; inverse of Unrank.
 int64_t RankInBox(const Box& box, const Coordinates& c);
 Coordinates UnrankInBox(const Box& box, int64_t rank);
+
+// The cell count of `box`, or 0 when it exceeds `limit`. Extents are
+// computed in uint64 (exact since high >= low; the +1 wraps to 0 only for
+// the full-int64 range, which is rejected) and the running product is
+// checked against `limit` before each multiply, so a hostile box such as
+// [INT64_MIN, INT64_MAX]^64 neither overflows nor allocates.
+uint64_t CellsWithin(const Box& box, uint64_t limit);
 
 // Odometer-style iteration over all cells of a box in row-major order
 // (last dimension fastest). Returns false when iteration wraps past the

@@ -779,17 +779,17 @@ Result<MemArray> DistributedArray::ParallelAggregate(
       GroupedAggregate core,
       GroupedAggregate::ByDims(ctx, schema_, dims, {{agg, attr}}));
 
-  std::vector<GroupedAggregate::Groups> node_groups(
+  std::vector<GroupedAggregate::Part> node_parts(
       static_cast<size_t>(num_nodes()));
   RETURN_NOT_OK(FanOutSlots(
       "grid.parallel_aggregate", nullptr,
       [&](size_t node, MemArray partial) -> Status {
         for (const auto& [origin, chunk] : partial.chunks()) {
-          RETURN_NOT_OK(core.Accumulate(*chunk, &node_groups[node]));
+          RETURN_NOT_OK(core.Accumulate(*chunk, &node_parts[node]));
         }
         return Status::OK();
       }));
-  return core.Finish(std::move(node_groups), schema_.name() + "_agg",
+  return core.Finish(std::move(node_parts), schema_.name() + "_agg",
                      {AggOutputAttr(agg, core.input(0))});
 }
 

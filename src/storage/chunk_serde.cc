@@ -12,26 +12,6 @@ namespace scidb {
 namespace {
 constexpr uint32_t kChunkMagic = 0x53434448;  // "SCDH"
 
-// The cell count of `box`, or 0 when it exceeds `limit`. Box::CellCount()
-// multiplies extents unchecked, so a hostile box like
-// [INT64_MIN, INT64_MAX]^64 is signed-overflow UB and/or a multi-GB
-// allocation (found by fuzz_chunk_serde). Extents are computed in uint64
-// (exact since high >= low; the +1 wraps to 0 only for the full-int64
-// range, which is rejected) and the running product is checked against
-// `limit` before each multiply.
-uint64_t CellsWithin(const Box& box, uint64_t limit) {
-  uint64_t capacity = 1;
-  for (size_t d = 0; d < box.ndims(); ++d) {
-    uint64_t extent = static_cast<uint64_t>(box.high[d]) -
-                      static_cast<uint64_t>(box.low[d]) + 1;
-    if (extent == 0 || extent > limit || capacity > limit / extent) {
-      return 0;
-    }
-    capacity *= extent;
-  }
-  return capacity;
-}
-
 // The ranks one column's entries belong to, in order: `ranks`, or every
 // rank 0..n-1 when `dense`, which lets a fixed-width column move with one
 // memcpy.

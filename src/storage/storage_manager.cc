@@ -1,6 +1,10 @@
 #include "storage/storage_manager.h"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 #include <algorithm>
 #include <cstdio>
@@ -60,6 +64,21 @@ Result<std::vector<uint8_t>> ReadRange(std::ifstream& f,
   return bytes;
 }
 
+// `size` bytes at `offset` of the open descriptor `fd` (named `path`).
+Result<std::vector<uint8_t>> PreadRange(int fd, const std::string& path,
+                                        uint64_t offset, uint64_t size) {
+  std::vector<uint8_t> bytes(size);
+  uint64_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, bytes.data() + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Status::IOError("short read from " + path);
+    done += static_cast<uint64_t>(n);
+  }
+  return bytes;
+}
+
 // Writes `bytes` to `path`, opened with `mode` (append or truncate).
 Status WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes,
                   std::ios::openmode mode) {
@@ -88,6 +107,14 @@ DiskArray::~DiskArray() {
                 << st.ToString() << std::endl;
     }
   }
+  if (data_fd_ >= 0) ::close(data_fd_);
+}
+
+Status DiskArray::OpenDataFile() {
+  if (data_fd_ >= 0) ::close(data_fd_);
+  data_fd_ = ::open(data_path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (data_fd_ < 0) return Status::IOError("cannot open " + data_path_);
+  return Status::OK();
 }
 
 Status DiskArray::AppendPayload(const std::vector<uint8_t>& payload,
@@ -163,10 +190,9 @@ Result<std::shared_ptr<const Chunk>> DiskArray::ReadBucket(
     if (auto hit = cache_->Get(meta.id); hit != nullptr) return hit;
   }
   uint64_t t0 = SteadyNowNs();
-  std::ifstream f(data_path_, std::ios::binary);
-  if (!f) return Status::IOError("cannot open " + data_path_);
+  if (data_fd_ < 0) return Status::IOError("cannot open " + data_path_);
   ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                   ReadRange(f, data_path_, meta.offset, meta.size));
+                   PreadRange(data_fd_, data_path_, meta.offset, meta.size));
   {
     MutexLock lk(stats_mu_);
     ++stats_.buckets_read;
@@ -189,9 +215,9 @@ Result<std::shared_ptr<const Chunk>> DiskArray::ReadBucket(
 Result<MemArray> DiskArray::ReadBox(const Box& box, ThreadPool* pool) const {
   // Phase 1 (parallel when a pool is supplied): read + decompress +
   // deserialize every bucket the box touches into an id-ordered slot
-  // vector. ReadBucket is safe concurrently — each call has a private
-  // ifstream, the stat counters are mutex-guarded, and the cache
-  // synchronizes itself.
+  // vector. ReadBucket is safe concurrently — pread on the shared
+  // descriptor keeps no file position, the stat counters are
+  // mutex-guarded, and the cache synchronizes itself.
   std::vector<uint64_t> ids = rtree_.Search(box);
   std::sort(ids.begin(), ids.end());
   std::vector<const BucketMeta*> metas;
@@ -356,7 +382,7 @@ Status DiskArray::CompactDataFile() {
   std::error_code ec;
   fs::rename(tmp, data_path_, ec);
   if (ec) return Status::IOError("compaction rename failed: " + ec.message());
-  return Status::OK();
+  return OpenDataFile();
 }
 
 void DiskArray::EncodeManifest(ByteWriter* w) const {
@@ -497,6 +523,7 @@ Result<std::unique_ptr<DiskArray>> DiskArray::OpenSingleFile(
   auto arr = std::unique_ptr<DiskArray>(new DiskArray());
   arr->data_path_ = path;
   RETURN_NOT_OK(arr->DecodeManifest(manifest, manifest_offset));
+  RETURN_NOT_OK(arr->OpenDataFile());
   return arr;
 }
 
@@ -530,12 +557,14 @@ Result<DiskArray*> StorageManager::CreateArray(const ArraySchema& schema,
                                  "' exists on disk; use OpenArray");
   }
   auto arr = std::unique_ptr<DiskArray>(new DiskArray());
-  arr->schema_ = schema;
   arr->data_path_ = dir_ + "/" + schema.name() + ".data";
+  // Truncate any stale data file. Opened before the schema is set, so a
+  // failure leaves a shell that flushes no manifest.
+  std::ofstream(arr->data_path_, std::ios::binary | std::ios::trunc);
+  RETURN_NOT_OK(arr->OpenDataFile());
+  arr->schema_ = schema;
   arr->manifest_path_ = dir_ + "/" + schema.name() + ".manifest";
   arr->codec_ = codec;
-  // Truncate any stale data file.
-  std::ofstream(arr->data_path_, std::ios::binary | std::ios::trunc);
   DiskArray* ptr = arr.get();
   arrays_.emplace(schema.name(), std::move(arr));
   return ptr;
@@ -551,6 +580,7 @@ Result<DiskArray*> StorageManager::OpenArray(const std::string& name) {
   arr->data_path_ = dir_ + "/" + name + ".data";
   arr->manifest_path_ = dir_ + "/" + name + ".manifest";
   RETURN_NOT_OK(arr->LoadManifest());
+  RETURN_NOT_OK(arr->OpenDataFile());
   DiskArray* ptr = arr.get();
   arrays_.emplace(name, std::move(arr));
   return ptr;

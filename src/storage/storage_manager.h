@@ -131,12 +131,18 @@ class DiskArray : public ArraySource {
                         uint64_t payload_end);
   Status LoadManifest();
   Status CompactDataFile();
+  // (Re)opens data_path_ read-only into data_fd_: once the file exists,
+  // and again after CompactDataFile renames a new file over it.
+  Status OpenDataFile();
 
   // Single-writer state (DESIGN.md Â§7): the write path is exercised by
   // one thread at a time, and bucket metadata is never mutated while
   // reads are in flight, so none of this is under stats_mu_.
   ArraySchema schema_;      // NOLINT(lock-coverage): single-writer
   std::string data_path_;   // NOLINT(lock-coverage): single-writer
+  // One read-only descriptor of data_path_ for every bucket read; pread
+  // keeps no file position, so concurrent reads share it.
+  int data_fd_ = -1;        // NOLINT(lock-coverage): single-writer
   // Empty for a single-file array, which makes it read-only.
   std::string manifest_path_;         // NOLINT(lock-coverage): single-writer
   CodecType codec_ = CodecType::kLz;  // NOLINT(lock-coverage): single-writer

@@ -54,6 +54,11 @@ bool Value::LessThan(const Value& other) const {
   if (is_string() && other.is_string()) {
     return string_value() < other.string_value();
   }
+  // Two int64s compare exactly (they may differ above 2^53, where their
+  // doubles agree); mixed numeric pairs compare as doubles.
+  if (is_int64() && other.is_int64()) {
+    return int64_value() < other.int64_value();
+  }
   if (is_numeric() && other.is_numeric()) {
     return AsDouble().value() < other.AsDouble().value();
   }

@@ -11,69 +11,37 @@ namespace {
 // Nulls are skipped by every built-in (SQL semantics); count counts
 // non-null values only.
 
-class SumState : public AggregateState {
+// sum, count, avg and stddev: the FoldState of each non-NULL value as a
+// double (count takes a value of any type).
+class FoldedState : public AggregateState {
  public:
+  explicit FoldedState(BuiltinAgg kind) : kind_(kind) {}
   Status Accumulate(const Value& v) override {
     if (v.is_null()) return Status::OK();
+    if (kind_ == BuiltinAgg::kCount) {
+      Fold<BuiltinAgg::kCount>(&s_, 0);
+      return Status::OK();
+    }
     ASSIGN_OR_RETURN(double d, v.AsDouble());
-    sum_ += d;
-    seen_ = true;
+    if (kind_ == BuiltinAgg::kStddev) {
+      Fold<BuiltinAgg::kStddev>(&s_, d);
+    } else {
+      Fold<BuiltinAgg::kSum>(&s_, d);  // avg folds as sum does
+    }
     return Status::OK();
   }
   Status Merge(const AggregateState& other) override {
-    const auto& o = static_cast<const SumState&>(other);
-    sum_ += o.sum_;
-    seen_ = seen_ || o.seen_;
+    MergeFold(kind_, DataType::kDouble,
+              static_cast<const FoldedState&>(other).s_, &s_);
     return Status::OK();
   }
   Value Finalize() const override {
-    return seen_ ? Value(sum_) : Value::Null();
+    return FinalizeFold(kind_, DataType::kDouble, s_).ToValue();
   }
 
  private:
-  double sum_ = 0;
-  bool seen_ = false;
-};
-
-class CountState : public AggregateState {
- public:
-  Status Accumulate(const Value& v) override {
-    if (!v.is_null()) ++count_;
-    return Status::OK();
-  }
-  Status Merge(const AggregateState& other) override {
-    count_ += static_cast<const CountState&>(other).count_;
-    return Status::OK();
-  }
-  Value Finalize() const override { return Value(count_); }
-
- private:
-  int64_t count_ = 0;
-};
-
-class AvgState : public AggregateState {
- public:
-  Status Accumulate(const Value& v) override {
-    if (v.is_null()) return Status::OK();
-    ASSIGN_OR_RETURN(double d, v.AsDouble());
-    sum_ += d;
-    ++count_;
-    return Status::OK();
-  }
-  Status Merge(const AggregateState& other) override {
-    const auto& o = static_cast<const AvgState&>(other);
-    sum_ += o.sum_;
-    count_ += o.count_;
-    return Status::OK();
-  }
-  Value Finalize() const override {
-    if (count_ == 0) return Value::Null();
-    return Value(sum_ / static_cast<double>(count_));
-  }
-
- private:
-  double sum_ = 0;
-  int64_t count_ = 0;
+  BuiltinAgg kind_;
+  FoldState s_;
 };
 
 class MinMaxState : public AggregateState {
@@ -94,45 +62,6 @@ class MinMaxState : public AggregateState {
  private:
   bool is_min_;
   Value best_;
-};
-
-// Welford-style accumulation, merged with the parallel-variance formula.
-class StddevState : public AggregateState {
- public:
-  Status Accumulate(const Value& v) override {
-    if (v.is_null()) return Status::OK();
-    ASSIGN_OR_RETURN(double d, v.AsDouble());
-    ++n_;
-    double delta = d - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (d - mean_);
-    return Status::OK();
-  }
-  Status Merge(const AggregateState& other) override {
-    const auto& o = static_cast<const StddevState&>(other);
-    if (o.n_ == 0) return Status::OK();
-    if (n_ == 0) {
-      *this = o;
-      return Status::OK();
-    }
-    double na = static_cast<double>(n_);
-    double nb = static_cast<double>(o.n_);
-    double delta = o.mean_ - mean_;
-    double n = na + nb;
-    m2_ = m2_ + o.m2_ + delta * delta * na * nb / n;
-    mean_ = mean_ + delta * nb / n;
-    n_ += o.n_;
-    return Status::OK();
-  }
-  Value Finalize() const override {
-    if (n_ < 2) return Value::Null();
-    return Value(std::sqrt(m2_ / static_cast<double>(n_ - 1)));
-  }
-
- private:
-  int64_t n_ = 0;
-  double mean_ = 0;
-  double m2_ = 0;
 };
 
 // Uncertain sum/avg: means add, errors add in quadrature (paper §2.13).
@@ -164,6 +93,54 @@ class UncertainSumState : public AggregateState {
 
 }  // namespace
 
+void MergeFold(BuiltinAgg kind, DataType in, const FoldState& from,
+               FoldState* into) {
+  switch (kind) {
+    case BuiltinAgg::kCount:
+      into->n += from.n;
+      return;
+    case BuiltinAgg::kSum:
+    case BuiltinAgg::kAvg:
+      into->x += from.x;
+      into->n += from.n;
+      return;
+    case BuiltinAgg::kMin:
+    case BuiltinAgg::kMax:
+      // Fold the other side's best value in.
+      if (from.n == 0) return;
+      if (in == DataType::kInt64) {
+        if (kind == BuiltinAgg::kMin) {
+          Fold<BuiltinAgg::kMin>(into, from.i);
+        } else {
+          Fold<BuiltinAgg::kMax>(into, from.i);
+        }
+      } else if (kind == BuiltinAgg::kMin) {
+        Fold<BuiltinAgg::kMin>(into, from.x);
+      } else {
+        Fold<BuiltinAgg::kMax>(into, from.x);
+      }
+      return;
+    case BuiltinAgg::kStddev: {
+      // The parallel-variance formula.
+      if (from.n == 0) return;
+      if (into->n == 0) {
+        *into = from;
+        return;
+      }
+      const double na = static_cast<double>(into->n);
+      const double nb = static_cast<double>(from.n);
+      const double delta = from.x - into->x;
+      const double n = na + nb;
+      into->m2 = into->m2 + from.m2 + delta * delta * na * nb / n;
+      into->x = into->x + delta * nb / n;
+      into->n += from.n;
+      return;
+    }
+    case BuiltinAgg::kNone:
+      return;
+  }
+}
+
 AggregateRegistry::AggregateRegistry() { RegisterBuiltins(); }
 
 Status AggregateRegistry::Register(AggregateFunction fn) {
@@ -192,20 +169,27 @@ bool AggregateRegistry::Contains(const std::string& name) const {
 void AggregateRegistry::RegisterBuiltins() {
   // A builtin failing to register (duplicate name) is a programming
   // error, not a runtime condition; crash rather than drop the Status.
-  auto must = [this](AggregateFunction fn) {
+  auto must = [this](AggregateFunction fn,
+                     BuiltinAgg kind = BuiltinAgg::kNone) {
+    fn.builtin_ = kind;
     Status st = Register(std::move(fn));
     SCIDB_CHECK(st.ok()) << "builtin aggregate: " << st.ToString();
   };
-  must(AggregateFunction("sum", [] { return std::make_unique<SumState>(); }));
+  auto folded = [&](const char* name, BuiltinAgg kind) {
+    must(AggregateFunction(
+             name, [kind] { return std::make_unique<FoldedState>(kind); }),
+         kind);
+  };
+  folded("sum", BuiltinAgg::kSum);
+  folded("count", BuiltinAgg::kCount);
+  folded("avg", BuiltinAgg::kAvg);
+  folded("stddev", BuiltinAgg::kStddev);
   must(AggregateFunction(
-      "count", [] { return std::make_unique<CountState>(); }));
-  must(AggregateFunction("avg", [] { return std::make_unique<AvgState>(); }));
+           "min", [] { return std::make_unique<MinMaxState>(true); }),
+       BuiltinAgg::kMin);
   must(AggregateFunction(
-      "min", [] { return std::make_unique<MinMaxState>(true); }));
-  must(AggregateFunction(
-      "max", [] { return std::make_unique<MinMaxState>(false); }));
-  must(AggregateFunction(
-      "stddev", [] { return std::make_unique<StddevState>(); }));
+           "max", [] { return std::make_unique<MinMaxState>(false); }),
+       BuiltinAgg::kMax);
   must(AggregateFunction(
       "usum", [] { return std::make_unique<UncertainSumState>(false); }));
   must(AggregateFunction(

@@ -313,13 +313,17 @@ TEST_F(ServerTest, CancelAbortsLongQueryWithinOneMorsel) {
   StartServer(opts);
   auto client = Connect(1);
   ASSERT_TRUE(
-      client->Execute("define Grid (v = double) (i, j)").value().status.ok());
+      client->Execute("define Row (v = double) (i)").value().status.ok());
   ASSERT_TRUE(
-      client->Execute("create G as Grid [256, 256]").value().status.ok());
-  for (int i = 1; i <= 256; i += 3) {
-    ASSERT_TRUE(client
-                    ->Execute("insert G [" + std::to_string(i) + ", " +
-                              std::to_string(i) + "] values (2.0)")
+      client->Execute("define Col (w = double) (j)").value().status.ok());
+  ASSERT_TRUE(client->Execute("create R as Row [128]").value().status.ok());
+  ASSERT_TRUE(client->Execute("create C as Col [128]").value().status.ok());
+  for (int i = 1; i <= 128; ++i) {
+    const std::string at = "[" + std::to_string(i) + "]";
+    ASSERT_TRUE(client->Execute("insert R " + at + " values (2.0)")
+                    .value()
+                    .status.ok());
+    ASSERT_TRUE(client->Execute("insert C " + at + " values (3.0)")
                     .value()
                     .status.ok());
   }
@@ -327,11 +331,15 @@ TEST_F(ServerTest, CancelAbortsLongQueryWithinOneMorsel) {
   Counter* cancels = Metrics::Instance().counter("scidb.server.cancels");
   const int64_t cancels_before = cancels->value();
 
-  // A 256x256 window-[16,16] aggregate is hundreds of ms of work; the
-  // cancel lands long before it completes and must abort it within one
-  // morsel (the engine polls the flag before every morsel).
+  // A window-[32, 32] aggregate over the dense 128x128 cross product
+  // folds 69M neighbours in four morsels, tens of ms of work even for
+  // the halo kernel (a sparse window of a few ms could finish before
+  // the cancel arrives); the cancel lands long before it completes and
+  // must abort it within one morsel (the engine polls the flag before
+  // every morsel).
   uint64_t qid =
-      client->Submit("select Window(G, [16, 16], avg(v))").ValueOrDie();
+      client->Submit("select Window(CrossProduct(R, C), [32, 32], avg(v))")
+          .ValueOrDie();
   ASSERT_TRUE(client->Cancel(qid).ok());
   EXPECT_EQ(cancels->value(), cancels_before + 1);
 

@@ -708,6 +708,72 @@ TEST(StoredScanTest, MergedBucketsCrossingGridChunks) {
   fs::remove_all(dir);
 }
 
+// Every bucket read shares one read-only descriptor of the data file.
+// A compaction renames a new file over it; reads after it, and appends
+// after those, must see the new file.
+TEST(StoredScanTest, ReadsAfterCompactionSeeTheNewFile) {
+  std::string dir = TempDir("scan_compact");
+  {
+    StorageManager sm(dir);
+    ArraySchema s("c", {{"T", 1, 1000, 10}},
+                  {{"v", DataType::kDouble, true, false}});
+    DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+    MemArray first(s);
+    for (int64_t t = 1; t <= 200; ++t) {
+      ASSERT_TRUE(first.SetCell({t}, Value(static_cast<double>(t))).ok());
+    }
+    ASSERT_TRUE(arr->WriteAll(first).ok());
+    const uint64_t before = fs::file_size(dir + "/c.data");
+    ASSERT_GT(arr->MergeSmallBuckets(1 << 20).ValueOrDie(), 0);
+    // Compacted: the file now holds only the live buckets, at new offsets.
+    ASSERT_LT(fs::file_size(dir + "/c.data"), before);
+    ASSERT_EQ(static_cast<int64_t>(fs::file_size(dir + "/c.data")),
+              arr->LiveBytes());
+    ThreadPool pool(4);
+    ExpectSameCells(Overlay(s, {&first}), arr->ReadAll().ValueOrDie(),
+                    "after compaction");
+    ExpectSameCells(Overlay(s, {&first}), arr->ReadAll(&pool).ValueOrDie(),
+                    "after compaction, pool 4");
+
+    MemArray second(s);
+    for (int64_t t = 150; t <= 260; ++t) {
+      ASSERT_TRUE(second.SetCell({t}, Value(-static_cast<double>(t))).ok());
+    }
+    ASSERT_TRUE(arr->WriteAll(second).ok());
+    ExpectSameCells(Overlay(s, {&first, &second}),
+                    arr->ReadAll(&pool).ValueOrDie(),
+                    "appended after compaction");
+  }
+  fs::remove_all(dir);
+}
+
+// Width-4 region reads decode buckets concurrently through the shared
+// descriptor; without a cache every read goes to the file.
+TEST(StoredScanTest, ConcurrentReadsShareTheDataFile) {
+  std::string dir = TempDir("scan_concurrent");
+  {
+    StorageManager sm(dir);
+    for (const ArraySchema& schema : StoredSchemas("concurrent")) {
+      DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
+      Rng rng(TestSeed(79));
+      const MemArray cells = MixedStoredCells(schema, &rng, 80);
+      ASSERT_TRUE(arr->WriteAll(cells).ok());
+      ThreadPool pool(4);
+      for (int rep = 0; rep < 8; ++rep) {
+        ExpectSameCells(cells, arr->ReadAll(&pool).ValueOrDie(),
+                        schema.name() + "/ReadAll(pool 4)");
+        for (const Box& region : TestRegions()) {
+          ExpectSameCells(Overlay(schema, {&cells}, &region),
+                          arr->ReadRegion(region, &pool).ValueOrDie(),
+                          schema.name() + "/ReadRegion(pool 4) " +
+                              region.ToString());
+        }
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------------------ manifest
 //
 // One manifest encoding serves `<name>.manifest` and the single-file

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "exec/operators.h"
 #include "query/session.h"
 
@@ -71,6 +73,59 @@ TEST_F(WindowTest, ZeroRadiusIsIdentityAggregate) {
   }
   MemArray r = WindowAggregate(ctx_, a, {0}, "max", "v").ValueOrDie();
   EXPECT_EQ((*r.GetCell({3}))[0].double_value(), 6.0);
+}
+
+// A radius past the array's extent covers the whole array, however
+// large, along bounded and unbounded dimensions alike.
+TEST_F(WindowTest, HugeRadiusCoversTheWholeArray) {
+  for (int64_t high : {int64_t{10}, kUnboundedDim}) {
+    ArraySchema s("ts", {{"t", 1, high, 4}},
+                  {{"v", DataType::kInt64, true, false}});
+    MemArray a(s);
+    for (int64_t t = 1; t <= 10; ++t) {
+      ASSERT_TRUE(a.SetCell({t}, Value(t)).ok());
+    }
+    for (int64_t r : {int64_t{9}, int64_t{1} << 40,
+                      std::numeric_limits<int64_t>::max()}) {
+      MemArray w = WindowAggregate(ctx_, a, {r}, "sum", "v").ValueOrDie();
+      ASSERT_EQ(w.CellCount(), 10);
+      for (int64_t t = 1; t <= 10; ++t) {
+        EXPECT_EQ((*w.GetCell({t}))[0].double_value(), 55.0)
+            << "radius " << r << " t " << t;
+      }
+    }
+  }
+}
+
+// Two chunks 2^32 apart along both dimensions under radii that reach
+// across: the result folds the present cells only, and nothing is sized
+// by the 2^32 x 2^32 box between them.
+TEST_F(WindowTest, FarApartChunksWithHugeRadius) {
+  constexpr int64_t kFar = int64_t{1} << 32;
+  ArraySchema s("sky", {{"x", 0, kUnboundedDim, 4}, {"y", 0, kUnboundedDim, 4}},
+                {{"v", DataType::kDouble, true, false}});
+  MemArray a(s);
+  ASSERT_TRUE(a.SetCell({1, 1}, Value(1.0)).ok());
+  ASSERT_TRUE(a.SetCell({2, 1}, Value(2.0)).ok());
+  ASSERT_TRUE(a.SetCell({kFar, kFar}, Value(10.0)).ok());
+  ASSERT_TRUE(a.SetCell({kFar, kFar + 3}, Value(20.0)).ok());
+  struct Want {
+    int64_t radius;
+    double sums[4];  // at the cells in the order set above
+  };
+  for (const Want& want :
+       {Want{0, {1, 2, 10, 20}}, Want{kFar - 1, {13, 13, 33, 30}},
+        Want{std::numeric_limits<int64_t>::max(), {33, 33, 33, 33}}}) {
+    const MemArray w =
+        WindowAggregate(ctx_, a, {want.radius, want.radius}, "sum", "v")
+            .ValueOrDie();
+    ASSERT_EQ(w.CellCount(), 4);
+    const Coordinates at[] = {{1, 1}, {2, 1}, {kFar, kFar}, {kFar, kFar + 3}};
+    for (size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ((*w.GetCell(at[k]))[0].double_value(), want.sums[k])
+          << "radius " << want.radius << " cell " << k;
+    }
+  }
 }
 
 TEST_F(WindowTest, Validation) {
