@@ -81,13 +81,6 @@ void CheckPayload(const scidb::net::Frame& frame) {
       }
       break;
     }
-    case MessageType::kMarkDead: {
-      auto m = scidb::net::MarkDeadRequest::Decode(frame.payload);
-      if (m.ok() && m.value().EncodePayload() != frame.payload) {
-        Fail("MarkDeadRequest decode/encode is not a fixed point");
-      }
-      break;
-    }
     case MessageType::kQuery: {
       auto m = scidb::net::QueryRequest::Decode(frame.payload);
       if (m.ok() && m.value().EncodePayload() != frame.payload) {

@@ -59,7 +59,13 @@ void AttributeBlock::Set(int64_t idx, const Value& v) {
       strs_[i] = v.is_string() ? v.string_value() : v.ToString();
       break;
     case DataType::kArray:
-      arrays_[i] = v.is_array() ? v.array_value() : nullptr;
+      // Anything but a nested array is stored as NULL, which is what
+      // Get() reads back for it.
+      if (!v.is_array() || v.array_value() == nullptr) {
+        nulls_[i] = 1;
+        return;
+      }
+      arrays_[i] = v.array_value();
       break;
   }
   if (uncertain_) {

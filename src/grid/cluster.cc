@@ -109,7 +109,7 @@ void DistributedArray::InitNet() {
   sopts.clock = clock_;
   for (int node = 0; node < num_nodes(); ++node) {
     services_.push_back(std::make_unique<GridNodeService>(
-        node, schema_, *placement_, clock_));
+        node, schema_, clock_));
     servers_.push_back(
         std::make_unique<net::RpcServer>(transport_, node, sopts));
     services_.back()->Install(servers_.back().get());
@@ -253,10 +253,9 @@ Result<std::vector<FlightEvent>> DistributedArray::FetchFlightEvents(
   return std::move(resp.events);
 }
 
-Status DistributedArray::PutChunk(int dest, const Chunk& chunk, int64_t time,
+Status DistributedArray::PutChunk(int dest, const Chunk& chunk,
                                   const TraceContext& ctx) {
   net::ChunkPutRequest req;
-  req.time = time;
   req.chunk_bytes = SerializeChunk(chunk);
   net::CallOptions co = net_opts_.call;
   co.trace = ctx;
@@ -267,16 +266,11 @@ Status DistributedArray::PutChunk(int dest, const Chunk& chunk, int64_t time,
   return Status::OK();
 }
 
-Result<MemArray> DistributedArray::FetchShard(int node, const ExprPtr& pred,
-                                              const TraceContext& ctx,
-                                              int view_of,
-                                              const std::set<int>& dead,
-                                              const net::CallOptions& call)
-    const {
+Result<MemArray> DistributedArray::FetchShard(
+    int node, const std::vector<Coordinates>& origins, const ExprPtr& pred,
+    const TraceContext& ctx, const net::CallOptions& call) const {
   net::ScanShardRequest req;
-  req.view_of = view_of;
-  // std::set iterates ascending — exactly the canonical wire order.
-  req.suspect_dead.assign(dead.begin(), dead.end());
+  req.origins = origins;
   if (pred != nullptr) {
     // Function shipping: serialize the predicate at the grid boundary;
     // the message layer carries it as opaque bytes.
@@ -305,124 +299,111 @@ Result<MemArray> DistributedArray::FetchShard(int node, const ExprPtr& pred,
 Result<MemArray> DistributedArray::FetchSlot(
     int slot, const ExprPtr& pred, const TraceContext& ctx,
     std::atomic<int64_t>* failovers) const {
-  const int k = placement_->replication();
-  std::set<int> dead = DeadSnapshot();
+  // The slot's unread chunks with their holders (preference order). A
+  // slot is a primary partition, pinned by each chunk's first-write epoch.
+  std::map<Coordinates, std::vector<int>> unread;
+  {
+    MutexLock lk(meta_mu_);
+    for (const auto& [origin, meta] : chunk_dir_) {
+      if (placement_->PrimaryFor(origin, meta.time) == slot) {
+        unread.emplace(origin, meta.holders);
+      }
+    }
+  }
+  // Declared-dead nodes, plus the nodes that failed during this read.
+  std::set<int> down = DeadSnapshot();
+  auto is_live = [&down](int n) { return down.count(n) == 0; };
   const uint64_t start_ns = clock_();
   const uint64_t budget_ns = net_opts_.call.deadline_ns;
-
-  if (dead.count(slot) == 0) {
-    // Primary read: when failover is possible the primary attempt gets
-    // half the call budget, so a dead primary still leaves time to ask
-    // the survivors within the caller's original deadline.
-    net::CallOptions co = net_opts_.call;
-    if (k > 1) co.deadline_ns = budget_ns / 2;
-    Result<MemArray> r = FetchShard(slot, pred, ctx, -1, dead, co);
-    if (r.ok()) {
-      RecordCallResult(slot, true);
-      return r;
+  bool first_call = true;
+  bool failed_over = false;
+  MemArray merged(schema_);
+  while (!unread.empty()) {
+    // Route each unread chunk to its first live holder. A batch is
+    // `spare` when every chunk in it has another live holder to fail
+    // over to.
+    struct Batch {
+      std::vector<Coordinates> origins;
+      bool spare = true;
+    };
+    std::map<int, Batch> route;
+    for (const auto& [origin, holders] : unread) {
+      auto server = std::find_if(holders.begin(), holders.end(), is_live);
+      if (server == holders.end()) {
+        return Status::Unavailable("chunk lost: no live holder of " +
+                                   CoordsToString(origin) + " in slot " +
+                                   std::to_string(slot));
+      }
+      if (server != holders.begin() && !failed_over) {
+        // Failover read: a chunk is served past a holder that is dead or
+        // failed during this read.
+        failed_over = true;
+        GridMetrics::Get().failover_reads->Inc();
+        if (FlightRecorder::enabled()) {
+          FlightRecorder::Instance().RecordAt(
+              clock_(), FlightEventKind::kFailoverRead, slot,
+              static_cast<uint64_t>(slot), static_cast<uint64_t>(down.size()));
+        }
+        if (failovers != nullptr) failovers->fetch_add(1);
+      }
+      Batch& batch = route[*server];
+      batch.origins.push_back(origin);
+      batch.spare =
+          batch.spare && std::any_of(server + 1, holders.end(), is_live);
     }
-    if (!IsPeerFailure(r.status())) return r;
-    RecordCallResult(slot, false);
-    if (k <= 1) return r;
-    dead.insert(slot);
-  } else if (k <= 1) {
-    return Status::Unavailable("node " + std::to_string(slot) + " is dead");
-  }
-
-  // Failover read: every survivor is asked for slot `slot`'s chunks with
-  // the suspect set attached; exactly one node serves each chunk (its
-  // first live replica), so the union below never double-counts. A
-  // survivor failing mid-failover joins the suspects and the pass
-  // restarts.
-  GridMetrics::Get().failover_reads->Inc();
-  if (FlightRecorder::enabled()) {
-    FlightRecorder::Instance().RecordAt(
-        clock_(), FlightEventKind::kFailoverRead, slot,
-        static_cast<uint64_t>(slot), static_cast<uint64_t>(dead.size()));
-  }
-  if (failovers != nullptr) failovers->fetch_add(1);
-  for (;;) {
-    MemArray merged(schema_);
-    bool restart = false;
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (dead.count(n) != 0) continue;
-      const uint64_t elapsed = clock_() - start_ns;
-      if (elapsed >= budget_ns) {
-        return Status::DeadlineExceeded("failover read for slot " +
-                                        std::to_string(slot) +
-                                        " exhausted the call deadline");
-      }
+    for (const auto& [node, batch] : route) {
       net::CallOptions co = net_opts_.call;
-      co.deadline_ns = budget_ns - elapsed;
-      Result<MemArray> r = FetchShard(n, pred, ctx, slot, dead, co);
-      if (!r.ok()) {
-        if (!IsPeerFailure(r.status())) return r;
-        RecordCallResult(n, false);
-        dead.insert(n);
-        restart = true;
-        break;
+      if (first_call) {
+        // The first read leaves half the budget for a failover, when
+        // there is somewhere to fail over to.
+        if (batch.spare) co.deadline_ns = budget_ns / 2;
+        first_call = false;
+      } else {
+        const uint64_t elapsed = clock_() - start_ns;
+        if (elapsed >= budget_ns) {
+          return Status::DeadlineExceeded("read of slot " +
+                                          std::to_string(slot) +
+                                          " exhausted the call deadline");
+        }
+        co.deadline_ns = budget_ns - elapsed;
       }
-      RecordCallResult(n, true);
+      Result<MemArray> r = FetchShard(node, batch.origins, pred, ctx, co);
+      if (!r.ok()) {
+        if (!IsPeerFailure(r.status())) return r.status();
+        RecordCallResult(node, false);
+        if (!batch.spare) return r.status();
+        down.insert(node);
+        break;  // re-route what is still unread
+      }
+      RecordCallResult(node, true);
       for (const auto& [origin, chunk] : r.value().chunks()) {
-        // Replicas are byte-identical, so an upsert is a no-op on the
-        // (impossible) duplicate.
         (*merged.mutable_chunks())[origin] = chunk;
       }
+      for (const Coordinates& origin : batch.origins) unread.erase(origin);
     }
-    if (restart) continue;
-    if (pred == nullptr) {
-      // Unfiltered scans can be audited against the chunk directory:
-      // every chunk whose primary is `slot` must have been served by
-      // someone, or data really was lost (more than k-1 holders died).
-      MutexLock lk(meta_mu_);
-      for (const auto& [origin, meta] : chunk_dir_) {
-        if (placement_->PrimaryFor(origin, meta.time) != slot) continue;
-        if (merged.chunks().count(origin) == 0) {
-          return Status::Unavailable(
-              "chunk lost: no surviving replica covers slot " +
-              std::to_string(slot));
-        }
-      }
-    }
-    return merged;
   }
+  return merged;
 }
 
 Status DistributedArray::PlaceChunk(const Coordinates& origin,
                                     const Chunk& chunk, int64_t time,
                                     const TraceContext& ctx) {
-  const int k = placement_->replication();
-  if (k <= 1) {
-    // The legacy write path, byte for byte: placement is NodeFor at the
-    // write's own epoch, no directory, no failure detection.
-    int node = partitioner_->NodeFor(origin, time);
-    if (node < 0 || node >= num_nodes()) {
-      return Status::Internal("partitioner returned node " +
-                              std::to_string(node));
-    }
-    return PutChunk(node, chunk, time, ctx);
-  }
-
-  bool existing = false;
-  ChunkMeta meta;
+  std::vector<int> holders;
   {
     MutexLock lk(meta_mu_);
     auto it = chunk_dir_.find(origin);
-    if (it != chunk_dir_.end()) {
-      existing = true;
-      meta = it->second;
-    }
+    if (it != chunk_dir_.end()) holders = it->second.holders;
   }
   const std::set<int> dead = DeadSnapshot();
 
-  if (existing) {
+  if (!holders.empty()) {
     // Updates go to every live holder, strictly: a failed holder write
     // fails the whole operation rather than leaving replicas divergent.
     // (Declared-dead holders are skipped — recovery replaces them.)
     int written = 0;
-    for (int h : meta.holders) {
+    for (int h : holders) {
       if (dead.count(h) != 0) continue;
-      Status st = PutChunk(h, chunk, meta.time, ctx);
+      Status st = PutChunk(h, chunk, ctx);
       if (!st.ok()) {
         if (IsPeerFailure(st)) RecordCallResult(h, false);
         return st;
@@ -439,13 +420,12 @@ Status DistributedArray::PlaceChunk(const Coordinates& origin,
   // Fresh chunk: walk the preference order placing k copies, stepping
   // past dead or unreachable candidates. One successful copy is enough
   // to accept the write; Recover() tops the chunk back up to k.
-  const std::vector<int> order = placement_->PreferenceOrder(origin, time);
-  std::vector<int> holders;
+  const int k = replication();
   Status last = Status::Unavailable("no live node accepted the chunk");
-  for (int cand : order) {
+  for (int cand : placement_->PreferenceOrder(origin, time)) {
     if (static_cast<int>(holders.size()) == k) break;
     if (dead.count(cand) != 0) continue;
-    Status st = PutChunk(cand, chunk, time, ctx);
+    Status st = PutChunk(cand, chunk, ctx);
     if (st.ok()) {
       RecordCallResult(cand, true);
       holders.push_back(cand);
@@ -460,7 +440,7 @@ Status DistributedArray::PlaceChunk(const Coordinates& origin,
     MutexLock lk(meta_mu_);
     ChunkMeta& m = chunk_dir_[origin];
     m.time = time;  // the first write's epoch, sticky (pins placement)
-    m.holders = holders;
+    m.holders = std::move(holders);
   }
   return Status::OK();
 }
@@ -476,7 +456,7 @@ Result<Chunk> DistributedArray::GetChunk(int src,
 }
 
 void DistributedArray::RecordCallResult(int node, bool ok) const {
-  if (placement_->replication() <= 1) return;  // legacy grid: no detector
+  if (placement_->replication() <= 1) return;  // k = 1: no detector
   if (node < 0 || node >= num_nodes()) return;
   bool newly_dead = false;
   int fails = 0;
@@ -513,20 +493,6 @@ std::set<int> DistributedArray::DeadSnapshot() const {
 
 std::set<int> DistributedArray::dead_nodes() const { return DeadSnapshot(); }
 
-void DistributedArray::BroadcastDeadSet() const {
-  const std::set<int> dead = DeadSnapshot();
-  net::MarkDeadRequest req;
-  req.dead.assign(dead.begin(), dead.end());
-  for (int n = 0; n < num_nodes(); ++n) {
-    if (dead.count(n) != 0) continue;
-    // Best-effort: a survivor that misses the broadcast still filters
-    // correctly per request (the coordinator attaches its suspect set to
-    // every ScanShard).
-    (void)client_->Call(  // status-ignored: best-effort broadcast; see above
-        n, net::MessageType::kMarkDead, req.EncodePayload(), net_opts_.call);
-  }
-}
-
 void DistributedArray::MaybeRecover() {
   bool pending;
   {
@@ -542,10 +508,10 @@ Result<int64_t> DistributedArray::Recover() {
     MutexLock lk(meta_mu_);
     recover_pending_ = false;
   }
-  if (placement_->replication() <= 1) return 0;
+  // Nothing is declared dead at k = 1 (no failure detector), so this
+  // returns here.
   const std::set<int> dead = DeadSnapshot();
   if (dead.empty()) return 0;
-  BroadcastDeadSet();
   // Snapshot the directory so no RPC runs under meta_mu_.
   std::vector<std::pair<Coordinates, ChunkMeta>> entries;
   {
@@ -586,7 +552,7 @@ Result<int64_t> DistributedArray::Recover() {
         RecordCallResult(s, false);
       }
       RETURN_NOT_OK(chunk.status());
-      RETURN_NOT_OK(PutChunk(target, chunk.value(), meta.time));
+      RETURN_NOT_OK(PutChunk(target, chunk.value()));
       GridMetrics::Get().rereplicated_chunks->Inc();
       GridMetrics::Get().rereplicated_bytes->Inc(
           static_cast<int64_t>(chunk.value().ByteSize()));
@@ -872,9 +838,10 @@ Result<MemArray> DistributedArray::ParallelSjoin(
 Result<int64_t> DistributedArray::ReplicateBoundaries(
     int64_t max_position_error) {
   if (placement_->replication() > 1) {
-    // Boundary replicas are deliberately placed on the "wrong" node,
-    // which contradicts the chunk directory's holder bookkeeping; the
-    // two replication mechanisms do not compose (DESIGN.md §13).
+    // Boundary copies are written outside the chunk directory: reads
+    // never serve them, and Recover would not carry them to a new
+    // holder. The two replication mechanisms do not compose (DESIGN.md
+    // §13).
     return Status::Invalid(
         "boundary replication requires replication = 1");
   }
@@ -894,8 +861,9 @@ Result<int64_t> DistributedArray::ReplicateBoundaries(
   std::vector<MemArray> ghosts(static_cast<size_t>(num_nodes()),
                                MemArray(schema_));
   for (int node = 0; node < num_nodes(); ++node) {
-    ASSIGN_OR_RETURN(MemArray shard, FetchShard(node, nullptr, {}, -1, {},
-                                                net_opts_.call));
+    // The node's own partition, as the directory records it: ghosts an
+    // earlier pass wrote are not read back.
+    ASSIGN_OR_RETURN(MemArray shard, FetchSlot(node, nullptr, {}, nullptr));
     for (const auto& [origin, chunk] : shard.chunks()) {
       for (Chunk::CellIterator it(*chunk); it.valid(); it.Next()) {
         const Coordinates c = it.coords();
@@ -919,11 +887,13 @@ Result<int64_t> DistributedArray::ReplicateBoundaries(
       }
     }
   }
-  // Replica placement is a write like any other: through the wire.
+  // Ghosts go through the wire like any other write, but outside the
+  // chunk directory: the destination stores them, and no read asks for
+  // them, so they are never counted as data.
   for (int dest = 0; dest < num_nodes(); ++dest) {
     for (const auto& [origin, chunk] :
          ghosts[static_cast<size_t>(dest)].chunks()) {
-      RETURN_NOT_OK(PutChunk(dest, *chunk, 0));
+      RETURN_NOT_OK(PutChunk(dest, *chunk));
     }
   }
   return replicated;

@@ -51,18 +51,17 @@ struct GridNetOptions {
   TraceClock clock;    // null = SteadyNowNs
   net::SleepFn sleep;  // null = real condition-variable waits
 
-  // k-way chunk replication (DESIGN.md §13): every chunk is written to
-  // the first k nodes of its ReplicaPlacement preference order, reads
-  // fail over to a surviving replica when the primary is unreachable,
-  // and Recover() re-replicates a dead node's chunks onto survivors.
-  // 1 (the default) is the exact pre-replication grid: no extra writes,
-  // no failover, no failure detection. Clamped to [1, num_nodes()].
+  // k-way chunk replication (DESIGN.md §13): a new chunk is written to
+  // the first k reachable nodes of its ReplicaPlacement preference order,
+  // reads fail over to a surviving holder when one is unreachable, and
+  // Recover() re-replicates a dead node's chunks onto survivors. 1 (the
+  // default) keeps one copy of each chunk and runs no failure detector.
+  // Clamped to [1, num_nodes()].
   int replication = 1;
 
   // Consecutive failed data-path RPCs to one node before the
-  // coordinator declares it dead (triggers MarkDead broadcast +
-  // re-replication at the end of the running operation). Only
-  // meaningful when replication > 1.
+  // coordinator declares it dead (triggers re-replication at the end of
+  // the running operation). Only meaningful when replication > 1.
   int dead_after_failures = 3;
 };
 
@@ -88,16 +87,19 @@ struct ClusterMetrics {
 };
 
 // An array horizontally partitioned across the nodes of a simulated grid
-// (paper §2.7). Chunks are the unit of placement: each exec-grid chunk
-// goes to Partitioner::NodeFor(origin, load_time).
+// (paper §2.7). Chunks are the unit of placement. The coordinator's chunk
+// directory is the one placement record, at every replication factor: it
+// pins each chunk's first-write epoch (hence its preference order and
+// its slot, Partitioner::NodeFor(origin, epoch)) and lists the nodes
+// that hold it.
 //
 // Shared-nothing by construction: each GridNodeService owns its node's
-// shard, counters and chunk epochs, and this coordinator is a plain RPC
-// client of its nodes. Loads and cell writes are ChunkPut RPCs to the
-// owning node, every read (the parallel operators, Repartition, the
-// co-located side of a join, boundary replication) is a ScanShard RPC,
-// and node_stats() asks each node over the wire. The coordinator is
-// registered on the transport as node id num_nodes().
+// shard and counters, and this coordinator is a plain RPC client of its
+// nodes. Loads and cell writes are ChunkPut RPCs to the chunk's holders,
+// every read (the parallel operators, Repartition, the co-located side
+// of a join, boundary replication) is a ScanShard RPC naming the chunks
+// the node is to serve, and node_stats() asks each node over the wire.
+// The coordinator is registered on the transport as node id num_nodes().
 class DistributedArray {
  public:
   DistributedArray(ArraySchema schema,
@@ -131,9 +133,8 @@ class DistributedArray {
 
   // Re-replicates every chunk whose replica set lost nodes to the dead
   // set, copying from a surviving holder (ChunkGet) onto the first live
-  // nodes of the chunk's preference order (ChunkPut), after broadcasting
-  // the dead set to every survivor (MarkDead). Returns the number of
-  // chunk copies created. Runs automatically at the end of a parallel
+  // nodes of the chunk's preference order (ChunkPut). Returns the number
+  // of chunk copies created. Runs automatically at the end of a parallel
   // operation that declared a node dead; callable explicitly too.
   // No-op at replication = 1 (there is nothing to copy from).
   Result<int64_t> Recover() LOCKS_EXCLUDED(meta_mu_);
@@ -244,33 +245,31 @@ class DistributedArray {
   // One ChunkPut RPC: upserts `chunk`'s cells into node `dest`. An
   // active `ctx` rides on the request frame and yields client/server
   // spans for the stitch.
-  Status PutChunk(int dest, const Chunk& chunk, int64_t time,
-                  const TraceContext& ctx = {});
-  // Replica-aware chunk write: at replication = 1 this is exactly the
-  // legacy NodeFor + PutChunk path; at k > 1 a fresh chunk is written
-  // to the first k live nodes of its preference order (walking past
-  // unreachable candidates) and an existing chunk is re-written to all
-  // of its live holders, so copies never diverge. Updates the chunk
-  // directory.
+  Status PutChunk(int dest, const Chunk& chunk, const TraceContext& ctx = {});
+  // Every chunk write, at every k: a fresh chunk is written to the first
+  // k reachable nodes of its preference order at `time` (walking past
+  // dead or unreachable candidates), and the directory records `time`
+  // and those holders; an existing chunk is re-written to all of its
+  // live holders, strictly, so copies never diverge.
   Status PlaceChunk(const Coordinates& origin, const Chunk& chunk,
                     int64_t time, const TraceContext& ctx = {})
       LOCKS_EXCLUDED(meta_mu_);
   // One ChunkGet RPC: fetches the chunk at `origin` from node `src`.
   Result<Chunk> GetChunk(int src, const Coordinates& origin) const;
-  // One ScanShard RPC: the chunks of fan-out slot `view_of` (-1 = node's
-  // own slot) that `node` currently serves given the dead view, rebuilt
-  // into a coordinator-side MemArray. `pred` filters server-side.
-  Result<MemArray> FetchShard(int node, const ExprPtr& pred,
-                              const TraceContext& ctx, int view_of,
-                              const std::set<int>& dead,
+  // One ScanShard RPC: node `node`'s chunks at `origins`, rebuilt into a
+  // coordinator-side MemArray. `pred` filters server-side.
+  Result<MemArray> FetchShard(int node,
+                              const std::vector<Coordinates>& origins,
+                              const ExprPtr& pred, const TraceContext& ctx,
                               const net::CallOptions& call) const;
-  // The parallel operators' per-slot fetch: asks slot `slot` for its own
-  // chunks, and when the slot is dead or unreachable (and k > 1)
-  // degrades to a failover read — the survivors are asked for the
-  // slot's chunks (first-live-replica serves), within what remains of
-  // the original call deadline. Bumps scidb.grid.failover_reads and
-  // `failovers` (the op's `failover` explain-analyze note) when the
-  // degraded path runs.
+  // The parallel operators' per-slot fetch: the directory's chunks whose
+  // primary is `slot`, each asked of its first live holder (one
+  // ScanShard per serving node). A holder failing mid-read is skipped
+  // and its chunks re-asked of their next live holders, within what
+  // remains of the call deadline; a chunk with no live holder fails the
+  // read with Unavailable. Bumps scidb.grid.failover_reads and
+  // `failovers` (the op's `failover` explain-analyze note) when a chunk
+  // is served past a dead or failed holder.
   Result<MemArray> FetchSlot(int slot, const ExprPtr& pred,
                              const TraceContext& ctx,
                              std::atomic<int64_t>* failovers) const
@@ -279,12 +278,10 @@ class DistributedArray {
   // Failure-detection bookkeeping for one data-path RPC outcome.
   // Declares the node dead on the dead_after_failures'th consecutive
   // failure (flight-recorder kNodeDead + scidb.grid.nodes_declared_dead)
-  // and remembers that a recovery pass is owed. No-op at k = 1, so the
-  // legacy grid never changes behavior.
+  // and remembers that a recovery pass is owed. No-op at k = 1: with one
+  // copy there is no holder to fail over or recover to.
   void RecordCallResult(int node, bool ok) const LOCKS_EXCLUDED(meta_mu_);
   std::set<int> DeadSnapshot() const LOCKS_EXCLUDED(meta_mu_);
-  // Pushes the coordinator's dead set to every survivor (MarkDead).
-  void BroadcastDeadSet() const LOCKS_EXCLUDED(meta_mu_);
   // Runs Recover() if RecordCallResult declared a node dead since the
   // last pass. Called at the end of each parallel operation.
   void MaybeRecover();
@@ -330,8 +327,9 @@ class DistributedArray {
   // Rebuilt alongside partitioner_ on construction and Repartition.
   std::unique_ptr<ReplicaPlacement>
       placement_;  // NOLINT(lock-coverage): coordinator-only
-  // Chunk directory: load epoch (sticky: the first write's time, which
-  // pins the chunk's placement order forever) plus current holders.
+  // Chunk directory, the one placement record: load epoch (sticky: the
+  // first write's time, which pins the chunk's preference order and slot
+  // forever) plus current holders, in preference order.
   struct ChunkMeta {
     int64_t time = 0;
     std::vector<int> holders;

@@ -1,6 +1,5 @@
 #include "grid/node_service.h"
 
-#include <set>
 #include <string>
 #include <utility>
 
@@ -16,10 +15,9 @@
 namespace scidb {
 
 GridNodeService::GridNodeService(int node, ArraySchema schema,
-                                 ReplicaPlacement placement, TraceClock clock)
+                                 TraceClock clock)
     : node_(node),
       schema_(std::move(schema)),
-      placement_(std::move(placement)),
       clock_(std::move(clock)),
       shard_(schema_) {}
 
@@ -35,10 +33,6 @@ void GridNodeService::Install(net::RpcServer* server) {
   server->Handle(net::MessageType::kScanShard,
                  [this](int, const std::vector<uint8_t>& payload) {
                    return ScanShard(payload);
-                 });
-  server->Handle(net::MessageType::kMarkDead,
-                 [this](int, const std::vector<uint8_t>& payload) {
-                   return MarkDead(payload);
                  });
   server->Handle(net::MessageType::kNodeStatsReq,
                  [this](int, const std::vector<uint8_t>& payload) {
@@ -68,9 +62,6 @@ Result<std::vector<uint8_t>> GridNodeService::ChunkPut(
   ASSIGN_OR_RETURN(Chunk chunk,
                    DeserializeChunk(req.chunk_bytes, schema_.attrs()));
   MutexLock lock(mu_);
-  // The first write's epoch sticks, like the coordinator's directory:
-  // a replayed or later write never moves the chunk's placement order.
-  epoch_.emplace(shard_.ChunkOriginFor(chunk.box().low), req.time);
   RETURN_NOT_OK(CopyCells(chunk, chunk.box(), &shard_));
   return std::vector<uint8_t>{};  // empty ack
 }
@@ -88,33 +79,33 @@ Result<std::vector<uint8_t>> GridNodeService::ChunkGet(
   return SerializeChunk(*chunk);
 }
 
-Result<std::vector<uint8_t>> GridNodeService::MarkDead(
-    const std::vector<uint8_t>& payload) {
-  ASSIGN_OR_RETURN(net::MarkDeadRequest req,
-                   net::MarkDeadRequest::Decode(payload));
-  MutexLock lock(mu_);
-  known_dead_.assign(req.dead.begin(), req.dead.end());
-  return std::vector<uint8_t>{};  // empty ack
-}
-
 Result<std::vector<uint8_t>> GridNodeService::ScanShard(
     const std::vector<uint8_t>& payload) {
   ASSIGN_OR_RETURN(net::ScanShardRequest req,
                    net::ScanShardRequest::Decode(payload));
-  if (req.view_of >= placement_.num_nodes()) {
-    return Status::Invalid("ScanShard view_of names no grid node");
-  }
   MutexLock lock(mu_);
+  // The listed chunks, shared with the shard (no cell is copied). An
+  // origin this node does not hold means the coordinator's directory and
+  // this store disagree: an error, never a silently short scan.
+  MemArray served(schema_);
+  for (const Coordinates& origin : req.origins) {
+    auto it = shard_.chunks().find(origin);
+    if (it == shard_.chunks().end()) {
+      return Status::NotFound("ScanShard: node " + std::to_string(node_) +
+                              " holds no chunk at " + CoordsToString(origin));
+    }
+    (*served.mutable_chunks())[origin] = it->second;
+  }
   // The serving node pays the scan, so it is accounted here — a
   // duplicated request really is scanned twice. The node's counters and
-  // the grid-wide scidb.grid.* ones move once per shard scan, never per
-  // cell, so the scan loops stay free of shared atomics.
+  // the grid-wide scidb.grid.* ones move once per scan, never per cell,
+  // so the scan loops stay free of shared atomics.
   static Counter* const grid_cells =
       Metrics::Instance().counter("scidb.grid.cells_scanned");
   static Counter* const grid_bytes =
       Metrics::Instance().counter("scidb.grid.bytes_scanned");
-  const int64_t cells = shard_.CellCount();
-  const int64_t bytes = static_cast<int64_t>(shard_.ByteSize());
+  const int64_t cells = served.CellCount();
+  const int64_t bytes = static_cast<int64_t>(served.ByteSize());
   stats_.cells_scanned += cells;
   stats_.bytes_scanned += bytes;
   grid_cells->Inc(cells);
@@ -125,36 +116,10 @@ Result<std::vector<uint8_t>> GridNodeService::ScanShard(
                                         static_cast<uint64_t>(bytes));
   }
 
-  // Replication view (DESIGN.md §13): the scan serves exactly the chunks
-  // of fan-out slot `target` (a slot is a primary partition, fixed for
-  // the chunk's lifetime) that this node currently owns — owns meaning
-  // "is the first live replica of", under the union of this node's
-  // MarkDead view and the request's suspect set. With replication = 1
-  // and no replication view in the request, the legacy whole-shard scan
-  // runs untouched.
-  std::set<int> dead(known_dead_.begin(), known_dead_.end());
-  for (int32_t d : req.suspect_dead) dead.insert(d);
-  const int target = req.view_of >= 0 ? req.view_of : node_;
-  const bool filtered =
-      placement_.replication() > 1 || req.view_of >= 0 || !dead.empty();
-
-  MemArray view(schema_);
-  const MemArray* source = &shard_;
-  if (filtered) {
-    for (const auto& [origin, chunk] : shard_.chunks()) {
-      // Every held chunk arrived through ChunkPut, which recorded it.
-      const int64_t t = epoch_.find(origin)->second;
-      if (placement_.PrimaryFor(origin, t) != target) continue;
-      if (placement_.OwnerFor(origin, t, dead) != node_) continue;
-      (*view.mutable_chunks())[origin] = chunk;
-    }
-    source = &view;
-  }
-
   net::ScanShardResponse resp;
   if (req.pred_bytes.empty()) {
     // Data shipping: the served chunks verbatim, in origin order.
-    for (const auto& [origin, chunk] : source->chunks()) {
+    for (const auto& [origin, chunk] : served.chunks()) {
       resp.chunks.push_back(SerializeChunk(*chunk));
     }
   } else {
@@ -174,7 +139,7 @@ Result<std::vector<uint8_t>> GridNodeService::ScanShard(
     // `local.pool` is null, so Subsample's ParallelChunkMap takes the
     // serial path — no ParallelFor wait happens under mu_ despite what
     // the call graph's context-insensitive closure concludes.
-    ASSIGN_OR_RETURN(MemArray filtered_arr, Subsample(local, *source, pred));  // NOLINT(blocking-under-lock)
+    ASSIGN_OR_RETURN(MemArray filtered_arr, Subsample(local, served, pred));  // NOLINT(blocking-under-lock)
     for (const auto& [origin, chunk] : filtered_arr.chunks()) {
       resp.chunks.push_back(SerializeChunk(*chunk));
     }

@@ -2,7 +2,6 @@
 #define SCIDB_GRID_NODE_SERVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "array/mem_array.h"
@@ -10,7 +9,6 @@
 #include "common/mutex.h"
 #include "common/result.h"
 #include "common/trace.h"
-#include "grid/partitioner.h"
 #include "net/rpc.h"
 
 namespace scidb {
@@ -29,27 +27,26 @@ struct NodeStats {
   int64_t bytes_scanned = 0;  // cumulative bytes visited by Parallel* ops
 };
 
-// One simulated grid node: the only owner of its shard, its counters and
-// the load epoch of each chunk it holds, serving them through RPC
-// handlers for the grid vocabulary (ChunkPut/ChunkGet/ScanShard/
-// MarkDead/NodeStatsReq). The coordinator reaches this state only over
-// the wire (paper §2.7: shared-nothing).
+// One simulated grid node: the only owner of its shard and its counters,
+// serving them through RPC handlers for the grid vocabulary (ChunkPut/
+// ChunkGet/ScanShard/NodeStatsReq). The coordinator reaches this state
+// only over the wire (paper §2.7: shared-nothing). The node is a plain
+// store: which chunks it holds and which of them it serves is the
+// coordinator's chunk directory's business (DESIGN.md §13), so a scan
+// serves exactly the origins the request lists.
 //
 // Every handler is idempotent, which is what makes the RPC layer's
 // retries and fault-injected duplicates safe: ChunkPut upserts cells
-// (last-writer-wins) and keeps the first write's epoch; cells_stored is
-// derived from the shard at snapshot time rather than incremented; the
-// reads are pure. The observability handlers (MetricsGet/TraceGet,
+// (last-writer-wins); cells_stored is derived from the shard at snapshot
+// time rather than incremented; the reads are pure. The observability handlers (MetricsGet/TraceGet,
 // DESIGN.md §12) ride the same vocabulary: MetricsGet is a pure read;
 // TraceGet *takes* spans, but a retried TraceGet simply returns the
 // spans the lost reply carried plus any recorded since, which the stitch
 // tolerates.
 class GridNodeService {
  public:
-  // `placement` is the grid's replica placement, used to decide which
-  // chunks a replicated scan serves; `clock` stamps flight events.
-  GridNodeService(int node, ArraySchema schema, ReplicaPlacement placement,
-                  TraceClock clock);
+  // `clock` stamps flight events.
+  GridNodeService(int node, ArraySchema schema, TraceClock clock);
 
   // Installs this node's handlers on `server`.
   void Install(net::RpcServer* server);
@@ -72,10 +69,6 @@ class GridNodeService {
       LOCKS_EXCLUDED(mu_);
   Result<std::vector<uint8_t>> ScanShard(const std::vector<uint8_t>& payload)
       LOCKS_EXCLUDED(mu_);
-  // Replaces this node's dead-set view (DESIGN.md §13). Idempotent: the
-  // payload is the whole set, so retries and duplicates are no-ops.
-  Result<std::vector<uint8_t>> MarkDead(const std::vector<uint8_t>& payload)
-      LOCKS_EXCLUDED(mu_);
   Result<std::vector<uint8_t>> NodeStatsReq(
       const std::vector<uint8_t>& payload) LOCKS_EXCLUDED(mu_);
   Result<std::vector<uint8_t>> MetricsGet(const std::vector<uint8_t>& payload)
@@ -90,7 +83,6 @@ class GridNodeService {
 
   const int node_;
   const ArraySchema schema_;
-  const ReplicaPlacement placement_;
   const TraceClock clock_;
   // Serializes handler execution for this node: a duplicated write frame
   // must not race a concurrent scan of the same shard.
@@ -98,15 +90,8 @@ class GridNodeService {
   MemArray shard_ GUARDED_BY(mu_);
   // Only the scan counters live here; Stats() derives the stored ones.
   NodeStats stats_ GUARDED_BY(mu_);
-  // Each held chunk's load epoch: the first ChunkPut's time, which is the
-  // coordinator's sticky directory epoch (it pins the placement order).
-  std::map<Coordinates, int64_t> epoch_ GUARDED_BY(mu_);
   const FunctionRegistry* functions_ GUARDED_BY(mu_) = nullptr;
   bool enable_chunk_pruning_ GUARDED_BY(mu_) = true;
-  // This node's view of the dead set, replaced wholesale by MarkDead
-  // broadcasts; union'd with each ScanShard request's suspect set to
-  // decide which chunks this node serves (see ScanShard).
-  std::vector<int32_t> known_dead_ GUARDED_BY(mu_);
 };
 
 }  // namespace scidb

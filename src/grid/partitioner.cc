@@ -208,13 +208,4 @@ std::vector<int> ReplicaPlacement::LiveReplicasFor(
   return out;
 }
 
-int ReplicaPlacement::OwnerFor(const Coordinates& origin, int64_t time,
-                               const std::set<int>& dead) const {
-  if (dead.empty()) return scheme_->NodeFor(origin, time);
-  for (int node : PreferenceOrder(origin, time)) {
-    if (dead.count(node) == 0) return node;
-  }
-  return -1;
-}
-
 }  // namespace scidb

@@ -124,12 +124,11 @@ class TimeSplitPartitioner : public Partitioner {
 // identity, the property grid_property_test pins down).
 //
 //   replicas   = first k entries of the order (k distinct nodes)
-//   owner(D)   = first entry not in the dead set D — the node that
-//                *serves* the chunk; equals the primary while it lives
 //   recovery   = re-replicate until the first k live entries hold a copy
 //
-// As long as fewer than k holders have died since the last recovery,
-// owner(D) is always a holder, which is the failover-read guarantee.
+// Which nodes actually hold a chunk, and so which one serves it (the
+// first live holder), is recorded in the coordinator's chunk directory
+// (DistributedArray), not recomputed from this order.
 class ReplicaPlacement {
  public:
   // `replication` is clamped to [1, scheme->num_nodes()]: you cannot put
@@ -158,11 +157,6 @@ class ReplicaPlacement {
   // given the current dead set — what recovery restores.
   std::vector<int> LiveReplicasFor(const Coordinates& origin, int64_t time,
                                    const std::set<int>& dead) const;
-
-  // First entry not in `dead`, or -1 when every node is dead. The node
-  // that serves the chunk's reads.
-  int OwnerFor(const Coordinates& origin, int64_t time,
-               const std::set<int>& dead) const;
 
   [[nodiscard]] bool Equals(const ReplicaPlacement& other) const {
     return k_ == other.k_ && scheme_->Equals(*other.scheme_);

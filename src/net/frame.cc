@@ -41,7 +41,8 @@ uint32_t Crc32(const uint8_t* data, size_t n) {
 
 bool IsValidMessageType(uint8_t t) {
   return t >= static_cast<uint8_t>(MessageType::kChunkPut) &&
-         t <= static_cast<uint8_t>(MessageType::kCancel);
+         t <= static_cast<uint8_t>(MessageType::kCancel) &&
+         t != 9;  // retired (frame.h)
 }
 
 const char* MessageTypeName(MessageType t) {
@@ -62,8 +63,6 @@ const char* MessageTypeName(MessageType t) {
       return "MetricsGet";
     case MessageType::kTraceGet:
       return "TraceGet";
-    case MessageType::kMarkDead:
-      return "MarkDead";
     case MessageType::kQuery:
       return "Query";
     case MessageType::kResultChunk:

@@ -71,7 +71,8 @@ enum class MessageType : uint8_t {
   kError = 6,        // failure response (payload = wire Status)
   kMetricsGet = 7,   // pull one node's metrics snapshot (DESIGN.md §12)
   kTraceGet = 8,     // pull spans / flight-recorder events from a node
-  kMarkDead = 9,     // replace a node's dead-set view (DESIGN.md §13)
+  // 9 is retired (it carried a node's dead-set view) and never reused, so
+  // a frame from an older peer cannot be read as a different message.
   // Query-server vocabulary (DESIGN.md §15). All four are idempotent:
   // queries are keyed by a client-generated id, result chunks are
   // fetched by (query id, seq), and Cancel of an unknown or finished

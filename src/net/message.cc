@@ -39,7 +39,6 @@ Status ExpectExhausted(const ByteReader& r, const char* what) {
 
 std::vector<uint8_t> ChunkPutRequest::EncodePayload() const {
   ByteWriter w;
-  w.PutSignedVarint(time);
   PutByteString(chunk_bytes, &w);
   return w.Release();
 }
@@ -48,7 +47,6 @@ Result<ChunkPutRequest> ChunkPutRequest::Decode(
     const std::vector<uint8_t>& payload) {
   ByteReader r(payload);
   ChunkPutRequest req;
-  ASSIGN_OR_RETURN(req.time, r.GetSignedVarint());
   ASSIGN_OR_RETURN(req.chunk_bytes, GetByteString(&r));
   RETURN_NOT_OK(ExpectExhausted(r, "ChunkPut"));
   return req;
@@ -69,45 +67,10 @@ Result<ChunkGetRequest> ChunkGetRequest::Decode(
   return req;
 }
 
-namespace {
-
-// Strictly ascending non-negative node list — the canonical form for
-// dead sets on the wire. Canonicality (no duplicates, no reordering)
-// keeps decode->encode a byte-identical fixed point for fuzz_frame.
-void PutNodeSet(const std::vector<int32_t>& nodes, ByteWriter* w) {
-  w->PutVarint(nodes.size());
-  for (int32_t n : nodes) w->PutVarint(static_cast<uint64_t>(n));
-}
-
-Result<std::vector<int32_t>> GetNodeSet(ByteReader* r, const char* what) {
-  ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
-  // Each node id costs at least one byte on the wire.
-  if (n > r->remaining()) {
-    return Status::Corruption(std::string(what) + " node count too large");
-  }
-  std::vector<int32_t> nodes;
-  nodes.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(uint64_t v, r->GetVarint());
-    if (v > INT32_MAX) {
-      return Status::Corruption(std::string(what) + " node id out of range");
-    }
-    int32_t node = static_cast<int32_t>(v);
-    if (!nodes.empty() && node <= nodes.back()) {
-      return Status::Corruption(std::string(what) +
-                                " node set not strictly ascending");
-    }
-    nodes.push_back(node);
-  }
-  return nodes;
-}
-
-}  // namespace
-
 std::vector<uint8_t> ScanShardRequest::EncodePayload() const {
   ByteWriter w;
-  w.PutSignedVarint(view_of);
-  PutNodeSet(suspect_dead, &w);
+  w.PutVarint(origins.size());
+  for (const Coordinates& origin : origins) EncodeCoordinates(origin, &w);
   w.PutU8(!pred_bytes.empty() ? 1 : 0);
   w.PutBytes(pred_bytes.data(), pred_bytes.size());
   return w.Release();
@@ -117,12 +80,19 @@ Result<ScanShardRequest> ScanShardRequest::Decode(
     const std::vector<uint8_t>& payload) {
   ByteReader r(payload);
   ScanShardRequest req;
-  ASSIGN_OR_RETURN(int64_t view, r.GetSignedVarint());
-  if (view < -1 || view > INT32_MAX) {
-    return Status::Corruption("bad ScanShard view_of");
+  ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
+  // An origin costs at least two bytes (its rank and one coordinate).
+  if (n > r.remaining() / 2) {
+    return Status::Corruption("ScanShard origin count too large");
   }
-  req.view_of = static_cast<int32_t>(view);
-  ASSIGN_OR_RETURN(req.suspect_dead, GetNodeSet(&r, "ScanShard"));
+  req.origins.reserve(static_cast<size_t>(n));
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSIGN_OR_RETURN(Coordinates origin, DecodeCoordinates(&r));
+    if (origin.empty()) {
+      return Status::Corruption("ScanShard origin has no dimensions");
+    }
+    req.origins.push_back(std::move(origin));
+  }
   ASSIGN_OR_RETURN(uint8_t has_pred, r.GetU8());
   if (has_pred > 1) return Status::Corruption("bad ScanShard pred flag");
   if (has_pred == 1) {
@@ -136,21 +106,6 @@ Result<ScanShardRequest> ScanShardRequest::Decode(
     RETURN_NOT_OK(r.GetBytes(req.pred_bytes.data(), req.pred_bytes.size()));
   }
   RETURN_NOT_OK(ExpectExhausted(r, "ScanShard"));
-  return req;
-}
-
-std::vector<uint8_t> MarkDeadRequest::EncodePayload() const {
-  ByteWriter w;
-  PutNodeSet(dead, &w);
-  return w.Release();
-}
-
-Result<MarkDeadRequest> MarkDeadRequest::Decode(
-    const std::vector<uint8_t>& payload) {
-  ByteReader r(payload);
-  MarkDeadRequest req;
-  ASSIGN_OR_RETURN(req.dead, GetNodeSet(&r, "MarkDead"));
-  RETURN_NOT_OK(ExpectExhausted(r, "MarkDead"));
   return req;
 }
 

@@ -27,9 +27,9 @@ namespace net {
 // Applying the same ChunkPut twice leaves the shard in the same state
 // (SetCell is last-writer-wins per cell and a duplicate carries the
 // same cells), which is what makes the RPC safe to retry and to
-// duplicate under fault injection.
+// duplicate under fault injection. Where the chunk goes is the
+// coordinator's decision (its chunk directory); the node only stores it.
 struct ChunkPutRequest {
-  int64_t time = 0;                  // load epoch (drives time-split)
   std::vector<uint8_t> chunk_bytes;  // SerializeChunk output
 
   std::vector<uint8_t> EncodePayload() const;
@@ -45,43 +45,26 @@ struct ChunkGetRequest {
   static Result<ChunkGetRequest> Decode(const std::vector<uint8_t>& payload);
 };
 
-// Scan the destination shard, optionally filtering server-side with a
-// shipped predicate (function shipping). With no predicate the response
-// is the shard's chunks verbatim (data shipping, e.g. for aggregates
-// whose accumulator state has no wire form).
+// Scan the listed chunks of the destination shard, optionally filtering
+// server-side with a shipped predicate (function shipping). With no
+// predicate the response is the listed chunks verbatim (data shipping,
+// e.g. for aggregates whose accumulator state has no wire form).
+//
+// `origins` are the chunks the coordinator's directory routes to this
+// node for one fan-out slot (DESIGN.md §13); a node asked for an origin
+// it does not hold answers with an error rather than a short result.
+// Each origin has at least one dimension, which also keeps the payloads
+// of the older view/dead-set layout from parsing as this one.
 //
 // The predicate travels as opaque bytes (exec/expr_serde's EncodeExpr
 // output): net/ must not know the expression model — the grid layer
 // encodes on the coordinator and decodes on the serving node.
-//
-// Replication view (DESIGN.md §13): `view_of` and `suspect_dead` scope
-// the scan to one fan-out slot's chunk set. view_of = -1 asks for the
-// serving node's own slot (the chunks it is primary for); view_of = X
-// is a failover read — "serve the chunks node X would have served, if
-// you are their first live replica given this dead set". suspect_dead
-// is the coordinator's current dead view (strictly ascending node ids;
-// canonical so decode->encode stays a byte-identical fixed point, which
-// fuzz_frame checks). Both default to the pre-replication behavior.
 struct ScanShardRequest {
-  int32_t view_of = -1;  // -1 = own slot; >= 0 = failover for that node
-  std::vector<int32_t> suspect_dead;  // strictly ascending, may be empty
-  std::vector<uint8_t> pred_bytes;  // empty = unfiltered full-shard scan
+  std::vector<Coordinates> origins;  // in request order, may be empty
+  std::vector<uint8_t> pred_bytes;   // empty = unfiltered scan
 
   std::vector<uint8_t> EncodePayload() const;
   static Result<ScanShardRequest> Decode(const std::vector<uint8_t>& payload);
-};
-
-// Replaces the destination node's view of the dead set (strictly
-// ascending node ids). Idempotent by construction — the payload is the
-// entire set, not a delta — so retries and fault-injected duplicates
-// are safe, like every other message here. The coordinator broadcasts
-// one of these to every survivor when it declares a node dead, so
-// server-side scan filtering and the coordinator agree on ownership.
-struct MarkDeadRequest {
-  std::vector<int32_t> dead;  // strictly ascending, may be empty
-
-  std::vector<uint8_t> EncodePayload() const;
-  static Result<MarkDeadRequest> Decode(const std::vector<uint8_t>& payload);
 };
 
 // Response to ScanShard: the matching cells re-chunked on the serving

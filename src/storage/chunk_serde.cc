@@ -205,14 +205,12 @@ std::vector<uint8_t> SerializeChunk(const Chunk& chunk) {
         break;
       case DataType::kArray:
         for (size_t i = 0; i < values.n; ++i) {
-          // Nested arrays: shape + double payload (nested numeric arrays;
-          // deeper nesting is flattened by the writer).
-          Value v = b.Get(static_cast<int64_t>(values[i]));
-          if (!v.is_array()) {
-            w.PutVarint(0);
-            continue;
-          }
-          const auto& na = *v.array_value();
+          // Nested arrays: rank, shape, then the double payload (nested
+          // numeric arrays; deeper nesting is flattened by the writer). A
+          // non-null cell of an array block always holds an array:
+          // AttributeBlock::Set stores anything else as NULL.
+          const Value v = b.Get(static_cast<int64_t>(values[i]));
+          const NestedArray& na = *v.array_value();
           w.PutVarint(na.shape.size());
           for (int64_t s : na.shape) w.PutSignedVarint(s);
           w.PutVarint(na.values.size());
@@ -338,11 +336,9 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
       case DataType::kArray:
         for (size_t i = 0; i < values.n; ++i) {
           const int64_t rank = static_cast<int64_t>(values[i]);
+          // Rank 0 is a 0-dimensional array: no shape entries, and its
+          // count and values follow like any other rank's.
           ASSIGN_OR_RETURN(uint64_t nd, r.GetVarint());
-          if (nd == 0) {
-            b.Set(rank, Value::Null());
-            continue;
-          }
           // Each shape entry is at least one varint byte, so a declared
           // rank beyond the remaining payload is corruption — checked
           // before resize() so a 5-byte varint cannot demand a 2^60-entry

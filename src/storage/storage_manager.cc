@@ -146,6 +146,13 @@ Status DiskArray::AppendBucket(const Chunk& chunk) {
   BucketMeta meta;
   meta.id = next_id_++;
   meta.box = chunk.box();
+  const std::vector<uint8_t>& present = chunk.presence();
+  auto is_set = [](uint8_t b) { return b != 0; };
+  meta.first_rank =
+      std::find_if(present.begin(), present.end(), is_set) - present.begin();
+  meta.last_rank =
+      present.rend() - std::find_if(present.rbegin(), present.rend(), is_set) -
+      1;
   meta.offset = offset;
   meta.size = payload.size();
   meta.cells = chunk.present_count();
@@ -304,14 +311,52 @@ Result<int> DiskArray::MergeSmallBuckets(int64_t small_bytes) {
     }
     if (second == nullptr) break;
 
+    const uint64_t id_a = first->id;
+    const uint64_t id_b = second->id;
+    // The merged bucket becomes the newest, so a cell that a bucket newer
+    // than its source holds (other than the pair itself, which merges in
+    // id order) is left out: it is shadowed, and carrying it would bring
+    // the stale value back.
+    auto newer_than = [&](const BucketMeta& src, const Chunk& chunk)
+        -> Result<std::vector<std::shared_ptr<const Chunk>>> {
+      std::vector<std::shared_ptr<const Chunk>> newer;
+      for (auto it = buckets_.upper_bound(src.id); it != buckets_.end();
+           ++it) {
+        const BucketMeta& m = it->second;
+        if (it->first == id_b || !m.box.Intersects(src.box)) continue;
+        // Read it only if one of the source's cells lies between its
+        // first and last present cells.
+        bool may_hold = false;
+        for (Chunk::CellIterator cell(chunk); cell.valid() && !may_hold;
+             cell.Next()) {
+          const Coordinates c = cell.coords();
+          if (!m.box.Contains(c)) continue;
+          const int64_t rank = RankInBox(m.box, c);
+          may_hold = rank >= m.first_rank && rank <= m.last_rank;
+        }
+        if (!may_hold) continue;
+        ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> n, ReadBucket(m));
+        newer.push_back(std::move(n));
+      }
+      return newer;
+    };
     ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> a, ReadBucket(*first));
     ASSIGN_OR_RETURN(std::shared_ptr<const Chunk> b, ReadBucket(*second));
+    ASSIGN_OR_RETURN(auto newer_a, newer_than(*first, *a));
+    ASSIGN_OR_RETURN(auto newer_b, newer_than(*second, *b));
     Box merged_box = a->box();
     merged_box.ExpandToInclude(b->box());
     Chunk merged(merged_box, schema_.attrs());
-    for (const Chunk* src : {a.get(), b.get()}) {
+    for (const auto& [src, newer] : {std::pair{a.get(), &newer_a},
+                                     std::pair{b.get(), &newer_b}}) {
       for (Chunk::CellIterator it(*src); it.valid(); it.Next()) {
         Coordinates c = it.coords();
+        if (std::any_of(newer->begin(), newer->end(),
+                        [&c](const std::shared_ptr<const Chunk>& n) {
+                          return n->IsPresentAt(c);
+                        })) {
+          continue;
+        }
         int64_t rank = RankInBox(merged_box, c);
         for (size_t at = 0; at < merged.nattrs(); ++at) {
           merged.block(at).CopyCell(src->block(at), it.rank(), rank);
@@ -319,8 +364,6 @@ Result<int> DiskArray::MergeSmallBuckets(int64_t small_bytes) {
         merged.MarkPresent(rank);
       }
     }
-    uint64_t id_a = first->id;
-    uint64_t id_b = second->id;
     // A bucket the manifest knows about must be indexed; failure here
     // means the R-tree and bucket table have diverged (index corruption).
     SCIDB_CHECK(rtree_.Remove(first->box, id_a))

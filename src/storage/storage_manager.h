@@ -112,6 +112,12 @@ class DiskArray : public ArraySource {
   struct BucketMeta {
     uint64_t id = 0;
     Box box;
+    // Row-major ranks in `box` of the first and last present cells, known
+    // when this process wrote the bucket (else the whole box). In memory
+    // only: they let a merge skip reading a newer bucket that cannot hold
+    // any of its source's cells.
+    int64_t first_rank = 0;
+    int64_t last_rank = INT64_MAX;
     uint64_t offset = 0;
     uint64_t size = 0;
     int64_t cells = 0;

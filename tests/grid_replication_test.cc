@@ -99,7 +99,7 @@ KilledGrid RunKillAndRecover(const MemArray& src,
 
 TEST(GridReplicationTest, DuplicatedRecoveryDoesNotDoubleApply) {
   // dup_p = 1 delivers every frame twice: every load-time ChunkPut,
-  // every recovery ChunkGet/ChunkPut, every MarkDead. The storage
+  // every recovery ChunkGet/ChunkPut, every ScanShard. The storage
   // state must come out bit-identical to the single-delivery run, and
   // the stored-cell accounting must not double.
   MemArray src = UniformSky(53);
@@ -164,6 +164,49 @@ TEST(GridReplicationTest, ReplayedLoadIsIdempotent) {
   for (size_t n = 0; n < stats_before.size(); ++n) {
     EXPECT_EQ(stats_before[n].cells_stored, stats_after[n].cells_stored);
   }
+}
+
+TEST(GridReplicationTest, WriteDuringTransientOutageIsRead) {
+  // An acknowledged write is readable: a fresh chunk whose primary is
+  // unreachable lands on the next reachable nodes of its preference
+  // order, and after the primary comes back the read still finds it
+  // there, through the directory, rather than asking the primary.
+  net::VirtualTime vt;
+  GridNetOptions net;
+  net.fault_seed = 67;  // enables the fault wrapper...
+  net.fault_profile = net::FaultProfile{};  // ...with no random faults
+  net.call.max_attempts = 20;
+  net.call.deadline_ns = 10'000'000'000'000ull;  // shared virtual clock
+  net.clock = vt.clock();
+  net.sleep = vt.sleep();
+  net.replication = 2;
+  DistributedArray d(Sky(), QuadPartitioner(), net);
+  MemArray src(Sky());
+  for (int64_t i = 1; i <= 8; ++i) {
+    for (int64_t j = 1; j <= 8; ++j) {
+      ASSERT_TRUE(src.SetCell({i, j}, Value(1.0)).ok());
+    }
+  }
+  ASSERT_TRUE(d.Load(src, 0).ok());
+
+  const Coordinates origin{9, 1};
+  ASSERT_EQ(d.placement().PrimaryFor(origin, 0), 2);
+  d.fault_injector()->PartitionNode(2);
+  ASSERT_TRUE(d.SetCell({9, 1}, {Value(1.0)}, 0).ok());
+  d.fault_injector()->HealPartition(2);
+  EXPECT_EQ(d.shard(2).FindChunk(origin), nullptr);
+  int copies = 0;
+  for (int n = 0; n < d.num_nodes(); ++n) {
+    copies += d.shard(n).FindChunk(origin) != nullptr ? 1 : 0;
+  }
+  EXPECT_EQ(copies, 2);
+
+  FunctionRegistry fns;
+  AggregateRegistry aggs;
+  ExecContext ctx{&fns, &aggs, true, nullptr};
+  Result<MemArray> count = d.ParallelAggregate(ctx, {}, "count", "flux");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ((*count.value().GetCell({1}))[0].AsDouble().ValueOrDie(), 65.0);
 }
 
 }  // namespace

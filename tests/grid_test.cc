@@ -3,7 +3,11 @@
 #include "common/rng.h"
 #include "grid/auto_designer.h"
 #include "grid/cluster.h"
+#include "grid/node_service.h"
 #include "grid/partitioner.h"
+#include "net/inprocess_transport.h"
+#include "net/message.h"
+#include "storage/chunk_serde.h"
 
 namespace scidb {
 namespace {
@@ -280,6 +284,98 @@ TEST(DistributedArrayTest, BoundaryReplicationForUncertainJoins) {
   // Requires a range partitioner.
   DistributedArray h(s, std::make_shared<HashPartitioner>(2));
   EXPECT_TRUE(h.ReplicateBoundaries(1).status().IsInvalid());
+}
+
+// The grand `agg` of flux over the whole grid, as a double.
+double GrandFlux(DistributedArray* d, const std::string& agg) {
+  FunctionRegistry fns;
+  AggregateRegistry aggs;
+  ExecContext ctx{&fns, &aggs, true, nullptr};
+  MemArray r = d->ParallelAggregate(ctx, {}, agg, "flux").ValueOrDie();
+  return (*r.GetCell({1}))[0].AsDouble().ValueOrDie();
+}
+
+TEST(DistributedArrayTest, TimeSplitRewriteKeepsOneCopy) {
+  // A chunk's first write pins its placement: re-writing a cell after
+  // the time split routes the write to the chunk's holder, not to where
+  // the new epoch would put a fresh chunk, so no second copy is counted.
+  auto before = std::make_shared<RangePartitioner>(
+      0, std::vector<int64_t>{33});
+  auto after = std::make_shared<RangePartitioner>(
+      0, std::vector<int64_t>{9});
+  auto p = std::make_shared<TimeSplitPartitioner>(
+      std::vector<TimeSplitPartitioner::Epoch>{{100, before},
+                                               {INT64_MAX, after}});
+  ArraySchema s("obs", {{"ra", 1, 64, 16}, {"dec", 1, 4, 4}},
+                {{"flux", DataType::kDouble, true, false}});
+  MemArray src(s);
+  for (int64_t i = 1; i <= 64; ++i) {
+    for (int64_t j = 1; j <= 4; ++j) {
+      ASSERT_TRUE(src.SetCell({i, j}, Value(1.0)).ok());
+    }
+  }
+  DistributedArray d(s, p);
+  ASSERT_TRUE(d.Load(src, 50).ok());
+  ASSERT_NE(d.shard(0).FindChunk({17, 1}), nullptr);
+  ASSERT_TRUE(d.SetCell({20, 1}, {Value(5.0)}, 150).ok());
+  EXPECT_EQ(d.shard(1).FindChunk({17, 1}), nullptr);
+  EXPECT_EQ(GrandFlux(&d, "count"), 256.0);
+  EXPECT_EQ(GrandFlux(&d, "sum"), 260.0);
+}
+
+TEST(DistributedArrayTest, BoundaryGhostsAreNotCounted) {
+  // Boundary copies (paper §2.13) live on the neighbouring node for
+  // node-local joins, but they are not data of their own: a grid
+  // aggregate counts each cell once.
+  auto p = std::make_shared<RangePartitioner>(0, std::vector<int64_t>{8});
+  ArraySchema s("obj", {{"x", 1, 16, 1}},
+                {{"flux", DataType::kDouble, true, false}});
+  DistributedArray d(s, p);
+  for (int64_t x = 1; x <= 16; ++x) {
+    ASSERT_TRUE(d.SetCell({x}, {Value(1.0)}, 0).ok());
+  }
+  ASSERT_EQ(d.ReplicateBoundaries(2).ValueOrDie(), 4);
+  EXPECT_EQ(d.shard(0).CellCount() + d.shard(1).CellCount(), 20);
+  EXPECT_TRUE(d.shard(0).Exists({9}));
+  EXPECT_TRUE(d.shard(1).Exists({6}));
+  EXPECT_EQ(GrandFlux(&d, "count"), 16.0);
+  EXPECT_EQ(GrandFlux(&d, "sum"), 16.0);
+}
+
+TEST(GridNodeServiceTest, ScanServesExactlyTheListedOrigins) {
+  // A node is a plain store: a scan returns the chunks at the origins it
+  // lists, and an origin the node does not hold is an error rather than
+  // a silently short answer.
+  net::InProcessTransport transport;
+  GridNodeService node(0, Sky(16, 4), SteadyNowNs);
+  net::RpcServer server(&transport, 0);
+  node.Install(&server);
+  net::RpcClient client(&transport, 1);
+  ASSERT_TRUE(net::BindNode(&transport, 0, &server, nullptr).ok());
+  ASSERT_TRUE(net::BindNode(&transport, 1, nullptr, &client).ok());
+
+  MemArray src = UniformSky(16, 4, 5);
+  for (const Coordinates& origin : {Coordinates{1, 1}, Coordinates{1, 5}}) {
+    net::ChunkPutRequest put;
+    put.chunk_bytes = SerializeChunk(*src.FindChunk(origin));
+    ASSERT_TRUE(
+        client.Call(0, net::MessageType::kChunkPut, put.EncodePayload()).ok());
+  }
+
+  net::ScanShardRequest scan;
+  scan.origins = {{1, 5}};
+  Result<std::vector<uint8_t>> r =
+      client.Call(0, net::MessageType::kScanShard, scan.EncodePayload());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  net::ScanShardResponse resp =
+      net::ScanShardResponse::Decode(r.value()).ValueOrDie();
+  ASSERT_EQ(resp.chunks.size(), 1u);
+  EXPECT_EQ(resp.chunks[0], SerializeChunk(*src.FindChunk({1, 5})));
+
+  scan.origins = {{1, 1}, {9, 9}};
+  r = client.Call(0, net::MessageType::kScanShard, scan.EncodePayload());
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsNotFound()) << r.status().ToString();
 }
 
 // ------------------------------ auto designer ------------------------------

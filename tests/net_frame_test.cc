@@ -142,13 +142,16 @@ TEST(FrameTest, RejectsOversizePayloadLengthBeforeAllocating) {
 
 TEST(FrameTest, MessageTypeVocabulary) {
   EXPECT_FALSE(IsValidMessageType(0));
-  for (uint8_t t = 1; t <= 13; ++t) EXPECT_TRUE(IsValidMessageType(t));
+  // Tag 9 is retired and never reused: a frame carrying it is rejected.
+  for (uint8_t t = 1; t <= 13; ++t) {
+    EXPECT_EQ(IsValidMessageType(t), t != 9) << static_cast<int>(t);
+  }
   EXPECT_FALSE(IsValidMessageType(14));
   EXPECT_STREQ(MessageTypeName(MessageType::kChunkPut), "ChunkPut");
   EXPECT_STREQ(MessageTypeName(MessageType::kError), "Error");
   EXPECT_STREQ(MessageTypeName(MessageType::kMetricsGet), "MetricsGet");
   EXPECT_STREQ(MessageTypeName(MessageType::kTraceGet), "TraceGet");
-  EXPECT_STREQ(MessageTypeName(MessageType::kMarkDead), "MarkDead");
+  EXPECT_STREQ(MessageTypeName(static_cast<MessageType>(9)), "Unknown");
   EXPECT_STREQ(MessageTypeName(MessageType::kQuery), "Query");
   EXPECT_STREQ(MessageTypeName(MessageType::kResultChunk), "ResultChunk");
   EXPECT_STREQ(MessageTypeName(MessageType::kQueryDone), "QueryDone");

@@ -490,6 +490,37 @@ TEST(NetGridDifferentialTest, SjoinFailsOverPartitionedNodesOnBothSides) {
   }
 }
 
+TEST(NetGridDifferentialTest, LostChunkFailsPredicateScan) {
+  // When every holder of a chunk is dead the chunk is lost, and a read
+  // says so — with a shipped predicate exactly as without one — instead
+  // of returning the surviving cells as if they were all there.
+  MemArray src = UniformSky(16, 4, 73);
+  net::VirtualTime vt;
+  GridNetOptions net = PartitionableK2(vt, 79);
+  net.dead_after_failures = 1;
+  DistributedArray d(Sky(), QuadPartitioner(), net);
+  ASSERT_TRUE(d.Load(src, 0).ok());
+  const Coordinates origin{1, 1};
+  const std::vector<int> holders = d.placement().ReplicasFor(origin, 0);
+  ASSERT_EQ(holders.front(), 0);
+  for (int n : holders) d.fault_injector()->PartitionNode(n);
+
+  // The first read runs into both holders and declares them dead.
+  FunctionRegistry fns;
+  AggregateRegistry aggs;
+  ExecContext ctx{&fns, &aggs, true, nullptr};
+  EXPECT_FALSE(d.ParallelAggregate(ctx, {}, "count", "flux").ok());
+  ASSERT_EQ(d.dead_nodes(), std::set<int>(holders.begin(), holders.end()));
+
+  Result<MemArray> agg = d.ParallelAggregate(ctx, {}, "count", "flux");
+  ASSERT_FALSE(agg.ok());
+  EXPECT_TRUE(agg.status().IsUnavailable()) << agg.status().ToString();
+  Result<MemArray> sub =
+      d.ParallelSubsample(ctx, Ge(Ref("ra"), Lit(int64_t{1})));
+  ASSERT_FALSE(sub.ok()) << sub.value().CellCount() << " cells";
+  EXPECT_TRUE(sub.status().IsUnavailable()) << sub.status().ToString();
+}
+
 TEST(NetGridDifferentialTest, PrimaryDeathFailoverOnRealTransports) {
   // Same guarantee over the asynchronous transports on the real clock:
   // deadlines are trimmed so the dead primary costs milliseconds, not

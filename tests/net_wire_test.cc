@@ -244,12 +244,14 @@ TEST(WireExprTest, RejectsOverDeepNesting) {
 
 TEST(WireMessageTest, ChunkPutRoundTrips) {
   ChunkPutRequest req;
-  req.time = 12345;
   req.chunk_bytes = {0, 1, 2, 3, 250};
   Result<ChunkPutRequest> back = ChunkPutRequest::Decode(req.EncodePayload());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().time, 12345);
   EXPECT_EQ(back.value().chunk_bytes, req.chunk_bytes);
+  // The older layout led with the load epoch; its bytes no longer parse.
+  const std::vector<uint8_t> with_epoch = {0x06, 0x06, 0xde, 0xad,
+                                           0xbe, 0xef, 0x01, 0x02};
+  EXPECT_FALSE(ChunkPutRequest::Decode(with_epoch).ok());
 }
 
 TEST(WireMessageTest, ChunkGetRoundTrips) {
@@ -287,10 +289,27 @@ TEST(WireMessageTest, ScanShardRoundTripsWithAndWithoutPredicate) {
     EXPECT_EQ(EncodeExprBytes(*decoded.value()), req.pred_bytes);
   }
   {
-    // Presence flag set but nothing after it: corrupt.
-    std::vector<uint8_t> payload = {1};
+    // No origins, presence flag set but nothing after it: corrupt.
+    std::vector<uint8_t> payload = {0, 1};
     EXPECT_FALSE(ScanShardRequest::Decode(payload).ok());
   }
+}
+
+TEST(WireMessageTest, ScanShardOriginsRoundTrip) {
+  ScanShardRequest req;
+  req.origins = {{1, 1}, {-17, 9}, {5, 0}};
+  req.pred_bytes = EncodeExprBytes(*Gt(Ref("flux"), Lit(0.5)));
+  const std::vector<uint8_t> payload = req.EncodePayload();
+  Result<ScanShardRequest> back = ScanShardRequest::Decode(payload);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value().origins, req.origins);
+  EXPECT_EQ(back.value().pred_bytes, req.pred_bytes);
+  EXPECT_EQ(back.value().EncodePayload(), payload);
+  // The older view/dead-set layouts (own slot; failover for slot 2 with
+  // nodes 1 and 3 suspect) are rejected rather than misread: each reaches
+  // a zero-dimensional origin, which names no chunk.
+  EXPECT_FALSE(ScanShardRequest::Decode({0x01, 0x00, 0x00}).ok());
+  EXPECT_FALSE(ScanShardRequest::Decode({0x04, 0x02, 0x01, 0x03, 0x00}).ok());
 }
 
 TEST(WireMessageTest, ScanShardResponseRoundTrips) {

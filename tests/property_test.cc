@@ -153,6 +153,8 @@ Value RandomValue(Rng* rng, const AttributeDesc& a, size_t index) {
       auto na = std::make_shared<NestedArray>();
       na->shape = {rng->UniformInt(0, 3)};
       if (rng->Uniform(2) == 0) na->shape.push_back(rng->UniformInt(1, 2));
+      // A quarter are 0-dimensional: no shape, exactly one value.
+      if (rng->Uniform(4) == 0) na->shape.clear();
       for (int64_t k = 0; k < na->cell_count(); ++k) {
         na->values.emplace_back(any_double());
       }

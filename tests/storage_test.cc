@@ -472,6 +472,42 @@ TEST(StorageManagerTest, MergeSmallBucketsCombines) {
   fs::remove_all(dir);
 }
 
+TEST(StorageManagerTest, MergeKeepsNewerBucketsCellsVisible) {
+  // Bucket 2 overwrites bucket 1's box; bucket 3 sits next to it. Merging
+  // 1 with 3 writes the newest bucket, which must not carry bucket 1's
+  // stale cells over bucket 2's.
+  std::string dir = TempDir("merge_shadow");
+  StorageManager sm(dir);
+  ArraySchema s("shadow", {{"x", 1, 8, 4}, {"y", 1, 4, 4}},
+                {{"v", DataType::kDouble, true, false}});
+  DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+  auto box_of = [&s](int64_t x0, double v) {
+    MemArray mem(s);
+    for (int64_t x = x0; x < x0 + 4; ++x) {
+      for (int64_t y = 1; y <= 4; ++y) {
+        SCIDB_CHECK(mem.SetCell({x, y}, Value(v)).ok());
+      }
+    }
+    return mem;
+  };
+  ASSERT_TRUE(arr->WriteAll(box_of(1, 1.0)).ok());
+  ASSERT_TRUE(arr->WriteAll(box_of(1, 2.0)).ok());
+  ASSERT_TRUE(arr->WriteAll(box_of(5, 3.0)).ok());
+  ASSERT_EQ((*arr->ReadCell({1, 1}).ValueOrDie())[0].double_value(), 2.0);
+
+  EXPECT_EQ(arr->MergeSmallBuckets(1 << 20).ValueOrDie(), 1);
+  EXPECT_EQ((*arr->ReadCell({1, 1}).ValueOrDie())[0].double_value(), 2.0);
+  EXPECT_EQ((*arr->ReadCell({5, 1}).ValueOrDie())[0].double_value(), 3.0);
+  MemArray back = arr->ReadAll().ValueOrDie();
+  EXPECT_EQ(back.CellCount(), 32);
+  back.ForEachCell([](const Coordinates& c, const Chunk& chunk, int64_t r) {
+    EXPECT_EQ(chunk.block(0).GetDouble(r), c[0] <= 4 ? 2.0 : 3.0)
+        << CoordsToString(c);
+    return true;
+  });
+  fs::remove_all(dir);
+}
+
 TEST(StorageManagerTest, StreamLoaderFlushesOnMemoryPressure) {
   std::string dir = TempDir("loader");
   StorageManager sm(dir);
