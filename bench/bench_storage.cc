@@ -274,6 +274,8 @@ void BM_StreamLoader(benchmark::State& state) {
   ArraySchema s("stream", {{"t", 1, kUnboundedDim, 256}},
                 {{"v", DataType::kDouble, true, false}});
   int64_t flushes = 0;
+  size_t buckets = 0;
+  int64_t stored = 0;
   int run = 0;
   for (auto _ : state) {
     std::string dir = BenchDir() + "/loader" + std::to_string(run++);
@@ -286,9 +288,13 @@ void BM_StreamLoader(benchmark::State& state) {
     }
     SCIDB_CHECK(loader.Finish().ok());
     flushes = loader.flushes();
+    buckets = arr->bucket_count();
+    stored = arr->LiveBytes();
     fs::remove_all(dir);
   }
   state.counters["flushes"] = static_cast<double>(flushes);
+  state.counters["buckets"] = static_cast<double>(buckets);
+  state.counters["stored_bytes_per_cell"] = static_cast<double>(stored) / 20000;
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_StreamLoader)->Arg(16)->Arg(64)->Arg(256)

@@ -2,6 +2,16 @@
 
 namespace scidb {
 
+namespace {
+
+// The converted value, or 0 for a value that does not convert.
+template <typename T>
+T OrZero(const Result<T>& r) {
+  return r.ok() ? r.value() : T{0};
+}
+
+}  // namespace
+
 AttributeBlock::AttributeBlock(DataType type, bool uncertain, int64_t cells)
     : type_(type), uncertain_(uncertain), cells_(cells) {
   nulls_.assign(static_cast<size_t>(cells), 1);  // cells start null
@@ -43,17 +53,16 @@ void AttributeBlock::Set(int64_t idx, const Value& v) {
   nulls_[i] = 0;
   switch (type_) {
     case DataType::kBool:
-      bools_[i] = v.is_bool() ? (v.bool_value() ? 1 : 0)
-                              : (v.AsInt64().ok() && v.AsInt64().value() != 0);
+      bools_[i] = OrZero(v.AsInt64()) != 0;  // a bool converts to 1 or 0
       break;
     case DataType::kInt64:
-      i64_[i] = v.AsInt64().ok() ? v.AsInt64().value() : 0;
+      i64_[i] = OrZero(v.AsInt64());
       break;
     case DataType::kFloat:
-      f32_[i] = static_cast<float>(v.AsDouble().ok() ? v.AsDouble().value() : 0);
+      f32_[i] = static_cast<float>(OrZero(v.AsDouble()));
       break;
     case DataType::kDouble:
-      f64_[i] = v.AsDouble().ok() ? v.AsDouble().value() : 0;
+      f64_[i] = OrZero(v.AsDouble());
       break;
     case DataType::kString:
       strs_[i] = v.is_string() ? v.string_value() : v.ToString();

@@ -56,25 +56,6 @@ void CopyPart(const Chunk& src, const Box& part, const Coordinates& origin,
   } while (NextInBox(rows, &c));
 }
 
-// SetCell's checks for a cell of `nvalues` attributes at `c`.
-Status CheckCell(const ArraySchema& schema, const Coordinates& c,
-                 size_t nvalues) {
-  if (c.size() != schema.ndims()) {
-    return Status::Invalid("coordinate arity " + std::to_string(c.size()) +
-                           " != ndims " + std::to_string(schema.ndims()));
-  }
-  if (!schema.ContainsCoords(c)) {
-    return Status::OutOfRange("cell " + CoordsToString(c) +
-                              " outside bounds of array '" + schema.name() +
-                              "'");
-  }
-  if (nvalues != schema.nattrs()) {
-    return Status::Invalid("value arity " + std::to_string(nvalues) +
-                           " != nattrs " + std::to_string(schema.nattrs()));
-  }
-  return Status::OK();
-}
-
 // PutCell's type check: the attributes of `src` fill the output
 // attributes from `first` on, so each must match the one it fills.
 Status CheckSource(const ArraySchema& schema, const Chunk& src,
@@ -98,7 +79,7 @@ Status PutCellFrom(const Coordinates& c, const Chunk& src, int64_t rank,
   const ArraySchema& schema = out->schema();
   const size_t n = src.nattrs();
   RETURN_NOT_OK(
-      CheckCell(schema, c, n + (src2 == nullptr ? 0 : src2->nattrs())));
+      out->CheckCell(c, n + (src2 == nullptr ? 0 : src2->nattrs())));
   RETURN_NOT_OK(CheckSource(schema, src, 0));
   if (src2 != nullptr) RETURN_NOT_OK(CheckSource(schema, *src2, n));
   Chunk* dst = out->GetOrCreateChunk(out->ChunkOriginFor(c));
@@ -164,9 +145,26 @@ const Chunk* MemArray::FindChunk(const Coordinates& origin) const {
   return it == chunks_.end() ? nullptr : it->second.get();
 }
 
+Status MemArray::CheckCell(const Coordinates& c, size_t nvalues) const {
+  if (c.size() != schema_.ndims()) {
+    return Status::Invalid("coordinate arity " + std::to_string(c.size()) +
+                           " != ndims " + std::to_string(schema_.ndims()));
+  }
+  if (!schema_.ContainsCoords(c)) {
+    return Status::OutOfRange("cell " + CoordsToString(c) +
+                              " outside bounds of array '" + schema_.name() +
+                              "'");
+  }
+  if (nvalues != schema_.nattrs()) {
+    return Status::Invalid("value arity " + std::to_string(nvalues) +
+                           " != nattrs " + std::to_string(schema_.nattrs()));
+  }
+  return Status::OK();
+}
+
 Status MemArray::SetCell(const Coordinates& c,
                          const std::vector<Value>& values) {
-  RETURN_NOT_OK(CheckCell(schema_, c, values.size()));
+  RETURN_NOT_OK(CheckCell(c, values.size()));
   GetOrCreateChunk(ChunkOriginFor(c))->SetCell(c, values);
   return Status::OK();
 }

@@ -39,6 +39,9 @@ class MemArray {
   // dimensions accept any coordinate >= low, paper §2.1's '*' marker).
   Status SetCell(const Coordinates& c, const std::vector<Value>& values);
   Status SetCell(const Coordinates& c, const Value& v);  // 1-attribute arrays
+  // SetCell's checks for a cell of `nvalues` attributes at `c`: Invalid
+  // on coordinate or value arity, OutOfRange outside the bounds.
+  Status CheckCell(const Coordinates& c, size_t nvalues) const;
   // Empty optional when the cell is absent ("Exists? == false").
   std::optional<std::vector<Value>> GetCell(const Coordinates& c) const;
   [[nodiscard]] bool Exists(const Coordinates& c) const;

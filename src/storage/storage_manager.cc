@@ -52,18 +52,6 @@ struct StorageMetrics {
   }
 };
 
-// `size` bytes at `offset` of the open file `f` (named `path`).
-Result<std::vector<uint8_t>> ReadRange(std::ifstream& f,
-                                       const std::string& path,
-                                       uint64_t offset, uint64_t size) {
-  std::vector<uint8_t> bytes(size);
-  f.seekg(static_cast<std::streamoff>(offset));
-  f.read(reinterpret_cast<char*>(bytes.data()),
-         static_cast<std::streamsize>(size));
-  if (!f) return Status::IOError("short read from " + path);
-  return bytes;
-}
-
 // `size` bytes at `offset` of the open descriptor `fd` (named `path`).
 Result<std::vector<uint8_t>> PreadRange(int fd, const std::string& path,
                                         uint64_t offset, uint64_t size) {
@@ -79,10 +67,23 @@ Result<std::vector<uint8_t>> PreadRange(int fd, const std::string& path,
   return bytes;
 }
 
-// Writes `bytes` to `path`, opened with `mode` (append or truncate).
-Status WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes,
-                  std::ios::openmode mode) {
-  std::ofstream f(path, std::ios::binary | mode);
+// Writes `bytes` at `offset` of the open descriptor `fd` (named `path`).
+Status PwriteRange(int fd, const std::string& path, uint64_t offset,
+                   const std::vector<uint8_t>& bytes) {
+  uint64_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return Status::IOError("short write to " + path);
+    done += static_cast<uint64_t>(n);
+  }
+  return Status::OK();
+}
+
+// Replaces the contents of `path` with `bytes`.
+Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return Status::IOError("cannot open " + path);
   f.write(reinterpret_cast<const char*>(bytes.data()),
           static_cast<std::streamsize>(bytes.size()));
@@ -110,16 +111,16 @@ DiskArray::~DiskArray() {
   if (data_fd_ >= 0) ::close(data_fd_);
 }
 
-Status DiskArray::OpenDataFile() {
+Status DiskArray::OpenDataFile(int flags) {
   if (data_fd_ >= 0) ::close(data_fd_);
-  data_fd_ = ::open(data_path_.c_str(), O_RDONLY | O_CLOEXEC);
+  data_fd_ = ::open(data_path_.c_str(), flags | O_CLOEXEC, 0644);
   if (data_fd_ < 0) return Status::IOError("cannot open " + data_path_);
   return Status::OK();
 }
 
 Status DiskArray::AppendPayload(const std::vector<uint8_t>& payload,
                                 uint64_t* offset) {
-  RETURN_NOT_OK(WriteBytes(data_path_, payload, std::ios::app));
+  RETURN_NOT_OK(PwriteRange(data_fd_, data_path_, data_end_, payload));
   *offset = data_end_;
   data_end_ += payload.size();
   return Status::OK();
@@ -425,7 +426,7 @@ Status DiskArray::CompactDataFile() {
   std::error_code ec;
   fs::rename(tmp, data_path_, ec);
   if (ec) return Status::IOError("compaction rename failed: " + ec.message());
-  return OpenDataFile();
+  return OpenDataFile(O_RDWR);
 }
 
 void DiskArray::EncodeManifest(ByteWriter* w) const {
@@ -456,6 +457,11 @@ Status DiskArray::DecodeManifest(const std::vector<uint8_t>& bytes,
   // schema_ is set last: a half-loaded array has none, so its destructor
   // leaves the manifest on disk as it was.
   ASSIGN_OR_RETURN(ArraySchema schema, DecodeSchema(&r));
+  // A schema CreateArray would refuse (a chunk interval <= 0, say) sends
+  // the chunk-grid arithmetic of every read astray.
+  if (Status st = schema.Validate(); !st.ok()) {
+    return Status::Corruption("manifest: " + st.message());
+  }
   ASSIGN_OR_RETURN(uint8_t codec, r.GetU8());
   if (codec > static_cast<uint8_t>(CodecType::kLz)) {
     return Status::Corruption("manifest: unknown codec " +
@@ -506,7 +512,7 @@ Status DiskArray::Flush() {
   ByteWriter w;
   EncodeManifest(&w);
   const std::string tmp = manifest_path_ + ".tmp";
-  RETURN_NOT_OK(WriteBytes(tmp, w.data(), std::ios::trunc));
+  RETURN_NOT_OK(WriteFile(tmp, w.data()));
   std::error_code ec;
   fs::rename(tmp, manifest_path_, ec);
   if (ec) return Status::IOError("manifest rename failed: " + ec.message());
@@ -530,7 +536,7 @@ Status DiskArray::WriteSingleFile(const std::string& path,
   out.schema_ = array.schema();
   out.data_path_ = path;
   out.codec_ = codec;
-  RETURN_NOT_OK(WriteBytes(path, {}, std::ios::trunc));
+  RETURN_NOT_OK(out.OpenDataFile(O_RDWR | O_CREAT | O_TRUNC));
   for (const auto& [origin, chunk] : array.chunks()) {
     RETURN_NOT_OK(out.AppendBucket(*chunk));
   }
@@ -538,20 +544,24 @@ Status DiskArray::WriteSingleFile(const std::string& path,
   out.EncodeManifest(&w);
   w.PutU64(out.data_end_);
   w.PutU32(kSingleFileMagic);
-  return WriteBytes(path, w.data(), std::ios::app);
+  return PwriteRange(out.data_fd_, path, out.data_end_, w.data());
 }
 
 Result<std::unique_ptr<DiskArray>> DiskArray::OpenSingleFile(
     const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  const std::streamoff end = f ? static_cast<std::streamoff>(f.tellg()) : -1;
-  if (end < 0) return Status::IOError("cannot open " + path);
-  const uint64_t file_size = static_cast<uint64_t>(end);
+  auto arr = std::unique_ptr<DiskArray>(new DiskArray());
+  arr->data_path_ = path;
+  RETURN_NOT_OK(arr->OpenDataFile(O_RDONLY));
+  struct stat st {};
+  if (::fstat(arr->data_fd_, &st) != 0) {
+    return Status::IOError("cannot stat " + path);
+  }
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   const Status foreign = Status::Corruption(path + " is not a SciDB file");
   if (file_size < kTrailerBytes) return foreign;
   ASSIGN_OR_RETURN(std::vector<uint8_t> trailer,
-                   ReadRange(f, path, file_size - kTrailerBytes,
-                             kTrailerBytes));
+                   PreadRange(arr->data_fd_, path, file_size - kTrailerBytes,
+                              kTrailerBytes));
   ByteReader r(trailer);
   ASSIGN_OR_RETURN(uint64_t manifest_offset, r.GetU64());
   ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
@@ -561,12 +571,9 @@ Result<std::unique_ptr<DiskArray>> DiskArray::OpenSingleFile(
   }
   ASSIGN_OR_RETURN(
       std::vector<uint8_t> manifest,
-      ReadRange(f, path, manifest_offset,
-                file_size - kTrailerBytes - manifest_offset));
-  auto arr = std::unique_ptr<DiskArray>(new DiskArray());
-  arr->data_path_ = path;
+      PreadRange(arr->data_fd_, path, manifest_offset,
+                 file_size - kTrailerBytes - manifest_offset));
   RETURN_NOT_OK(arr->DecodeManifest(manifest, manifest_offset));
-  RETURN_NOT_OK(arr->OpenDataFile());
   return arr;
 }
 
@@ -603,8 +610,7 @@ Result<DiskArray*> StorageManager::CreateArray(const ArraySchema& schema,
   arr->data_path_ = dir_ + "/" + schema.name() + ".data";
   // Truncate any stale data file. Opened before the schema is set, so a
   // failure leaves a shell that flushes no manifest.
-  std::ofstream(arr->data_path_, std::ios::binary | std::ios::trunc);
-  RETURN_NOT_OK(arr->OpenDataFile());
+  RETURN_NOT_OK(arr->OpenDataFile(O_RDWR | O_CREAT | O_TRUNC));
   arr->schema_ = schema;
   arr->manifest_path_ = dir_ + "/" + schema.name() + ".manifest";
   arr->codec_ = codec;
@@ -623,7 +629,7 @@ Result<DiskArray*> StorageManager::OpenArray(const std::string& name) {
   arr->data_path_ = dir_ + "/" + name + ".data";
   arr->manifest_path_ = dir_ + "/" + name + ".manifest";
   RETURN_NOT_OK(arr->LoadManifest());
-  RETURN_NOT_OK(arr->OpenDataFile());
+  RETURN_NOT_OK(arr->OpenDataFile(O_RDWR));
   DiskArray* ptr = arr.get();
   arrays_.emplace(name, std::move(arr));
   return ptr;
@@ -676,22 +682,57 @@ Status StorageManager::FlushAll() {
 
 StreamLoader::StreamLoader(DiskArray* target, size_t memory_budget)
     : target_(target), memory_budget_(memory_budget),
-      buffer_(target->schema()) {}
+      buffer_(target->schema()),
+      fixed_size_(std::none_of(
+          target->schema().attrs().begin(), target->schema().attrs().end(),
+          [](const AttributeDesc& a) {
+            return a.uncertain || a.type == DataType::kString;
+          })) {}
 
 Status StreamLoader::Append(const Coordinates& c,
                             const std::vector<Value>& values) {
   if (finished_) return Status::Invalid("loader already finished");
-  RETURN_NOT_OK(buffer_.SetCell(c, values));
-  if (buffer_.ByteSize() >= memory_budget_) {
-    RETURN_NOT_OK(FlushBuffer());
+  // A cell in the open chunk passes the checks: the chunk's box lies
+  // inside the schema's bounds.
+  if (open_ == nullptr || c.size() != open_->box().ndims() ||
+      values.size() != open_->nattrs() || !open_->box().Contains(c)) {
+    RETURN_NOT_OK(OpenChunkFor(c, values.size()));
   }
+  open_->SetCell(c, values);
+  if (!fixed_size_) {
+    const size_t now = open_->ByteSize();
+    bytes_ = bytes_ - open_bytes_ + now;
+    open_bytes_ = now;
+  }
+  if (bytes_ >= memory_budget_) RETURN_NOT_OK(FlushBuffer());
+  return Status::OK();
+}
+
+Status StreamLoader::OpenChunkFor(const Coordinates& c, size_t nvalues) {
+  RETURN_NOT_OK(buffer_.CheckCell(c, nvalues));
+  const Coordinates origin = buffer_.ChunkOriginFor(c);
+  auto it = buffer_.mutable_chunks()->find(origin);
+  if (it == buffer_.mutable_chunks()->end()) {
+    auto chunk = std::make_shared<Chunk>(buffer_.ChunkBoxFor(origin),
+                                         buffer_.schema().attrs());
+    const size_t size = chunk->ByteSize();
+    // Flush before a chunk that would take the buffer to the budget: the
+    // flush then writes whole chunks, not this one's first cell too.
+    if (bytes_ + size >= memory_budget_) RETURN_NOT_OK(FlushBuffer());
+    it = buffer_.mutable_chunks()->emplace(origin, std::move(chunk)).first;
+    bytes_ += size;
+  }
+  open_ = it->second.get();
+  open_bytes_ = open_->ByteSize();
   return Status::OK();
 }
 
 Status StreamLoader::FlushBuffer() {
-  if (buffer_.CellCount() == 0) return Status::OK();
+  if (buffer_.ChunkCount() == 0) return Status::OK();
   RETURN_NOT_OK(target_->WriteAll(buffer_));
   buffer_ = MemArray(target_->schema());
+  open_ = nullptr;
+  bytes_ = 0;
   ++flushes_;
   return Status::OK();
 }

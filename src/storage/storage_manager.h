@@ -137,17 +137,19 @@ class DiskArray : public ArraySource {
                         uint64_t payload_end);
   Status LoadManifest();
   Status CompactDataFile();
-  // (Re)opens data_path_ read-only into data_fd_: once the file exists,
-  // and again after CompactDataFile renames a new file over it.
-  Status OpenDataFile();
+  // (Re)opens data_path_ into data_fd_ with open(2) `flags`: once the
+  // file exists, and again after CompactDataFile renames a new file over
+  // it. A read-only array opens it O_RDONLY.
+  Status OpenDataFile(int flags);
 
   // Single-writer state (DESIGN.md Â§7): the write path is exercised by
   // one thread at a time, and bucket metadata is never mutated while
   // reads are in flight, so none of this is under stats_mu_.
   ArraySchema schema_;      // NOLINT(lock-coverage): single-writer
   std::string data_path_;   // NOLINT(lock-coverage): single-writer
-  // One read-only descriptor of data_path_ for every bucket read; pread
-  // keeps no file position, so concurrent reads share it.
+  // One descriptor of data_path_ for every bucket read and append:
+  // pread and pwrite keep no file position, so concurrent reads share it,
+  // and an append lands at data_end_.
   int data_fd_ = -1;        // NOLINT(lock-coverage): single-writer
   // Empty for a single-file array, which makes it read-only.
   std::string manifest_path_;         // NOLINT(lock-coverage): single-writer
@@ -189,23 +191,38 @@ class StorageManager {
 
 // Streaming bulk loader (paper §2.8): cells arrive ordered by a dominant
 // dimension (often time); they buffer in memory and flush to disk as
-// rectangular buckets when the buffer exceeds `memory_budget` bytes.
+// rectangular buckets when the buffer reaches `memory_budget` bytes.
+// Cells go straight into the open chunk, the one the last cell went to;
+// a cell outside it opens another, and the buffer is flushed first when
+// that chunk would take it to the budget, so flushes write whole chunks
+// (DESIGN.md §2, "Stream loading").
 class StreamLoader {
  public:
   StreamLoader(DiskArray* target, size_t memory_budget);
 
+  // Fails with MemArray::SetCell's Status for a cell it would reject,
+  // and Invalid after Finish; a rejected cell changes nothing.
   Status Append(const Coordinates& c, const std::vector<Value>& values);
   // Flushes the residue; the loader is unusable afterwards.
   Status Finish();
 
   int64_t flushes() const { return flushes_; }
+  // The buffer's MemArray::ByteSize(), kept as cells arrive.
+  size_t buffered_bytes() const { return bytes_; }
 
  private:
+  Status OpenChunkFor(const Coordinates& c, size_t nvalues);
   Status FlushBuffer();
 
   DiskArray* target_;
   size_t memory_budget_;
   MemArray buffer_;
+  // True when no attribute is a string or uncertain: setting a cell then
+  // never changes a chunk's ByteSize().
+  bool fixed_size_;
+  Chunk* open_ = nullptr;
+  size_t open_bytes_ = 0;  // open_->ByteSize() after its last cell
+  size_t bytes_ = 0;       // buffer_.ByteSize()
   int64_t flushes_ = 0;
   bool finished_ = false;
 };

@@ -581,6 +581,19 @@ bool SameValue(const Value& a, const Value& b) {
     return a.is_string() && b.is_string() &&
            a.string_value() == b.string_value();
   }
+  if (a.is_array() || b.is_array()) {
+    if (!a.is_array() || !b.is_array() ||
+        a.array_value()->shape != b.array_value()->shape ||
+        a.array_value()->values.size() != b.array_value()->values.size()) {
+      return false;
+    }
+    for (size_t k = 0; k < a.array_value()->values.size(); ++k) {
+      if (!SameValue(a.array_value()->values[k], b.array_value()->values[k])) {
+        return false;
+      }
+    }
+    return true;
+  }
   return a.is_double() && b.is_double() &&
          a.double_value() == b.double_value();
 }
@@ -887,7 +900,8 @@ MemArray LineCells() {
 }
 
 // Well-formed manifests for LineCells() stored as one bucket of
-// `payload` bytes at offset 0, each with one field out of range.
+// `payload` bytes at offset 0, each with one field out of range. A
+// schema with a chunk interval <= 0 made every read loop forever.
 std::vector<std::pair<std::string, std::vector<uint8_t>>> CorruptManifests(
     uint64_t payload) {
   const auto lz = static_cast<uint8_t>(CodecType::kLz);
@@ -901,7 +915,13 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> CorruptManifests(
   BucketFields empty_box = good;
   empty_box.box = Box({5}, {4});
   const ArraySchema s = LineSchema();
+  const ArraySchema no_interval("line", {{"I", 1, 8, 0}}, s.attrs());
+  const ArraySchema negative_interval("line", {{"I", 1, 8, -26}}, s.attrs());
   return {{"codec", ManifestBytes(s, 0x7F, 2, payload, {good})},
+          {"chunk interval 0", ManifestBytes(no_interval, lz, 2, payload,
+                                             {good})},
+          {"chunk interval < 0", ManifestBytes(negative_interval, lz, 2,
+                                               payload, {good})},
           {"arity", ManifestBytes(s, lz, 2, payload, {two_dims})},
           {"size past the payloads", ManifestBytes(s, lz, 2, payload,
                                                    {past_end})},
@@ -1002,6 +1022,331 @@ TEST(ManifestTest, SingleFileIsPayloadsManifestTrailer) {
   EXPECT_TRUE(arr->Flush().ok());
   arr.reset();
   EXPECT_EQ(FileBytes(path), bytes);
+  fs::remove_all(dir);
+}
+
+
+// The buckets of a manifest in the documented encoding.
+std::vector<BucketFields> ManifestBuckets(const std::vector<uint8_t>& bytes) {
+  ByteReader r(bytes);
+  EXPECT_EQ(r.GetU32().ValueOrDie(), 0x53434D46u);
+  const ArraySchema schema = DecodeSchema(&r).ValueOrDie();
+  EXPECT_TRUE(r.GetU8().ok());   // codec
+  EXPECT_TRUE(r.GetU64().ok());  // next id
+  EXPECT_TRUE(r.GetU64().ok());  // payload end
+  std::vector<BucketFields> buckets(r.GetVarint().ValueOrDie());
+  for (BucketFields& b : buckets) {
+    b.id = r.GetU64().ValueOrDie();
+    const uint64_t ndims = r.GetVarint().ValueOrDie();
+    EXPECT_EQ(ndims, schema.ndims());
+    b.box.low.resize(ndims);
+    b.box.high.resize(ndims);
+    for (uint64_t d = 0; d < ndims; ++d) {
+      b.box.low[d] = r.GetSignedVarint().ValueOrDie();
+      b.box.high[d] = r.GetSignedVarint().ValueOrDie();
+    }
+    b.offset = r.GetU64().ValueOrDie();
+    b.size = r.GetU64().ValueOrDie();
+    b.cells = r.GetSignedVarint().ValueOrDie();
+  }
+  EXPECT_EQ(r.remaining(), 0u);
+  return buckets;
+}
+
+// Appends go through the array's one descriptor at the payload end: after
+// a compaction renames a new file over it, and over bytes a crash left
+// past the payload end, which the manifest never named.
+TEST(DataFileTest, AppendsLandAtThePayloadEnd) {
+  std::string dir = TempDir("append_end");
+  ArraySchema s("c", {{"T", 1, 1000, 10}},
+                {{"v", DataType::kDouble, true, false}});
+  auto layer = [&](int64_t lo, int64_t hi, double sign) {
+    MemArray a(s);
+    for (int64_t t = lo; t <= hi; ++t) {
+      EXPECT_TRUE(a.SetCell({t}, Value(sign * static_cast<double>(t))).ok());
+    }
+    return a;
+  };
+  const MemArray first = layer(1, 200, 1);
+  const MemArray second = layer(150, 260, -1);
+  const MemArray third = layer(255, 400, 2);
+  const std::string data = dir + "/c.data";
+  {
+    StorageManager sm(dir);
+    DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+    ASSERT_TRUE(arr->WriteAll(first).ok());
+    ASSERT_GT(arr->MergeSmallBuckets(1 << 20).ValueOrDie(), 0);
+    ASSERT_EQ(static_cast<int64_t>(fs::file_size(data)), arr->LiveBytes());
+    ASSERT_TRUE(arr->WriteAll(second).ok());
+    EXPECT_EQ(static_cast<int64_t>(fs::file_size(data)), arr->LiveBytes());
+    ExpectSameCells(Overlay(s, {&first, &second}), arr->ReadAll().ValueOrDie(),
+                    "appended after compaction");
+  }
+  // A crash between an append and the next manifest flush leaves bytes
+  // past the payload end; the next append overwrites them.
+  std::vector<uint8_t> bytes = FileBytes(data);
+  const uint64_t payload_end = bytes.size();
+  bytes.resize(bytes.size() + 4096, 0xAB);
+  PutFileBytes(data, bytes);
+  {
+    StorageManager sm(dir);
+    DiskArray* arr = sm.OpenArray("c").ValueOrDie();
+    ASSERT_TRUE(arr->WriteAll(third).ok());
+    ExpectSameCells(Overlay(s, {&first, &second, &third}),
+                    arr->ReadAll().ValueOrDie(), "appended over a torn tail");
+    EXPECT_EQ(FileBytes(data).size(),
+              std::max<uint64_t>(payload_end + 4096,
+                                 static_cast<uint64_t>(arr->LiveBytes())));
+  }
+  {
+    StorageManager sm(dir);
+    ExpectSameCells(Overlay(s, {&first, &second, &third}),
+                    sm.OpenArray("c").ValueOrDie()->ReadAll().ValueOrDie(),
+                    "reopened");
+  }
+  fs::remove_all(dir);
+}
+
+// ------------------------------------------------------- stream loader
+//
+// StreamLoader writes each cell into its open chunk, keeps the buffer's
+// byte count as cells arrive, and flushes before a chunk that would take
+// the buffer to its budget. The reference is a MemArray built by SetCell.
+
+// A row-major 2-D stream whose budget holds one row of chunks and not a
+// fifth chunk: each flush writes that row whole, one bucket per chunk.
+TEST(StreamLoaderTest, FlushesWriteWholeChunks) {
+  std::string dir = TempDir("loader_rows");
+  {
+    StorageManager sm(dir);
+    ArraySchema s("rows", {{"I", 1, 128, 32}, {"J", 1, 128, 32}},
+                  {{"v", DataType::kDouble, true, false}});
+    DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+    const size_t chunk = Chunk(Box({1, 1}, {32, 32}), s.attrs()).ByteSize();
+    StreamLoader loader(arr, chunk * 9 / 2);
+    MemArray want(s);
+    Rng rng(TestSeed(83));
+    for (int64_t i = 1; i <= 128; ++i) {
+      for (int64_t j = 1; j <= 128; ++j) {
+        const Value v(rng.NextDouble());
+        ASSERT_TRUE(loader.Append({i, j}, {v}).ok());
+        ASSERT_TRUE(want.SetCell({i, j}, v).ok());
+      }
+    }
+    ASSERT_TRUE(loader.Finish().ok());
+    EXPECT_EQ(loader.flushes(), 4);
+    const std::vector<BucketFields> buckets =
+        ManifestBuckets(FileBytes(dir + "/rows.manifest"));
+    ASSERT_EQ(buckets.size(), 16u);
+    EXPECT_EQ(arr->bucket_count(), 16u);
+    for (const BucketFields& b : buckets) {
+      SCOPED_TRACE(b.box.ToString());
+      EXPECT_EQ(b.box, want.ChunkBoxFor(b.box.low));
+      EXPECT_EQ(b.cells, 32 * 32);
+      EXPECT_GE(b.size, 2u << 10);
+    }
+    EXPECT_EQ(arr->MergeSmallBuckets(2 << 10).ValueOrDie(), 0);
+    ExpectSameCells(want, arr->ReadAll().ValueOrDie(), "read-back");
+  }
+  fs::remove_all(dir);
+}
+
+// One attribute of each kind whose bytes the loader counts differently,
+// and the four attributes of MixedStoredSchema together; 3 x 4 chunks,
+// the last column of chunks one cell wide.
+std::vector<ArraySchema> LoaderSchemas() {
+  auto schema = [](const std::string& name, std::vector<AttributeDesc> attrs) {
+    return ArraySchema(name, {{"I", 1, 12, 4}, {"J", 1, 10, 3}},
+                       std::move(attrs));
+  };
+  auto one = [&](const std::string& name, DataType type, bool uncertain) {
+    return schema(name, {{"a", type, true, uncertain}});
+  };
+  return {one("f64", DataType::kDouble, false),
+          one("i64", DataType::kInt64, false),
+          one("str", DataType::kString, false),
+          one("unc", DataType::kDouble, true),
+          one("nested", DataType::kArray, false),
+          schema("mixed", MixedStoredSchema("m").attrs())};
+}
+
+// A value of `attr`'s kind drawn from `rng`, NULL about one time in ten.
+Value LoaderValue(const AttributeDesc& attr, Rng* rng) {
+  if (rng->Uniform(10) == 0) return Value::Null();
+  const double x = static_cast<double>(rng->UniformInt(-1000, 1000)) / 8;
+  switch (attr.type) {
+    case DataType::kInt64:
+      return Value(rng->UniformInt(-(int64_t{1} << 40), int64_t{1} << 40));
+    case DataType::kString:
+      // Lengths 0 to 40, so an overwrite may shrink a cell.
+      return Value(std::string(rng->Uniform(41), 'x'));
+    case DataType::kArray: {
+      auto nested = std::make_shared<NestedArray>();
+      nested->shape = {2};
+      nested->values = {Value(x), Value(-x)};
+      return Value(nested);
+    }
+    case DataType::kBool:
+    case DataType::kFloat:
+    case DataType::kDouble:
+      break;
+  }
+  if (attr.uncertain) {
+    return Value(Uncertain(x, rng->Uniform(4) == 0 ? 0.5 : 0.125));
+  }
+  return Value(x);
+}
+
+// Every cell of `schema` with probability 4/5 in row-major or shuffled
+// order, then a tenth of them again with new values.
+std::vector<std::pair<Coordinates, std::vector<Value>>> LoaderStream(
+    const ArraySchema& schema, bool shuffle, Rng* rng) {
+  std::vector<std::pair<Coordinates, std::vector<Value>>> stream;
+  auto cell = [&] {
+    std::vector<Value> values;
+    for (const AttributeDesc& attr : schema.attrs()) {
+      values.push_back(LoaderValue(attr, rng));
+    }
+    return values;
+  };
+  for (int64_t i = 1; i <= 12; ++i) {
+    for (int64_t j = 1; j <= 10; ++j) {
+      if (rng->Uniform(5) != 0) stream.push_back({{i, j}, cell()});
+    }
+  }
+  if (shuffle) {
+    for (size_t k = stream.size(); k > 1; --k) {
+      std::swap(stream[k - 1], stream[rng->Uniform(k)]);
+    }
+  }
+  const size_t n = stream.size();
+  for (size_t k = 0; k < n / 10; ++k) {
+    stream.push_back({stream[rng->Uniform(n)].first, cell()});
+  }
+  return stream;
+}
+
+// After every cell the loader's byte count is the ByteSize() of the
+// buffer a SetCell mirror holds, each flush is one the rule asks for,
+// and the read-back equals the SetCell reference.
+TEST(StreamLoaderTest, MatchesSetCellReference) {
+  std::string dir = TempDir("loader_diff");
+  StorageManager sm(dir);
+  int arrays = 0;
+  for (const ArraySchema& base : LoaderSchemas()) {
+    const size_t chunk = Chunk(Box({1, 1}, {4, 3}), base.attrs()).ByteSize();
+    for (const size_t budget : {chunk / 2, chunk + 1, chunk * 5 / 2,
+                                chunk * 4, size_t{1} << 30}) {
+      for (const bool shuffle : {false, true}) {
+        ArraySchema s = base;
+        s.set_name(base.name() + "_" + std::to_string(arrays++));
+        SCOPED_TRACE(s.name() + " budget " + std::to_string(budget) +
+                     (shuffle ? " shuffled" : " row-major"));
+        DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+        StreamLoader loader(arr, budget);
+        Rng rng(TestSeed(89) + static_cast<uint64_t>(arrays));
+        MemArray want(s);
+        MemArray mirror(s);  // what the loader's buffer holds
+        for (const auto& [c, values] : LoaderStream(s, shuffle, &rng)) {
+          const int64_t flushes = loader.flushes();
+          const Coordinates origin = mirror.ChunkOriginFor(c);
+          const bool opens = mirror.FindChunk(origin) == nullptr;
+          // The buffer with the chunk the cell opens, before the cell.
+          const size_t with_chunk =
+              mirror.ByteSize() +
+              Chunk(mirror.ChunkBoxFor(origin), s.attrs()).ByteSize();
+          ASSERT_TRUE(loader.Append(c, values).ok());
+          ASSERT_TRUE(want.SetCell(c, values).ok());
+          ASSERT_TRUE(mirror.SetCell(c, values).ok());
+          MemArray alone(s);  // the buffer after a flush before the cell
+          ASSERT_TRUE(alone.SetCell(c, values).ok());
+          const bool flushed_before =
+              loader.flushes() - flushes == 2 ||
+              (loader.flushes() - flushes == 1 && loader.buffered_bytes() > 0);
+          if (opens && mirror.ChunkCount() > 1) {
+            EXPECT_EQ(flushed_before, with_chunk >= budget);
+          } else {
+            EXPECT_FALSE(flushed_before);
+          }
+          if (flushed_before) mirror = alone;
+          const bool flushed_after =
+              loader.flushes() - flushes == (flushed_before ? 2 : 1);
+          EXPECT_EQ(flushed_after, mirror.ByteSize() >= budget);
+          if (flushed_after) mirror = MemArray(s);
+          ASSERT_EQ(loader.buffered_bytes(), mirror.ByteSize());
+        }
+        ASSERT_TRUE(loader.Finish().ok());
+        ExpectSameCells(want, arr->ReadAll().ValueOrDie(), "read-back");
+        ASSERT_TRUE(sm.DropArray(s.name()).ok());
+      }
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// A cell MemArray::SetCell rejects, or one sent after Finish, fails with
+// SetCell's StatusCode (Invalid after Finish), flushes nothing, and
+// leaves the loader's buffer and the read-back as they were.
+TEST(StreamLoaderTest, RejectedCellsChangeNothing) {
+  std::string dir = TempDir("loader_invalid");
+  {
+    StorageManager sm(dir);
+    ArraySchema s("bad", {{"I", 1, 12, 4}, {"J", 1, 10, 3}},
+                  {{"v", DataType::kDouble, true, false}});
+    DiskArray* arr = sm.CreateArray(s).ValueOrDie();
+    const size_t chunk = Chunk(Box({1, 1}, {4, 3}), s.attrs()).ByteSize();
+    // One chunk fits; the cell that opens a second one flushes first.
+    StreamLoader loader(arr, chunk + chunk / 2);
+    MemArray want(s);
+    const std::vector<std::pair<Coordinates, std::vector<Value>>> bad = {
+        {{1}, {Value(1.0)}},                     // coordinate arity
+        {{1, 1, 1}, {Value(1.0)}},               // coordinate arity
+        {{2, 2}, {Value(1.0), Value(2.0)}},      // value arity, open chunk
+        {{2, 2}, {}},                            // value arity, open chunk
+        {{9, 9}, {Value(1.0), Value(2.0)}},      // value arity, new chunk
+        {{0, 1}, {Value(1.0)}},                  // below the bounds
+        {{13, 1}, {Value(1.0)}},                 // above the bounds
+        {{5, 11}, {Value(1.0)}},                 // above the bounds
+    };
+    auto reject_all = [&](const std::string& when) {
+      SCOPED_TRACE(when);
+      for (const auto& [c, values] : bad) {
+        SCOPED_TRACE(CoordsToString(c));
+        const int64_t flushes = loader.flushes();
+        const size_t bytes = loader.buffered_bytes();
+        const Status st = loader.Append(c, values);
+        EXPECT_FALSE(st.ok());
+        EXPECT_EQ(st.code(), MemArray(s).SetCell(c, values).code());
+        EXPECT_EQ(loader.flushes(), flushes);
+        EXPECT_EQ(loader.buffered_bytes(), bytes);
+      }
+    };
+    reject_all("empty buffer");
+    for (int64_t i = 1; i <= 4; ++i) {
+      for (int64_t j = 1; j <= 3; ++j) {
+        const Value v(static_cast<double>(i * 10 + j));
+        ASSERT_TRUE(loader.Append({i, j}, {v}).ok());
+        ASSERT_TRUE(want.SetCell({i, j}, v).ok());
+      }
+    }
+    EXPECT_EQ(loader.flushes(), 0);
+    reject_all("one chunk buffered");
+    ASSERT_TRUE(loader.Append({9, 9}, {Value(99.0)}).ok());
+    ASSERT_TRUE(want.SetCell({9, 9}, Value(99.0)).ok());
+    EXPECT_EQ(loader.flushes(), 1);
+    reject_all("after a flush");
+    ASSERT_TRUE(loader.Finish().ok());
+    const int64_t flushes = loader.flushes();
+    EXPECT_EQ(flushes, 2);
+    ExpectSameCells(want, arr->ReadAll().ValueOrDie(), "read-back");
+    EXPECT_EQ(loader.Append({1, 1}, {Value(0.0)}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(loader.Append({1}, {Value(0.0)}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(loader.Finish().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(loader.flushes(), flushes);
+    ExpectSameCells(want, arr->ReadAll().ValueOrDie(), "after Finish");
+  }
   fs::remove_all(dir);
 }
 
