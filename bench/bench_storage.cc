@@ -204,6 +204,24 @@ void BM_DeserializeChunk_Type(benchmark::State& state) {
 }
 BENCHMARK(BM_DeserializeChunk_Type)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
+// The encode side of BM_DeserializeChunk_Type, over the same chunks.
+void BM_SerializeChunk_Type(benchmark::State& state) {
+  const int kind = static_cast<int>(state.range(0));
+  const std::vector<Chunk> chunks = DecodeBenchChunks(kind);
+  int64_t raw_bytes = 0;
+  for (const Chunk& c : chunks) {
+    raw_bytes += static_cast<int64_t>(SerializeChunk(c).size());
+  }
+  for (auto _ : state) {
+    for (const Chunk& c : chunks) {
+      benchmark::DoNotOptimize(SerializeChunk(c).data());
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * raw_bytes);
+  state.SetLabel(DecodeBenchAttrs(kind)[0].name);
+}
+BENCHMARK(BM_SerializeChunk_Type)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
 // ---- background merge ablation ----
 
 void BM_RegionRead_Fragmentation(benchmark::State& state) {

@@ -5,9 +5,12 @@
 // multi-GB allocations from hostile box extents, and unchecked nested
 // array rank/size varints driving resize()/reserve() with 2^60 counts.
 //
-// The first input byte selects one of four attribute manifests so the
+// The first input byte selects one of six attribute manifests so the
 // fuzzer can explore every value codec (delta-coded int64, float,
-// double, string, bool, nested array, constant-stderr uncertain).
+// double, string, bool, nested array, uncertain int64 and double with a
+// constant or a varying stderr), in both payload versions: v1 packs the
+// float and double columns, v2 stores them as byte planes. Selectors
+// 4 and 5 came later; `% 6` keeps the seeds of 0-3 where they were.
 
 #include <cstdint>
 #include <cstdio>
@@ -23,7 +26,7 @@ std::vector<scidb::AttributeDesc> Manifest(uint8_t selector) {
   using scidb::AttributeDesc;
   using scidb::DataType;
   std::vector<AttributeDesc> attrs;
-  switch (selector % 4) {
+  switch (selector % 6) {
     case 0:
       attrs.push_back({"v", DataType::kInt64, false});
       break;
@@ -32,11 +35,18 @@ std::vector<scidb::AttributeDesc> Manifest(uint8_t selector) {
       attrs.push_back({"s", DataType::kString, false});
       break;
     case 2:
-      attrs.push_back({"m", DataType::kFloat, true});  // uncertain (§2.13)
+      attrs.push_back({"m", DataType::kFloat, true});
       attrs.push_back({"b", DataType::kBool, false});
       break;
-    default:
+    case 3:
       attrs.push_back({"a", DataType::kArray, false});
+      break;
+    case 4:
+      attrs.push_back({"ui", DataType::kInt64, true, true});
+      break;
+    default:
+      attrs.push_back({"ud", DataType::kDouble, true, true});
+      attrs.push_back({"f", DataType::kFloat, false});
       break;
   }
   return attrs;

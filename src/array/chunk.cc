@@ -126,10 +126,7 @@ void AttributeBlock::CopyCell(const AttributeBlock& src, int64_t src_idx,
       bools_[i] = src.bools_[s] != 0 ? 1 : 0;
       break;
     case DataType::kInt64:
-      // An uncertain int64 reads back through its double mean.
-      i64_[i] = uncertain_
-                    ? static_cast<int64_t>(static_cast<double>(src.i64_[s]))
-                    : src.i64_[s];
+      i64_[i] = src.i64_[s];
       break;
     case DataType::kFloat:
       f32_[i] = src.f32_[s];

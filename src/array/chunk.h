@@ -53,6 +53,8 @@ class AttributeBlock {
   const std::vector<float>& floats() const { return f32_; }
   const std::vector<uint8_t>& bools() const { return bools_; }
   const std::vector<uint8_t>& nulls() const { return nulls_; }
+  // The per-cell error bars; empty while has_constant_stderr().
+  const std::vector<double>& stderrs() const { return stderrs_; }
 
   // Writable raw columns, for a codec that fills a whole block at once
   // (the chunk serde): the null flags (1 == null) and the value column of
@@ -78,7 +80,8 @@ class AttributeBlock {
   void AssignStderrs(std::vector<double> per_cell);
 
   // Cell `i` := cell `src_i` of `src` (same type and uncertainty); the
-  // same result as Set(i, src.Get(src_i)), without boxing a Value.
+  // same result as Set(i, src.Get(src_i)), without boxing a Value, except
+  // that an uncertain int64 keeps the exact value its double mean may not.
   void CopyCell(const AttributeBlock& src, int64_t src_i, int64_t i);
 
   // True when the stderr column is a single constant (space optimization).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/byte_io.h"
 #include "common/macros.h"
@@ -10,11 +11,14 @@
 namespace scidb {
 
 namespace {
-constexpr uint32_t kChunkMagic = 0x53434448;  // "SCDH"
+// v1 packs float, double and varying-stderr columns value by value; v2
+// stores them as byte planes. Every chunk is written as v2.
+constexpr uint32_t kChunkMagicV1 = 0x53434448;  // "SCDH"
+constexpr uint32_t kChunkMagic = 0x53434450;    // "SCDP"
 
 // The ranks one column's entries belong to, in order: `ranks`, or every
-// rank 0..n-1 when `dense`, which lets a fixed-width column move with one
-// memcpy.
+// rank 0..n-1 when `dense`, which lets a fixed-width column move in
+// contiguous runs.
 struct RankList {
   bool dense = true;
   size_t n = 0;
@@ -22,6 +26,18 @@ struct RankList {
 
   size_t operator[](size_t i) const {
     return dense ? i : static_cast<size_t>(ranks[i]);
+  }
+
+  // Calls f(rank) with rank(i) giving entry i's rank: the identity when
+  // dense, else a list lookup, so f's loops are compiled once for each.
+  template <typename F>
+  void WithRanks(F f) const {
+    if (dense) {
+      f([](size_t i) { return i; });
+    } else {
+      const int64_t* r = ranks.data();
+      f([r](size_t i) { return static_cast<size_t>(r[i]); });
+    }
   }
 
   // Calls f(i, rank) for every entry. The dense case is its own loop, so
@@ -57,22 +73,89 @@ struct RankList {
   }
 };
 
-// Copies the column entries at `cells` into `dst`, packed.
+// The byte-plane layout of a v2 float or double column of n entries:
+// byte b of entry i is stored at b * n + i, so LZ sees the sign and
+// exponent bytes, which repeat from cell to cell, as runs. Eight entries
+// move per step as a byte transpose of W = sizeof(T) words, each holding
+// 8 / W entries; the transpose is its own inverse, so encode and decode
+// share it. Entries past the last multiple of 8 move one byte at a time.
 template <typename T>
-void Gather(const RankList& cells, const T* col, uint8_t* dst) {
-  if (cells.n == 0) return;
-  if (cells.dense) {
-    std::memcpy(dst, col, cells.n * sizeof(T));
-    return;
-  }
-  for (size_t i = 0; i < cells.n; ++i) {
-    std::memcpy(dst + i * sizeof(T), &col[cells.ranks[i]], sizeof(T));
-  }
-}
+struct Planes {
+  using U = std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t>;
+  static constexpr size_t W = sizeof(T);
 
-// Reads `cells.n` packed T values into the column entries at `cells`.
+  // Word r holds entries r, r + W, ... of the block; afterwards word b
+  // holds byte b of all eight entries, in order (and back again).
+  static void Transpose(uint64_t* x) {
+    auto swap = [x](size_t step, unsigned shift, uint64_t mask) {
+#pragma GCC unroll 8
+      for (size_t r = 0; r < W; ++r) {
+        if ((r & step) != 0) continue;
+        const uint64_t t = ((x[r] >> shift) ^ x[r + step]) & mask;
+        x[r] ^= t << shift;
+        x[r + step] ^= t;
+      }
+    };
+    if constexpr (W == 8) swap(4, 32, 0x00000000FFFFFFFFull);
+    swap(2, 16, 0x0000FFFF0000FFFFull);
+    swap(1, 8, 0x00FF00FF00FF00FFull);
+  }
+
+  // Writes the entries of `col` at `cells` to `dst` as W planes.
+  static void Put(const RankList& cells, const T* col, uint8_t* dst) {
+    const size_t n = cells.n;
+    cells.WithRanks([=](auto rank) {
+      size_t i = 0;
+      for (; i + 8 <= n; i += 8) {
+        uint64_t x[W] = {};
+#pragma GCC unroll 8
+        for (size_t j = 0; j < 8; ++j) {
+          U u;
+          std::memcpy(&u, &col[rank(i + j)], W);
+          x[j % W] |= uint64_t{u} << (8 * W * (j / W));
+        }
+        Transpose(x);
+#pragma GCC unroll 8
+        for (size_t b = 0; b < W; ++b) std::memcpy(dst + b * n + i, &x[b], 8);
+      }
+      for (; i < n; ++i) {
+        const auto* v = reinterpret_cast<const uint8_t*>(&col[rank(i)]);
+        for (size_t b = 0; b < W; ++b) dst[b * n + i] = v[b];
+      }
+    });
+  }
+
+  // Reads `cells.n` entries stored as W planes into `col` at `cells`.
+  static Status Get(ByteReader* r, const RankList& cells, T* col) {
+    const size_t n = cells.n;
+    ASSIGN_OR_RETURN(const uint8_t* src, r->GetSpan(n * W));
+    cells.WithRanks([=](auto rank) {
+      size_t i = 0;
+      for (; i + 8 <= n; i += 8) {
+        uint64_t x[W];
+#pragma GCC unroll 8
+        for (size_t b = 0; b < W; ++b) std::memcpy(&x[b], src + b * n + i, 8);
+        Transpose(x);
+#pragma GCC unroll 8
+        for (size_t j = 0; j < 8; ++j) {
+          const U u = static_cast<U>(x[j % W] >> (8 * W * (j / W)));
+          std::memcpy(&col[rank(i + j)], &u, W);
+        }
+      }
+      for (; i < n; ++i) {
+        auto* v = reinterpret_cast<uint8_t*>(&col[rank(i)]);
+        for (size_t b = 0; b < W; ++b) v[b] = src[b * n + i];
+      }
+    });
+    return Status::OK();
+  }
+};
+
+// Reads `cells.n` T values into the column entries at `cells`: packed
+// (v1), or as byte planes when `planes` (v2).
 template <typename T>
-Status Scatter(ByteReader* r, const RankList& cells, T* col) {
+Status Scatter(ByteReader* r, const RankList& cells, T* col, bool planes) {
+  if (planes) return Planes<T>::Get(r, cells, col);
   ASSIGN_OR_RETURN(const uint8_t* src, r->GetSpan(cells.n * sizeof(T)));
   if (cells.n == 0) return Status::OK();
   if (cells.dense) {
@@ -191,11 +274,12 @@ std::vector<uint8_t> SerializeChunk(const Chunk& chunk) {
         break;
       }
       case DataType::kFloat:
-        Gather(values, b.floats().data(), w.Extend(values.n * sizeof(float)));
+        Planes<float>::Put(values, b.floats().data(),
+                           w.Extend(values.n * sizeof(float)));
         break;
       case DataType::kDouble:
-        Gather(values, b.doubles().data(),
-               w.Extend(values.n * sizeof(double)));
+        Planes<double>::Put(values, b.doubles().data(),
+                            w.Extend(values.n * sizeof(double)));
         break;
       case DataType::kString:
         for (size_t i = 0; i < values.n; ++i) {
@@ -230,11 +314,8 @@ std::vector<uint8_t> SerializeChunk(const Chunk& chunk) {
                         : b.GetStderr(static_cast<int64_t>(present[0])));
       } else {
         w.PutU8(0);
-        uint8_t* dst = w.Extend(values.n * sizeof(double));
-        values.ForEach([&](size_t i, size_t rank) {
-          const double s = b.GetStderr(static_cast<int64_t>(rank));
-          std::memcpy(dst + i * sizeof(double), &s, sizeof(double));
-        });
+        Planes<double>::Put(values, b.stderrs().data(),
+                            w.Extend(values.n * sizeof(double)));
       }
     }
   }
@@ -245,9 +326,10 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
                                const std::vector<AttributeDesc>& attrs) {
   ByteReader r(bytes);
   ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kChunkMagic) {
+  if (magic != kChunkMagic && magic != kChunkMagicV1) {
     return Status::Corruption("bad chunk magic");
   }
+  const bool planes = magic == kChunkMagic;
   ASSIGN_OR_RETURN(uint64_t ndims, r.GetVarint());
   if (ndims == 0 || ndims > 64) return Status::Corruption("bad chunk ndims");
   Box box;
@@ -313,19 +395,12 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
       }
       case DataType::kInt64:
         RETURN_NOT_OK(ScatterDeltas(&r, values, col.i64));
-        if (attrs[a].uncertain) {
-          // An uncertain int64 stores its mean, which is a double.
-          values.ForEach([&](size_t, size_t rank) {
-            const double mean = static_cast<double>(col.i64[rank]);
-            col.i64[rank] = static_cast<int64_t>(mean);
-          });
-        }
         break;
       case DataType::kFloat:
-        RETURN_NOT_OK(Scatter(&r, values, col.f32));
+        RETURN_NOT_OK(Scatter(&r, values, col.f32, planes));
         break;
       case DataType::kDouble:
-        RETURN_NOT_OK(Scatter(&r, values, col.f64));
+        RETURN_NOT_OK(Scatter(&r, values, col.f64, planes));
         break;
       case DataType::kString:
         for (size_t i = 0; i < values.n; ++i) {
@@ -372,7 +447,7 @@ Result<Chunk> DeserializeChunk(const std::vector<uint8_t>& bytes,
         ASSIGN_OR_RETURN(double s, r.GetDouble());
         values.ForEach([&](size_t, size_t rank) { stderrs[rank] = s; });
       } else {
-        RETURN_NOT_OK(Scatter(&r, values, stderrs.data()));
+        RETURN_NOT_OK(Scatter(&r, values, stderrs.data(), planes));
       }
       // Set() gives a non-numeric cell a zero error bar.
       if (!IsNumeric(attrs[a].type)) {

@@ -223,6 +223,39 @@ TEST(ChunkSerdeTest, RoundTripNestedArrays) {
   EXPECT_EQ(v.array_value()->values[1].double_value(), 9.0);
 }
 
+// An uncertain int64 keeps its exact value, which its double mean cannot
+// always hold, through the serde and through a stored array's read.
+TEST(ChunkSerdeTest, UncertainInt64RoundTripsExactly) {
+  const std::vector<AttributeDesc> attrs = {
+      {"u", DataType::kInt64, true, true}};
+  const std::vector<int64_t> want = {std::numeric_limits<int64_t>::max(),
+                                     std::numeric_limits<int64_t>::min(),
+                                     (int64_t{1} << 53) + 1, -7};
+  const ArraySchema schema("ui", {{"I", 1, 4, 4}}, attrs);
+  MemArray mem(schema);
+  for (int64_t i = 1; i <= 4; ++i) {
+    ASSERT_TRUE(mem.SetCell({i}, Value(want[static_cast<size_t>(i - 1)]))
+                    .ok());
+    mem.GetOrCreateChunk({1})->block(0).SetStderr(i - 1, 0.5 * i);
+  }
+  const Chunk& chunk = *mem.FindChunk({1});
+  const std::vector<uint8_t> raw = SerializeChunk(chunk);
+  Chunk back = DeserializeChunk(raw, attrs).ValueOrDie();
+  EXPECT_EQ(back.block(0).int64s(), want);
+  EXPECT_EQ(SerializeChunk(back), raw);
+
+  std::string dir = TempDir("uncertain_int64");
+  StorageManager sm(dir);
+  DiskArray* arr = sm.CreateArray(schema).ValueOrDie();
+  ASSERT_TRUE(arr->WriteAll(mem).ok());
+  MemArray read = arr->ReadAll().ValueOrDie();
+  const Chunk* got = read.FindChunk({1});
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->block(0).int64s(), want);
+  EXPECT_EQ(SerializeChunk(*got), raw);
+  fs::remove_all(dir);
+}
+
 TEST(ChunkSerdeTest, CorruptInputRejected) {
   std::vector<AttributeDesc> attrs = {{"v", DataType::kDouble, true, false}};
   Chunk chunk(Box({1}, {4}), attrs);
