@@ -114,6 +114,23 @@ void BM_ParallelFilter(benchmark::State& state) {
 BENCHMARK(BM_ParallelFilter)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// ---- parallel apply ----
+
+void BM_ParallelApply(benchmark::State& state) {
+  const MemArray& sky = SkyArray();
+  ThreadPool* pool = PoolOfWidth(static_cast<int>(state.range(0)));
+  ExecContext ctx = Ctx(pool);
+  ExprPtr cook = Sub(Mul(Ref("flux"), Lit(1.7)), Lit(17.0));
+  for (auto _ : state) {
+    auto r = Apply(ctx, sky, "cal", DataType::kDouble, cook);
+    SCIDB_CHECK(r.ok()) << r.status().ToString();
+    benchmark::DoNotOptimize(r.value().CellCount());
+  }
+  state.SetItemsProcessed(state.iterations() * kN * kN);
+}
+BENCHMARK(BM_ParallelApply)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // ---- parallel group-by aggregate ----
 
 void BM_ParallelAggregate(benchmark::State& state) {

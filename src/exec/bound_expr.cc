@@ -24,27 +24,44 @@ namespace {
 using Node = BoundExpr::Node;
 using Sides = std::vector<const ArraySchema*>;
 
+// The entries of one column over the ranks of a chunk: read where they
+// already sit (`p` into a block, or into `own` when computed here), or
+// one scalar `s` broadcast to every rank (`p` null).
+template <typename T>
+struct Operand {
+  const T* p = nullptr;
+  T s{};
+  std::vector<T> own;
+
+  T operator[](size_t i) const { return p ? p[i] : s; }
+  // `n` fresh entries for a kernel to fill.
+  T* Fill(size_t n) { own.resize(n); p = own.data(); return own.data(); }
+  // The entries as a column; a scalar is spread over `n` ranks first.
+  const T* Dense(size_t n) {
+    if (p == nullptr) std::fill_n(Fill(n), n, s);
+    return p;
+  }
+};
+
 // One expression result per cell rank of a chunk. A column kernel fills
-// `nulls` and the buffer matching `type` (kInt64: i64, kDouble: f64,
+// `nulls` and the operand matching `type` (kInt64: i64, kDouble: f64,
 // kBool: bools); an untyped tree leaves `type` empty and fills `values`.
 // Entries of absent cells are unspecified.
 struct CellColumn {
   std::optional<DataType> type;
-  std::vector<uint8_t> nulls;  // 1 == NULL
-  std::vector<int64_t> i64;
-  std::vector<double> f64;
-  std::vector<uint8_t> bools;
+  Operand<uint8_t> nulls;  // 1 == NULL; a scalar is never NULL
+  Operand<int64_t> i64;
+  Operand<double> f64;
+  Operand<uint8_t> bools;
   std::vector<Value> values;
 
-  Value Get(int64_t rank) const;
-  // Filter's keep rule: the result is a non-null boolean true.
-  [[nodiscard]] bool IsTrue(int64_t rank) const;
-  // Same as out->Set(rank, Get(rank)), with typed stores into
-  // non-uncertain double and int64 blocks.
-  void StoreInto(int64_t rank, AttributeBlock* out) const;
-  // A typed non-null entry converted as Value::AsDouble / AsInt64 do.
-  double AsDouble(size_t i) const;
-  int64_t AsInt64(size_t i) const;
+  Value Get(size_t i) const {
+    if (!type) return values[i];
+    if (nulls[i]) return Value::Null();
+    if (type == DataType::kInt64) return Value(i64[i]);
+    if (type == DataType::kDouble) return Value(f64[i]);
+    return Value(bools[i] != 0);
+  }
 };
 
 bool IsArith(BinaryOp op) {
@@ -163,54 +180,67 @@ std::optional<Node> BindNode(const Expr& e, const Sides& sides) {
 // included; their entries are never read. Each present cell sees the
 // same IEEE operation, on the same operands, as Expr::Eval.
 
-template <typename T, typename U, typename F>
-void Map2(const std::vector<T>& a, const std::vector<T>& b,
-          std::vector<U>* out, F f) {
-  out->resize(a.size());
-  for (size_t i = 0; i < a.size(); ++i) (*out)[i] = f(a[i], b[i]);
+// out := f(a, b) entry by entry over `n` ranks, a scalar broadcast.
+template <typename T, typename V, typename U, typename F>
+void Map2(const Operand<T>& a, const Operand<V>& b, size_t n, Operand<U>* out,
+          F f) {
+  U* o = out->Fill(n);
+  const T* x = a.p;
+  const V* y = b.p;
+  const T xs = a.s;
+  const V ys = b.s;
+  if (x && y) {
+    for (size_t i = 0; i < n; ++i) o[i] = f(x[i], y[i]);
+  } else if (x) {
+    for (size_t i = 0; i < n; ++i) o[i] = f(x[i], ys);
+  } else {  // a scalar on the left, or on both sides
+    for (size_t i = 0; i < n; ++i) o[i] = f(xs, b[i]);
+  }
 }
 
-// An int64 column widened as Value::AsDouble does.
-const std::vector<double>& Doubles(CellColumn* c) {
+// An int64 operand widened as Value::AsDouble does.
+Operand<double>& Doubles(CellColumn* c, size_t n) {
   if (c->type == DataType::kInt64) {
-    c->f64.assign(c->i64.begin(), c->i64.end());
+    c->f64.s = static_cast<double>(c->i64.s);
+    if (c->i64.p) std::copy_n(c->i64.p, n, c->f64.Fill(n));
   }
   return c->f64;
 }
 
-// Division and modulo by zero are NULL.
+// Division and modulo by zero are NULL: a scalar zero divisor nulls the
+// whole column.
 template <typename T>
-void NullWhereZero(const std::vector<T>& divisor,
-                   std::vector<uint8_t>* nulls) {
-  for (size_t i = 0; i < divisor.size(); ++i) {
-    if (divisor[i] == 0) (*nulls)[i] = 1;
-  }
+void NullWhereZero(const Operand<T>& divisor, size_t n, CellColumn* out) {
+  if (divisor.p == nullptr && divisor.s != 0) return;
+  const Operand<uint8_t> nulls = std::move(out->nulls);
+  Map2(nulls, divisor, n, &out->nulls,
+       [](uint8_t null, T d) -> uint8_t { return d == 0 ? 1 : null; });
 }
 
 // The shared int64 rules over whole columns. They never trap, which
 // matters here: the kernels also visit NULL and absent cells.
 template <BinaryOp op>
-void IntMap(const std::vector<int64_t>& a, const std::vector<int64_t>& b,
+void IntMap(const Operand<int64_t>& a, const Operand<int64_t>& b, size_t n,
             CellColumn* out) {
-  Map2(a, b, &out->i64,
+  Map2(a, b, n, &out->i64,
        [](int64_t x, int64_t y) { return Int64Arith(op, x, y); });
 }
 
-void IntArith(BinaryOp op, const std::vector<int64_t>& a,
-              const std::vector<int64_t>& b, CellColumn* out) {
+void IntArith(BinaryOp op, const Operand<int64_t>& a,
+              const Operand<int64_t>& b, size_t n, CellColumn* out) {
   switch (op) {
-    case BinaryOp::kAdd: return IntMap<BinaryOp::kAdd>(a, b, out);
-    case BinaryOp::kSub: return IntMap<BinaryOp::kSub>(a, b, out);
-    case BinaryOp::kMul: return IntMap<BinaryOp::kMul>(a, b, out);
-    case BinaryOp::kDiv: IntMap<BinaryOp::kDiv>(a, b, out); break;
-    default: IntMap<BinaryOp::kMod>(a, b, out); break;
+    case BinaryOp::kAdd: return IntMap<BinaryOp::kAdd>(a, b, n, out);
+    case BinaryOp::kSub: return IntMap<BinaryOp::kSub>(a, b, n, out);
+    case BinaryOp::kMul: return IntMap<BinaryOp::kMul>(a, b, n, out);
+    case BinaryOp::kDiv: IntMap<BinaryOp::kDiv>(a, b, n, out); break;
+    default: IntMap<BinaryOp::kMod>(a, b, n, out); break;
   }
-  NullWhereZero(b, &out->nulls);  // kDiv and kMod
+  NullWhereZero(b, n, out);  // kDiv and kMod
 }
 
-void DoubleArith(BinaryOp op, const std::vector<double>& a,
-                 const std::vector<double>& b, CellColumn* out) {
-  auto map = [&](auto f) { Map2(a, b, &out->f64, f); };
+void DoubleArith(BinaryOp op, const Operand<double>& a,
+                 const Operand<double>& b, size_t n, CellColumn* out) {
+  auto map = [&](auto f) { Map2(a, b, n, &out->f64, f); };
   switch (op) {
     case BinaryOp::kAdd:
       map([](double x, double y) { return x + y; });
@@ -223,20 +253,20 @@ void DoubleArith(BinaryOp op, const std::vector<double>& a,
       break;
     case BinaryOp::kDiv:
       map([](double x, double y) { return x / y; });
-      NullWhereZero(b, &out->nulls);
+      NullWhereZero(b, n, out);
       break;
     default:  // kMod
       map([](double x, double y) { return std::fmod(x, y); });
-      NullWhereZero(b, &out->nulls);
+      NullWhereZero(b, n, out);
       break;
   }
 }
 
 // Numeric comparisons compare as doubles, as EvalCompare does.
-void Compare(BinaryOp op, const std::vector<double>& a,
-             const std::vector<double>& b, CellColumn* out) {
+void Compare(BinaryOp op, const Operand<double>& a, const Operand<double>& b,
+             size_t n, CellColumn* out) {
   using B = uint8_t;
-  auto map = [&](auto f) { Map2(a, b, &out->bools, f); };
+  auto map = [&](auto f) { Map2(a, b, n, &out->bools, f); };
   switch (op) {
     case BinaryOp::kEq:
       map([](double x, double y) { return B(x == y); });
@@ -261,84 +291,93 @@ void Compare(BinaryOp op, const std::vector<double>& a,
 
 // Three-valued and/or: a non-null false (and) or true (or) operand
 // decides; otherwise any NULL operand makes the result NULL.
-void Logic(BinaryOp op, const CellColumn& l, const CellColumn& r,
+void Logic(BinaryOp op, const CellColumn& l, const CellColumn& r, size_t n,
            CellColumn* out) {
   const uint8_t decider = op == BinaryOp::kOr ? 1 : 0;
-  const size_t n = l.bools.size();
-  out->bools.resize(n);
+  uint8_t* bools = out->bools.Fill(n);
+  uint8_t* nulls = out->nulls.Fill(n);
   for (size_t i = 0; i < n; ++i) {
     const bool decided = (!l.nulls[i] && (l.bools[i] != 0) == decider) ||
                          (!r.nulls[i] && (r.bools[i] != 0) == decider);
-    out->bools[i] = decided ? decider : static_cast<uint8_t>(1 - decider);
-    out->nulls[i] = !decided && (l.nulls[i] || r.nulls[i]);
+    bools[i] = decided ? decider : static_cast<uint8_t>(1 - decider);
+    nulls[i] = !decided && (l.nulls[i] || r.nulls[i]);
   }
 }
 
 // The coordinate along dimension `d` of every rank of `box`.
-void FillCoordinates(const Box& box, size_t d, std::vector<int64_t>* out) {
+void FillCoordinates(const Box& box, size_t d, int64_t* out) {
   int64_t stride = 1;
   for (size_t k = d + 1; k < box.ndims(); ++k) {
     stride *= box.high[k] - box.low[k] + 1;
   }
-  out->resize(static_cast<size_t>(box.CellCount()));
+  const size_t cells = static_cast<size_t>(box.CellCount());
   size_t i = 0;
-  while (i < out->size()) {
+  while (i < cells) {
     for (int64_t c = box.low[d]; c <= box.high[d]; ++c) {
-      for (int64_t s = 0; s < stride; ++s) (*out)[i++] = c;
+      for (int64_t s = 0; s < stride; ++s) out[i++] = c;
     }
   }
 }
 
+// Attribute operands are read in place, except that a float column
+// widens into an owned one; literals stay scalars.
 void EvalColumn(const Node& n, const Chunk& chunk, CellColumn* out) {
   const size_t cells = static_cast<size_t>(chunk.cell_capacity());
   out->type = n.type;
   switch (n.kind) {
     case Node::Kind::kLiteral:
-      out->nulls.assign(cells, 0);
       if (n.type == DataType::kInt64) {
-        out->i64.assign(cells, n.literal.int64_value());
+        out->i64.s = n.literal.int64_value();
       } else if (n.type == DataType::kDouble) {
-        out->f64.assign(cells, n.literal.double_value());
+        out->f64.s = n.literal.double_value();
       } else {
-        out->bools.assign(cells, n.literal.bool_value() ? 1 : 0);
+        out->bools.s = n.literal.bool_value() ? 1 : 0;
       }
       return;
     case Node::Kind::kDim:
-      out->nulls.assign(cells, 0);
-      FillCoordinates(chunk.box(), n.index, &out->i64);
+      FillCoordinates(chunk.box(), n.index, out->i64.Fill(cells));
       return;
     case Node::Kind::kAttr: {
       const AttributeBlock& b = chunk.block(n.index);
-      out->nulls = b.nulls();
+      out->nulls.p = b.nulls().data();
       if (b.type() == DataType::kInt64) {
-        out->i64 = b.int64s();
+        out->i64.p = b.int64s().data();
       } else if (b.type() == DataType::kDouble) {
-        out->f64 = b.doubles();
+        out->f64.p = b.doubles().data();
       } else {
-        out->f64.assign(b.floats().begin(), b.floats().end());
+        std::copy_n(b.floats().data(), cells, out->f64.Fill(cells));
       }
       return;
     }
     case Node::Kind::kNot:
+      // A bool column is always computed here, so it sits in `own`.
       EvalColumn(n.children[0], chunk, out);
       out->type = DataType::kBool;
-      for (uint8_t& v : out->bools) v = v ? 0 : 1;
+      out->bools.s = out->bools.s ? 0 : 1;
+      for (uint8_t& v : out->bools.own) v = v ? 0 : 1;
       return;
     case Node::Kind::kBinary: {
       CellColumn l;
       CellColumn r;
       EvalColumn(n.children[0], chunk, &l);
       EvalColumn(n.children[1], chunk, &r);
-      Map2(l.nulls, r.nulls, &out->nulls,
-           [](uint8_t x, uint8_t y) -> uint8_t { return x | y; });
       if (n.op == BinaryOp::kAnd || n.op == BinaryOp::kOr) {
-        Logic(n.op, l, r, out);
-      } else if (!IsArith(n.op)) {
-        Compare(n.op, Doubles(&l), Doubles(&r), out);
-      } else if (n.type == DataType::kInt64) {
-        IntArith(n.op, l.i64, r.i64, out);
+        Logic(n.op, l, r, cells, out);
+        return;
+      }
+      // A scalar is never NULL: the other side's flags carry over.
+      if (l.nulls.p && r.nulls.p) {
+        Map2(l.nulls, r.nulls, cells, &out->nulls,
+             [](uint8_t x, uint8_t y) -> uint8_t { return x | y; });
       } else {
-        DoubleArith(n.op, Doubles(&l), Doubles(&r), out);
+        out->nulls = std::move(l.nulls.p ? l.nulls : r.nulls);
+      }
+      if (!IsArith(n.op)) {
+        Compare(n.op, Doubles(&l, cells), Doubles(&r, cells), cells, out);
+      } else if (n.type == DataType::kInt64) {
+        IntArith(n.op, l.i64, r.i64, cells, out);
+      } else {
+        DoubleArith(n.op, Doubles(&l, cells), Doubles(&r, cells), cells, out);
       }
       return;
     }
@@ -387,46 +426,35 @@ Status EvalCells(const Expr& e, const Sides& sides,
   return Status::OK();
 }
 
-Value CellColumn::Get(int64_t rank) const {
-  const size_t i = static_cast<size_t>(rank);
-  if (!type) return values[i];
-  if (nulls[i]) return Value::Null();
-  if (type == DataType::kInt64) return Value(i64[i]);
-  if (type == DataType::kDouble) return Value(f64[i]);
-  return Value(bools[i] != 0);
-}
-
-bool CellColumn::IsTrue(int64_t rank) const {
-  const size_t i = static_cast<size_t>(rank);
-  if (!type) return values[i].is_bool() && values[i].bool_value();
-  return type == DataType::kBool && !nulls[i] && bools[i];
-}
-
-double CellColumn::AsDouble(size_t i) const {
-  if (type == DataType::kDouble) return f64[i];
-  if (type == DataType::kInt64) return static_cast<double>(i64[i]);
-  return bools[i] ? 1.0 : 0.0;
-}
-
-int64_t CellColumn::AsInt64(size_t i) const {
-  if (type == DataType::kInt64) return i64[i];
-  if (type == DataType::kDouble) return static_cast<int64_t>(f64[i]);
-  return bools[i] ? 1 : 0;
-}
-
-void CellColumn::StoreInto(int64_t rank, AttributeBlock* out) const {
-  const size_t i = static_cast<size_t>(rank);
-  if (type && !nulls[i] && !out->uncertain()) {
-    if (out->type() == DataType::kDouble) {
-      out->SetDouble(rank, AsDouble(i));
-      return;
+// Apply's result into its block. A numeric result goes in whole when the
+// block is a non-uncertain double or int64: each present, non-NULL cell
+// takes the value Set() would store, and the others are NULL and 0, as
+// in a fresh block. Anything else goes cell by cell through Set().
+void StoreResult(CellColumn* col, const uint8_t* present, AttributeBlock* out) {
+  const size_t n = static_cast<size_t>(out->size());
+  const AttributeBlock::Columns c = out->mutable_columns();
+  auto store = [&](const auto* v, auto* vals, auto conv) {
+    const uint8_t* nulls = col->nulls.Dense(n);
+    for (size_t i = 0; i < n; ++i) {
+      const bool set = present[i] != 0 && nulls[i] == 0;
+      c.nulls[i] = set ? 0 : 1;
+      vals[i] = set ? conv(v[i]) : 0;
     }
-    if (out->type() == DataType::kInt64) {
-      out->SetInt64(rank, AsInt64(i));
-      return;
+  };
+  const bool numeric =
+      col->type && col->type != DataType::kBool && !out->uncertain();
+  if (numeric && out->type() == DataType::kDouble) {
+    store(Doubles(col, n).Dense(n), c.f64, [](double x) { return x; });
+  } else if (numeric && out->type() == DataType::kInt64 &&
+             col->type == DataType::kInt64) {
+    store(col->i64.Dense(n), c.i64, [](int64_t x) { return x; });
+  } else if (numeric && out->type() == DataType::kInt64) {
+    store(col->f64.Dense(n), c.i64, DoubleToInt64);
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      if (present[i]) out->Set(static_cast<int64_t>(i), col->Get(i));
     }
   }
-  out->Set(rank, Get(rank));
 }
 
 // The expression's value at the ranks of `in` that BoundExpr::Keep
@@ -458,10 +486,20 @@ Result<std::vector<uint8_t>> BoundExpr::Keep(const Chunk& in,
   CellColumn col;
   RETURN_NOT_OK(Evaluate(root_.get(), *expr_, sides_, functions_, in, within,
                          &col));
-  std::vector<uint8_t> keep(static_cast<size_t>(in.cell_capacity()));
-  for (size_t i = 0; i < keep.size(); ++i) {
-    const auto rank = static_cast<int64_t>(i);
-    keep[i] = in.IsPresent(rank) && col.IsTrue(rank);
+  const size_t n = static_cast<size_t>(in.cell_capacity());
+  const uint8_t* present = in.presence().data();
+  std::vector<uint8_t> keep(n);
+  if (!col.type) {
+    for (size_t i = 0; i < n; ++i) {
+      const Value& v = col.values[i];
+      keep[i] = present[i] && v.is_bool() && v.bool_value();
+    }
+  } else if (col.type == DataType::kBool) {
+    const uint8_t* nulls = col.nulls.Dense(n);
+    const uint8_t* bools = col.bools.Dense(n);
+    for (size_t i = 0; i < n; ++i) {
+      keep[i] = (present[i] != 0) & (nulls[i] == 0) & (bools[i] != 0);
+    }
   }
   return keep;
 }
@@ -469,7 +507,7 @@ Result<std::vector<uint8_t>> BoundExpr::Keep(const Chunk& in,
 Result<std::shared_ptr<Chunk>> BoundExpr::MapChunk(
     CellMap kind, const Chunk& in,
     const std::vector<AttributeDesc>& out_attrs) const {
-  const int64_t cap = in.cell_capacity();
+  const size_t cap = static_cast<size_t>(in.cell_capacity());
   const bool filter = kind == CellMap::kFilter;
   CellColumn col;
   std::vector<uint8_t> keep;
@@ -478,34 +516,33 @@ Result<std::shared_ptr<Chunk>> BoundExpr::MapChunk(
   } else {
     RETURN_NOT_OK(Evaluate(root_.get(), *expr_, sides_, functions_, in,
                            in.box(), &col));
-    keep.assign(static_cast<size_t>(cap), 1);
   }
 
+  // The cells whose attributes carry over: Keep's mask already excludes
+  // absent cells.
+  const uint8_t* kept = filter ? keep.data() : in.presence().data();
   auto oc = std::make_shared<Chunk>(in.box(), out_attrs);
-  const bool dense = in.present_count() == cap;
+  oc->AssignPresence(in.presence().data());
   for (size_t at = 0; at < in.nattrs(); ++at) {
     const AttributeBlock& src = in.block(at);
     AttributeBlock& dst = oc->block(at);
-    if (dense && !src.uncertain() && DataTypeFixedWidth(src.type()) > 0) {
-      // Whole column; a dropped cell's stale payload is never read.
+    if (!src.uncertain() && DataTypeFixedWidth(src.type()) > 0) {
+      // Whole column, then every dropped cell NULL; the payloads of
+      // absent and NULL cells are never read.
       dst = src;
-      for (int64_t rank = 0; rank < cap; ++rank) {
-        if (!keep[static_cast<size_t>(rank)]) dst.Set(rank, Value::Null());
-      }
+      uint8_t* nulls = dst.mutable_columns().nulls;
+      for (size_t i = 0; filter && i < cap; ++i) nulls[i] |= keep[i] ^ 1;
       continue;
     }
     // Cell by cell in rank order, so an uncertain block's constant
     // error bar is derived from the kept cells exactly as Set() would.
-    for (int64_t rank = 0; rank < cap; ++rank) {
-      if (in.IsPresent(rank) && keep[static_cast<size_t>(rank)]) {
-        dst.CopyCell(src, rank, rank);
-      }
+    for (size_t i = 0; i < cap; ++i) {
+      const auto rank = static_cast<int64_t>(i);
+      if (kept[i]) dst.CopyCell(src, rank, rank);
     }
   }
-  for (int64_t rank = 0; rank < cap; ++rank) {
-    if (!in.IsPresent(rank)) continue;
-    if (!filter) col.StoreInto(rank, &oc->block(in.nattrs()));
-    oc->MarkPresent(rank);
+  if (!filter) {
+    StoreResult(&col, in.presence().data(), &oc->block(in.nattrs()));
   }
   return oc;
 }

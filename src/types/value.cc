@@ -14,8 +14,8 @@ Result<double> Value::AsDouble() const {
 
 Result<int64_t> Value::AsInt64() const {
   if (is_int64()) return int64_value();
-  if (is_double()) return static_cast<int64_t>(double_value());
-  if (is_uncertain()) return static_cast<int64_t>(uncertain_value().mean);
+  if (is_double()) return DoubleToInt64(double_value());
+  if (is_uncertain()) return DoubleToInt64(uncertain_value().mean);
   if (is_bool()) return static_cast<int64_t>(bool_value() ? 1 : 0);
   return Status::TypeMismatch("value is not numeric: " + ToString());
 }

@@ -15,6 +15,13 @@ namespace scidb {
 
 class Value;
 
+// `d` truncated toward zero, with INT64_MIN for NaN, +-inf and anything
+// outside [-2^63, 2^63): what x86-64's conversion instruction gives,
+// without the undefined behaviour of a static_cast out of range.
+inline int64_t DoubleToInt64(double d) {
+  return d >= -0x1p63 && d < 0x1p63 ? static_cast<int64_t>(d) : INT64_MIN;
+}
+
 // A nested array stored inside a cell (paper §2.1: "array cells containing
 // records, which in turn can contain components that are multi-dimensional
 // arrays"). Used e.g. by the eBay clickstream model where each time step

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "array/chunk.h"
 #include "array/coordinates.h"
 #include "array/mem_array.h"
@@ -292,6 +296,35 @@ TEST(ValueTest, NumericCoercions) {
   Uncertain u = Value(2.0).AsUncertain().ValueOrDie();
   EXPECT_EQ(u.mean, 2.0);
   EXPECT_EQ(u.stderr_, 0.0);
+}
+
+// A double outside the int64 range converts to INT64_MIN, through
+// Value::AsInt64 and into int64 blocks, plain and uncertain; inside it
+// truncates toward zero. A float-cast-overflow sanitizer build checks
+// that no conversion here is undefined.
+TEST(ValueTest, OutOfRangeDoublesConvertToInt64Min) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> out_of_range = {
+      Value(1e19), Value(-1e19), Value(-inf), Value(inf),
+      Value(9223372036854775808.0),
+      Value(std::numeric_limits<double>::quiet_NaN()),
+      Value(Uncertain(9.3e18, 1.0))};
+  const auto n = static_cast<int64_t>(out_of_range.size());
+  AttributeBlock plain(DataType::kInt64, /*uncertain=*/false, n);
+  AttributeBlock uncertain(DataType::kInt64, /*uncertain=*/true, n);
+  for (int64_t i = 0; i < n; ++i) {
+    const Value& v = out_of_range[static_cast<size_t>(i)];
+    EXPECT_EQ(v.AsInt64().ValueOrDie(), INT64_MIN) << v.ToString();
+    plain.Set(i, v);
+    uncertain.Set(i, v);
+    EXPECT_EQ(plain.GetInt64(i), INT64_MIN) << v.ToString();
+    EXPECT_EQ(uncertain.GetInt64(i), INT64_MIN) << v.ToString();
+  }
+  EXPECT_EQ(Value(-2.9).AsInt64().ValueOrDie(), -2);
+  EXPECT_EQ(Value(-9223372036854775808.0).AsInt64().ValueOrDie(), INT64_MIN);
+  EXPECT_EQ(Value(9223372036854774784.0).AsInt64().ValueOrDie(),
+            int64_t{9223372036854774784});
+  EXPECT_EQ(DoubleToInt64(-0.0), 0);
 }
 
 TEST(ValueTest, JoinEquality) {

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -478,12 +479,17 @@ TEST_F(ParallelDifferentialTest, PipelineFilterApplyAggregate) {
 
 enum class Mapped { kFilter, kApply };
 
+// With `sides`, `a` is their cross product and the oracle is Cjoin's: each
+// cell's coordinates and attributes split into the sides, side by side.
 Result<MemArray> ScalarOracle(const FunctionRegistry* fns, Mapped kind,
                               const MemArray& a, const ExprPtr& e,
-                              const AttributeDesc& applied = {}) {
+                              const AttributeDesc& applied = {},
+                              std::vector<const ArraySchema*> sides = {}) {
   const ArraySchema& schema = a.schema();
   std::vector<AttributeDesc> attrs = schema.attrs();
-  std::string name = schema.name() + "_filter";
+  std::string name = sides.empty() ? schema.name() + "_filter"
+                                   : sides[0]->name() + "_cjoin";
+  if (sides.empty()) sides.push_back(&schema);
   if (kind == Mapped::kApply) {
     attrs.push_back(applied);
     name = schema.name() + "_apply";
@@ -491,15 +497,27 @@ Result<MemArray> ScalarOracle(const FunctionRegistry* fns, Mapped kind,
   MemArray out(ArraySchema(name, schema.dims(), attrs));
   EvalContext ectx;
   ectx.functions = fns;
-  Coordinates coords;
-  std::vector<Value> vals;
-  ectx.sides.push_back({&schema, &coords, &vals});
+  std::vector<Coordinates> coords(sides.size());
+  std::vector<std::vector<Value>> vals(sides.size());
+  for (size_t s = 0; s < sides.size(); ++s) {
+    ectx.sides.push_back({sides[s], &coords[s], &vals[s]});
+  }
   Status st;
   a.ForEachCell([&](const Coordinates& c, const Chunk& chunk, int64_t rank) {
-    coords = c;
-    vals.clear();
+    std::vector<Value> cell;
     for (size_t at = 0; at < chunk.nattrs(); ++at) {
-      vals.push_back(chunk.block(at).Get(rank));
+      cell.push_back(chunk.block(at).Get(rank));
+    }
+    size_t d = 0;
+    size_t at = 0;
+    for (size_t s = 0; s < sides.size(); ++s) {
+      coords[s].assign(c.begin() + static_cast<ptrdiff_t>(d),
+                       c.begin() + static_cast<ptrdiff_t>(d + sides[s]->ndims()));
+      d += sides[s]->ndims();
+      vals[s].assign(cell.begin() + static_cast<ptrdiff_t>(at),
+                     cell.begin() +
+                         static_cast<ptrdiff_t>(at + sides[s]->nattrs()));
+      at += sides[s]->nattrs();
     }
     Result<Value> v = e->Eval(ectx);
     if (!v.ok()) {
@@ -509,10 +527,10 @@ Result<MemArray> ScalarOracle(const FunctionRegistry* fns, Mapped kind,
     Chunk* oc = out.GetOrCreateChunk(out.ChunkOriginFor(c));
     const bool keep = kind == Mapped::kApply ||
                       (v.value().is_bool() && v.value().bool_value());
-    for (size_t at = 0; at < vals.size(); ++at) {
-      oc->block(at).Set(rank, keep ? vals[at] : Value::Null());
+    for (size_t k = 0; k < cell.size(); ++k) {
+      oc->block(k).Set(rank, keep ? cell[k] : Value::Null());
     }
-    if (kind == Mapped::kApply) oc->block(vals.size()).Set(rank, v.value());
+    if (kind == Mapped::kApply) oc->block(cell.size()).Set(rank, v.value());
     oc->MarkPresent(rank);
     return true;
   });
@@ -564,6 +582,86 @@ MemArray MixedArray(uint64_t seed, int absent_pct) {
   return a;
 }
 
+// An 11 x 9 array (4 x 4 chunks) of IEEE and int64 extremes, with
+// NULLs: NaN, +-inf, +-0, +-1e300, 9.3e18 and the smallest denormal;
+// INT64_MIN/MAX and 2^53 + 1; float NaN and +-inf.
+MemArray SpecialsArray(uint64_t seed) {
+  ArraySchema schema("specials", {{"I", 1, 11, 4}, {"J", 1, 9, 4}},
+                     {{"i", DataType::kInt64, true, false},
+                      {"d", DataType::kDouble, true, false},
+                      {"f", DataType::kFloat, true, false}});
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double ds[] = {nan, inf, -inf, 0.0, -0.0, 1e300, -1e300, 2.5, -7.0,
+                       9.3e18, 5e-324};
+  const int64_t is[] = {INT64_MAX, INT64_MIN, 0, -1, 1, 7,
+                        (int64_t{1} << 53) + 1};
+  const double fs[] = {nan, inf, -inf, 3.5, 0.0};
+  MemArray a(schema);
+  Rng rng(seed);
+  for (int64_t i = 1; i <= 11; ++i) {
+    for (int64_t j = 1; j <= 9; ++j) {
+      auto maybe = [&](Value v) {
+        return Pick(&rng, 0, 10) == 1 ? Value::Null() : std::move(v);
+      };
+      std::vector<Value> cell = {maybe(Value(is[rng.Uniform(7)])),
+                                 maybe(Value(ds[rng.Uniform(11)])),
+                                 maybe(Value(fs[rng.Uniform(5)]))};
+      EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
+    }
+  }
+  return a;
+}
+
+// A 9 x 7 array (4 x 3 chunks) of a double, a nested array (NULL in some
+// cells) and a string, with absent cells.
+MemArray NestedArrayInput(uint64_t seed) {
+  ArraySchema schema("nested", {{"I", 1, 9, 4}, {"J", 1, 7, 3}},
+                     {{"d", DataType::kDouble, true, false},
+                      {"n", DataType::kArray, true, false},
+                      {"s", DataType::kString, true, false}});
+  MemArray a(schema);
+  Rng rng(seed);
+  for (int64_t i = 1; i <= 9; ++i) {
+    for (int64_t j = 1; j <= 7; ++j) {
+      if (Pick(&rng, 20, 0) == 0) continue;
+      auto nested = std::make_shared<NestedArray>();
+      nested->shape = {2};
+      nested->values = {Value(static_cast<double>(i)),
+                        Value(static_cast<double>(j))};
+      std::vector<Value> cell = {
+          Value(static_cast<double>(rng.UniformInt(-8, 8)) / 2),
+          Pick(&rng, 0, 25) == 1 ? Value::Null() : Value(nested),
+          Value(std::string(1, "xyz"[rng.Uniform(3)]))};
+      EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
+    }
+  }
+  return a;
+}
+
+// A rows x cols array (chunks of 3 x 2) of an int64 and a double, some
+// NULL; one side of a Cjoin.
+MemArray CjoinSide(const std::string& name, int64_t rows, int64_t cols,
+                   uint64_t seed) {
+  ArraySchema schema(name, {{"I", 1, rows, 3}, {"J", 1, cols, 2}},
+                     {{"k", DataType::kInt64, true, false},
+                      {"d", DataType::kDouble, true, false}});
+  MemArray a(schema);
+  Rng rng(seed);
+  for (int64_t i = 1; i <= rows; ++i) {
+    for (int64_t j = 1; j <= cols; ++j) {
+      auto maybe = [&](Value v) {
+        return Pick(&rng, 0, 15) == 1 ? Value::Null() : std::move(v);
+      };
+      std::vector<Value> cell = {
+          maybe(Value(rng.UniformInt(-3, 3))),
+          maybe(Value(static_cast<double>(rng.UniformInt(-20, 20)) / 4))};
+      EXPECT_TRUE(a.SetCell({i, j}, cell).ok());
+    }
+  }
+  return a;
+}
+
 ::testing::AssertionResult SameBytesAndStderr(const MemArray& want,
                                               const MemArray& got) {
   auto w = want.chunks().begin();
@@ -590,20 +688,13 @@ MemArray MixedArray(uint64_t seed, int absent_pct) {
 
 class ScalarVsBatchTest : public ParallelDifferentialTest {
  protected:
-  // The oracle against Filter or Apply at widths 1, 2 and 8: both
-  // succeed with identical arrays, or both fail with the same Status.
-  void Check(const std::string& label, const MemArray& a, Mapped kind,
-             const ExprPtr& e,
-             AttributeDesc applied = {"out", DataType::kDouble, true, false}) {
-    SCOPED_TRACE(label + " on " + a.schema().name() + ": " + e->ToString());
-    Result<MemArray> want = ScalarOracle(&fns_, kind, a, e, applied);
+  // `run` at widths 1, 2 and 8 against the oracle's `want`: both succeed
+  // with identical arrays, or both fail with the same Status.
+  void Expect(const std::string& label, const Result<MemArray>& want,
+              const std::function<Result<MemArray>(const ExecContext&)>& run) {
     for (int width : {1, 2, 8}) {
       ThreadPool pool(width);
-      const ExecContext ctx = CtxWith(&pool);
-      Result<MemArray> got =
-          kind == Mapped::kFilter
-              ? Filter(ctx, a, e)
-              : Apply(ctx, a, applied.name, applied.type, e, applied.uncertain);
+      Result<MemArray> got = run(CtxWith(&pool));
       const std::string tag = label + " @width " + std::to_string(width);
       ASSERT_EQ(want.ok(), got.ok())
           << tag << ": "
@@ -616,6 +707,31 @@ class ScalarVsBatchTest : public ParallelDifferentialTest {
       ExpectArraysIdentical(want.value(), got.value(), tag);
       EXPECT_TRUE(SameBytesAndStderr(want.value(), got.value())) << tag;
     }
+  }
+
+  // The oracle against Filter or Apply.
+  void Check(const std::string& label, const MemArray& a, Mapped kind,
+             const ExprPtr& e,
+             AttributeDesc applied = {"out", DataType::kDouble, true, false}) {
+    SCOPED_TRACE(label + " on " + a.schema().name() + ": " + e->ToString());
+    Expect(label, ScalarOracle(&fns_, kind, a, e, applied),
+           [&](const ExecContext& ctx) {
+             return kind == Mapped::kFilter
+                        ? Filter(ctx, a, e)
+                        : Apply(ctx, a, applied.name, applied.type, e,
+                                applied.uncertain);
+           });
+  }
+
+  // The oracle over the engine's cross product against Cjoin.
+  void CheckCjoin(const std::string& label, const MemArray& a,
+                  const MemArray& b, const ExprPtr& e) {
+    SCOPED_TRACE(label + ": " + e->ToString());
+    const MemArray cross = CrossProduct(CtxWith(nullptr), a, b).ValueOrDie();
+    Expect(label,
+           ScalarOracle(&fns_, Mapped::kFilter, cross, e, {},
+                        {&a.schema(), &b.schema()}),
+           [&](const ExecContext& ctx) { return Cjoin(ctx, a, b, e); });
   }
 
   void CheckBoth(const std::string& label, const MemArray& a,
@@ -778,6 +894,122 @@ TEST_F(ScalarVsBatchTest, WorkloadShapes) {
               And(Le(Ref("I"), Lit(int64_t{30})),
                   Gt(Ref("J"), Lit(int64_t{5}))));
   }
+}
+
+// A literal is a broadcast scalar on either side of a kernel; a zero
+// scalar divisor makes the whole column NULL; a literal-only subtree
+// (or tree) evaluates as any other.
+TEST_F(ScalarVsBatchTest, ScalarOperands) {
+  const std::vector<std::pair<std::string, ExprPtr>> exprs = {
+      {"scalar_left_sub", Sub(Lit(100.0), Ref("d"))},
+      {"scalar_left_div", Div(Lit(int64_t{7}), Ref("i"))},
+      {"scalar_zero_dividend", Div(Lit(int64_t{0}), Ref("i"))},
+      {"scalar_zero_divisor", Div(Ref("i"), Lit(int64_t{0}))},
+      {"scalar_zero_mod", Mod(Ref("I"), Lit(int64_t{0}))},
+      {"scalar_zero_double_div", Div(Ref("d"), Lit(0.0))},
+      {"scalar_zero_double_mod", Mod(Ref("f"), Lit(-0.0))},
+      {"scalar_left_mod", Mod(Lit(0.5), Ref("d"))},
+      {"scalar_left_dim", Sub(Lit(int64_t{2}), Ref("I"))},
+      {"scalar_left_cmp", Lt(Lit(3.0), Ref("d"))},
+      {"literal_subtree", Add(Ref("d"), Mul(Lit(2.0), Lit(3.0)))},
+      {"literal_subtree_zero", Add(Ref("i"), Div(Lit(int64_t{4}),
+                                                  Lit(int64_t{0})))},
+      {"literal_tree", Mul(Lit(2.0), Lit(3.0))},
+      {"literal_cmp", Lt(Lit(int64_t{1}), Lit(2.0))},
+      {"literal_not", Not(Lit(Value(false)))},
+      {"literal_logic", Or(Lit(Value(false)), Lit(Value(true)))},
+      {"logic_with_literal", And(Gt(Ref("d"), Lit(0.0)), Lit(Value(true)))},
+      {"dims_only", Gt(Ref("J"), Lit(int64_t{6}))},
+  };
+  for (const MemArray& a : MixedInputs()) {
+    for (const auto& [label, e] : exprs) CheckBoth(label, a, e);
+  }
+}
+
+// NaN, +-inf and the int64 extremes as operands, and doubles that do not
+// fit an int64 stored into one (INT64_MIN, as Value::AsInt64 converts).
+TEST_F(ScalarVsBatchTest, IeeeSpecialsAndInt64Extremes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const MemArray a = SpecialsArray(TestSeed(71));
+  const std::vector<std::pair<std::string, ExprPtr>> exprs = {
+      {"double_mul", Mul(Ref("d"), Lit(2.0))},
+      {"self_sub", Sub(Ref("d"), Ref("d"))},
+      {"self_div", Div(Ref("d"), Ref("d"))},
+      {"mod", Mod(Ref("d"), Lit(3.0))},
+      {"inf_literal", Mul(Lit(inf), Ref("d"))},
+      {"nan_literal", Add(Ref("d"), Lit(nan))},
+      {"nan_cmp", Eq(Ref("d"), Ref("d"))},
+      {"inf_cmp", Lt(Ref("f"), Lit(inf))},
+      {"int_over_double", Div(Ref("i"), Ref("d"))},
+      {"int_wrap", Mul(Ref("i"), Lit(int64_t{2}))},
+      {"int_neg", Div(Ref("i"), Lit(int64_t{-1}))},
+      {"int_mod_neg", Mod(Ref("i"), Lit(int64_t{-1}))},
+      {"float_plus_double", Add(Ref("f"), Ref("d"))},
+  };
+  for (const auto& [label, e] : exprs) CheckBoth(label, a, e);
+  for (const ExprPtr& e : {Mul(Ref("d"), Lit(1e300)), Ref("d"), Ref("f"),
+                           Add(Ref("i"), Lit(0.5)), Gt(Ref("d"), Lit(0.0))}) {
+    Check("store_int64", a, Mapped::kApply, e,
+          {"out", DataType::kInt64, true, false});
+  }
+}
+
+// A dense chunk with cells removed by DeleteCell keeps their stale
+// payloads behind its presence flags; whole columns carry them along.
+TEST_F(ScalarVsBatchTest, DeletedCellsKeepStalePayloads) {
+  MemArray a = MixedArray(TestSeed(73), /*absent_pct=*/0);
+  Rng rng(TestSeed(79));
+  for (int64_t i = 1; i <= 20; ++i) {
+    for (int64_t j = 1; j <= 13; ++j) {
+      if (rng.Uniform(3) == 0) {
+        ASSERT_TRUE(a.DeleteCell({i, j}).ok());
+      }
+    }
+  }
+  const std::vector<std::pair<std::string, ExprPtr>> exprs = {
+      {"cmp", Gt(Ref("d"), Lit(0.0))},
+      {"cook", Sub(Mul(Ref("d"), Lit(1.7)), Lit(17.0))},
+      {"int", Add(Ref("i"), Ref("J"))},
+      {"uncertain", Gt(Ref("u"), Lit(0.0))},
+  };
+  for (const auto& [label, e] : exprs) CheckBoth(label, a, e);
+  for (DataType t : {DataType::kDouble, DataType::kInt64, DataType::kBool}) {
+    Check(std::string("store_") + DataTypeName(t), a, Mapped::kApply,
+          Mul(Ref("d"), Lit(3.0)), {"out", t, true, false});
+  }
+}
+
+// Filter keeps a chunk whose every cell it drops: present, all NULL.
+TEST_F(ScalarVsBatchTest, FilterDropsWholeChunks) {
+  for (const MemArray& a : MixedInputs()) {
+    Check("rows_above_8", a, Mapped::kFilter, Gt(Ref("I"), Lit(int64_t{8})));
+    Check("nothing", a, Mapped::kFilter, Lt(Ref("d"), Lit(-1e9)));
+    Check("false", a, Mapped::kFilter, Lit(Value(false)));
+  }
+}
+
+// A nested-array attribute passes through cell by cell, NULL cells and
+// absent cells included.
+TEST_F(ScalarVsBatchTest, NestedArrayPassThrough) {
+  const MemArray a = NestedArrayInput(TestSeed(83));
+  CheckBoth("cmp", a, Gt(Ref("d"), Lit(0.0)));
+  CheckBoth("arith", a, Sub(Lit(1.0), Ref("d")));
+  Check("store_int64", a, Mapped::kApply, Ref("I"),
+        {"out", DataType::kInt64, true, false});
+}
+
+// Cjoin binds typed attributes of both sides, qualified and not.
+TEST_F(ScalarVsBatchTest, CjoinOverTypedAttributes) {
+  const MemArray a = CjoinSide("A", 5, 4, TestSeed(89));
+  const MemArray b = CjoinSide("B", 3, 3, TestSeed(97));
+  CheckCjoin("cjoin_lt", a, b, Lt(Ref("d", 0), Ref("d", 1)));
+  CheckCjoin("cjoin_sum", a, b,
+             Gt(Add(Ref("k", 0), Ref("k", 1)), Lit(int64_t{1})));
+  CheckCjoin("cjoin_dims", a, b, Eq(Ref("I", 0), Ref("J", 1)));
+  CheckCjoin("cjoin_mixed", a, b,
+             And(Ne(Ref("d"), Lit(0.0)),
+                 Le(Div(Ref("k", 1), Ref("d", 0)), Lit(1.0))));
 }
 
 // ------------------ pushdown vs full read (DESIGN.md §5) -----------------
